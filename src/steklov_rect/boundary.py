@@ -135,6 +135,8 @@ class SampledBoundaryFunction(BoundaryFunction):
         v = np.asarray(values, dtype=float)
         if s.ndim != 1 or s.shape != v.shape:
             raise BoundaryDataError("arclength and values must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+            raise BoundaryDataError("arclength and values must be finite")
         if np.any(np.diff(s) <= 0):
             raise BoundaryDataError("arclength samples must be strictly increasing")
         if s.size and (s[0] < 0.0 or s[-1] >= rect.perimeter):
@@ -270,8 +272,12 @@ def boundary_norm(
     order: int = 32,
     panels: Optional[int] = None,
 ) -> float:
-    """Mean L2 boundary norm sqrt(<u, u>)."""
-    return math.sqrt(max(0.0, inner_product(u, u, rect=rect, order=order, panels=panels)))
+    """Mean L2 boundary norm sqrt(<u, u>); nan for data that is not finite.
+
+    The Gauss weights are positive, so <u, u> is never negative; it is nan
+    exactly when the data is, and that nan must reach the caller.
+    """
+    return math.sqrt(inner_product(u, u, rect=rect, order=order, panels=panels))
 
 
 def coefficient(
@@ -297,18 +303,24 @@ def _poly(fn: Callable, name: str) -> Callable[[str | None], AnalyticBoundaryFun
     return make
 
 
+def _finite(name: str, param: str) -> float:
+    value = float(param)
+    if not math.isfinite(value):
+        raise ValueError(f"builtin '{name}' needs a finite parameter, got {param!r}")
+    return value
+
+
 def _const(param: Optional[str]) -> AnalyticBoundaryFunction:
     if param is None:
         raise ValueError("builtin 'const' needs a value, e.g. const:7")
-    c = float(param)
-    return constant_function(c)
+    return constant_function(_finite("const", param))
 
 
 def _osc(kind: str):
     def make(param: Optional[str]) -> AnalyticBoundaryFunction:
         if param is None:
             raise ValueError(f"builtin '{kind}' needs a frequency, e.g. {kind}:2.5")
-        nu = float(param)
+        nu = _finite(kind, param)
         if kind == "coshcos":
             fn = lambda x, y: np.cosh(nu * x) * np.cos(nu * y)
         elif kind == "sinhsin":

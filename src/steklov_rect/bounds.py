@@ -1,4 +1,5 @@
-"""Explicit decay bounds for the central-value coefficients, plus reference tables.
+"""Explicit decay bounds for the central-value coefficients, the certified
+central-value tails built from them, and the reference tables.
 
 The even-even expansion coefficients on the square obey
 c_j < 2.56 * exp(-2 nu_j) and the mode values at the center obey
@@ -14,7 +15,8 @@ import io
 import math
 from dataclasses import dataclass
 
-from .modes import Family, SymmetryClass, log_normalization_integral
+from .geometry import Rectangle
+from .modes import Family, ModeId, SymmetryClass, log_normalization_integral, resolve
 from .roots import DEFAULT_TOL, DeterminingEquation, solve_nu
 from . import stable
 
@@ -24,6 +26,8 @@ __all__ = [
     "check_square_bounds",
     "check_rect_bounds",
     "nu_orderings",
+    "square_center_tail",
+    "rect_center_tail",
     "TableRow",
     "TableReport",
     "reproduce_tables",
@@ -152,6 +156,57 @@ def nu_orderings(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[tup
 
 
 # ---------------------------------------------------------------------------
+# Certified central-value tails, per unit of the data norm ||h||.
+
+# On the square each omitted index j contributes at most 2 * 4.53 * exp(-nu_j),
+# and consecutive nu are at least pi/2 apart, which the geometric sum uses.
+_PAIR_BOUND = 9.06
+_CENTER_COEFF = 0.41
+_CENTER_COEFF_MIN_INDEX = 3
+
+
+def square_center_tail(m: int, tol: float = DEFAULT_TOL) -> float:
+    """Certified |h(0,0) - h_m(0,0)| / ||h|| on the square.
+
+    The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
+    that the geometric tail summed from nu_{m+1} is used, which is valid for
+    every m.
+    """
+    eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
+    if m >= _CENTER_COEFF_MIN_INDEX:
+        nu_m = solve_nu(eq, m, tol)
+        return _CENTER_COEFF * math.exp(-nu_m)
+    nu_next = solve_nu(eq, m + 1, tol)
+    return _PAIR_BOUND * math.exp(-nu_next) / (1.0 - math.exp(-math.pi))
+
+
+def rect_center_tail(m: int, alpha: float) -> float:
+    """Certified central tail on a strict rectangle from per-term bounds.
+
+    Each omitted class-I term of family X/Y contributes at most
+    sqrt(perimeter * c_bound); the c bounds only need the analytic root
+    windows nu_j in ((j-1/2) pi/a, j pi/a), so no further root solving is
+    required and the sum collapses geometrically.
+    """
+    per = Rectangle(alpha).perimeter
+    total = 0.0
+    for j in range(m + 1, m + 501):
+        nu1_lo = (j - 0.5) * math.pi / alpha
+        nu1_hi = j * math.pi / alpha
+        c1 = min(
+            2.56 / alpha * math.exp(-2.0 * nu1_lo),
+            4.0 * nu1_hi * math.exp(-2.0 * alpha * nu1_lo),
+        )
+        nu2_lo = (j - 0.5) * math.pi
+        c2 = 2.56 * math.exp(-2.0 * alpha * nu2_lo)
+        term = math.sqrt(per * c1) + math.sqrt(per * c2)
+        total += term
+        if term < 1e-17 * total:
+            break
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Reference tables: published nine-digit values for the square.
 
 TABLE1_NU = (2.36502037, 5.49780392, 8.63937983, 11.7809725, 14.9225651, 18.0641578)
@@ -223,16 +278,14 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
 
     Emits nu_j, their first differences and eigenvalues, the central mode
     values, the expansion coefficients c_j = 1/I(1, nu_j) with ratios, and
-    the certified relative-error coefficients for the central value (the
-    geometric-tail form below index 3, the closed 0.41 exp(-nu_m) form from
-    index 3 on).
+    the certified relative-error coefficients for the central value
+    (square_center_tail for m = 1, 2, 3).
     """
-    eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
-    nus = [solve_nu(eq, j, root_tol) for j in range(1, 7)]
-    deltas = [nu * math.tanh(nu) for nu in nus]
-    log_is = [log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0) for nu in nus]
-    cs = [math.exp(-li) for li in log_is]
-    centers = [math.exp(0.5 * (math.log(8.0) - li)) for li in log_is]
+    modes = [resolve(ModeId.separated(SymmetryClass.I, Family.X, j), 1.0, root_tol) for j in range(1, 7)]
+    nus = [mode.nu for mode in modes]
+    deltas = [mode.delta for mode in modes]
+    centers = [mode.scale for mode in modes]  # a class-I mode's value at (0,0)
+    cs = [math.exp(-log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0)) for nu in nus]
 
     rows: list[TableRow] = []
     for j, nu in enumerate(nus, start=1):
@@ -247,12 +300,8 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
         rows.append(TableRow(3, f"c_{j}", c, TABLE3_C[j - 1], TOL_TABLE23))
     for j in range(2, 7):
         rows.append(TableRow(3, f"c_{j}/c_{j-1}", cs[j - 1] / cs[j - 2], TABLE3_RATIO[j - 2], TOL_TABLE23))
-    tail = 1.0 - math.exp(-math.pi)
-    relerr = [
-        9.06 * math.exp(-nus[1]) / tail,
-        9.06 * math.exp(-nus[2]) / tail,
-        0.41 * math.exp(-nus[2]),
-    ]
-    for m, v in enumerate(relerr, start=1):
-        rows.append(TableRow(4, f"relerr_m{m}", v, TABLE4_RELERR[m - 1], TOL_TABLE4))
+    for m in range(1, 4):
+        rows.append(
+            TableRow(4, f"relerr_m{m}", square_center_tail(m, root_tol), TABLE4_RELERR[m - 1], TOL_TABLE4)
+        )
     return TableReport(tuple(rows))

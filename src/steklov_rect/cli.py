@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -79,6 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numerics(args) -> None:
+    if not (math.isfinite(args.root_tol) and args.root_tol > 0.0):
+        raise UsageError(f"--root-tol must be positive and finite, got {args.root_tol}")
+    if args.quad_order < 2:
+        raise UsageError(f"--quad-order must be >= 2, got {args.quad_order}")
+
+
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise UsageError(
@@ -132,12 +140,11 @@ def _emit(args, text: str) -> None:
 
 
 def _mode_row(mode: md.SteklovMode) -> dict:
-    sep = mode.kind == md.ModeKind.SEPARATED
+    cls, fam, idx = mode.label()
     return {
-        "class": (mode.symmetry_class.value if sep else
-                  ("I" if mode.kind == md.ModeKind.CONSTANT else "II")),
-        "family": mode.family.value if sep else None,
-        "index": mode.index if sep else None,
+        "class": cls,
+        "family": fam,
+        "index": idx,
         "nu": mode.nu,
         "delta": mode.delta,
         "scale": mode.scale,
@@ -280,6 +287,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_numerics(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import boundary as bd
+from .bounds import rect_center_tail, square_center_tail
 from .geometry import Rectangle, check_interior
 from .modes import (
     Family,
@@ -25,11 +26,12 @@ from .modes import (
     ModeKind,
     SteklovMode,
     SymmetryClass,
+    _mode_at,
     evaluate,
     first_modes,
     resolve,
 )
-from .roots import DEFAULT_TOL, DeterminingEquation, solve_nu
+from .roots import DEFAULT_TOL
 
 __all__ = [
     "ExpansionTerm",
@@ -50,14 +52,6 @@ __all__ = [
     "load_expansion",
 ]
 
-# Tail constants for the central-value certificate on the square: each omitted
-# index j contributes at most 2 * 4.53 * exp(-nu_j) * ||h||, and consecutive
-# nu are at least pi/2 apart, which the geometric sum below uses.
-_PAIR_BOUND = 9.06
-_CENTER_COEFF = 0.41
-_CENTER_COEFF_MIN_INDEX = 3
-
-
 class IncompatibleDataError(ValueError):
     """Neumann data with nonzero boundary mean has no solution."""
 
@@ -73,9 +67,10 @@ class SteklovExpansion:
     """Mean term plus coefficients against modes sorted by eigenvalue.
 
     kind is "dirichlet" or "robin"; t is the Robin interpolation parameter
-    (None for Dirichlet). data_norm is the mean-L2 boundary norm of the data
-    the expansion was built from; it is not serialized, so expansions loaded
-    from JSON carry None and report an infinite central-value bound.
+    (None for Dirichlet, 0 for Neumann). data_norm is the mean-L2 boundary
+    norm of the data the expansion was built from; it is not serialized, so
+    expansions loaded from JSON carry None and report an infinite
+    central-value bound.
     """
 
     alpha: float
@@ -120,17 +115,34 @@ def _build(
     order: int,
     kind: str,
     t: Optional[float],
-    weights=None,
 ) -> SteklovExpansion:
+    """Coefficients of h against modes; with t set, each is divided by (1-t)*delta + t.
+
+    t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
+    1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
+    spuriously reject valid data, and its mean term is 0.
+    """
     rect = Rectangle(alpha)
     raw_mean = bd.mean(h, rect=rect, order=order)
     norm = bd.boundary_norm(h, rect=rect, order=order)
-    mean_term = raw_mean if t is None else raw_mean / t
+    if not (math.isfinite(raw_mean) and math.isfinite(norm)):
+        raise bd.BoundaryDataError(
+            f"boundary data is not finite: mean = {raw_mean!r}, norm = {norm!r}"
+        )
+    if t == 0.0:
+        limit = 1e-9 * (1.0 + norm)
+        if abs(raw_mean) > limit:
+            raise IncompatibleDataError(
+                f"Neumann data must have zero boundary mean; |mean| = {abs(raw_mean):.3e} > {limit:.3e}"
+            )
+        mean_term = 0.0
+    else:
+        mean_term = raw_mean if t is None else raw_mean / t
     terms = []
     for mode in modes:
         c = bd.coefficient(h, mode, order=order)
-        if weights is not None:
-            c = c / weights(mode)
+        if t is not None:
+            c = c / ((1.0 - t) * mode.delta + t)
         terms.append(ExpansionTerm(mode, c))
     return SteklovExpansion(alpha, kind, t, mean_term, tuple(terms), order, norm)
 
@@ -199,9 +211,7 @@ def solve_robin(
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(
-        eta, alpha, modes, order, "robin", t, weights=lambda m: (1.0 - t) * m.delta + t
-    )
+    return _build(eta, alpha, modes, order, "robin", t)
 
 
 def solve_neumann(
@@ -211,29 +221,17 @@ def solve_neumann(
     order: int = 32,
     classes: Optional[Sequence[SymmetryClass]] = None,
     tol: float = DEFAULT_TOL,
-    compat_tol: Optional[float] = None,
 ) -> SteklovExpansion:
     """Mean-zero solution of the Neumann problem, the t -> 0 limit of Robin.
 
-    Solvable only for (numerically) mean-zero data: the compatibility
-    tolerance defaults to 1e-9 * (1 + ||eta||) so quadrature-level noise on
-    the mean does not spuriously reject valid data.
+    Coefficients are the Dirichlet ones divided by delta. Solvable only for
+    (numerically) mean-zero data: a boundary mean above 1e-9 * (1 + ||eta||)
+    raises IncompatibleDataError.
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    rect = Rectangle(alpha)
-    norm = bd.boundary_norm(eta, rect=rect, order=order)
-    eta_mean = bd.mean(eta, rect=rect, order=order)
-    limit = 1e-9 * (1.0 + norm) if compat_tol is None else compat_tol
-    if abs(eta_mean) > limit:
-        raise IncompatibleDataError(
-            f"Neumann data must have zero boundary mean; |mean| = {abs(eta_mean):.3e} > {limit:.3e}"
-        )
     modes = first_modes(alpha, M, classes=classes, tol=tol)
-    terms = tuple(
-        ExpansionTerm(mode, bd.coefficient(eta, mode, order=order) / mode.delta) for mode in modes
-    )
-    return SteklovExpansion(alpha, "robin", 0.0, 0.0, terms, order, norm)
+    return _build(eta, alpha, modes, order, "robin", 0.0)
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):
@@ -269,47 +267,6 @@ def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[ExpansionTerm
     return out
 
 
-def _square_tail_bound(m: int, alpha: float, tol: float) -> float:
-    """Certified |h(0,0) - h_m(0,0)| / ||h|| on the square.
-
-    The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
-    that the geometric tail summed from nu_{m+1} is used, which is valid for
-    every m.
-    """
-    eq = DeterminingEquation(SymmetryClass.I, Family.X, alpha)
-    if m >= _CENTER_COEFF_MIN_INDEX:
-        nu_m = solve_nu(eq, m, tol)
-        return _CENTER_COEFF * math.exp(-nu_m)
-    nu_next = solve_nu(eq, m + 1, tol)
-    return _PAIR_BOUND * math.exp(-nu_next) / (1.0 - math.exp(-math.pi))
-
-
-def _rect_tail_bound(m: int, alpha: float) -> float:
-    """Certified central tail on a strict rectangle from per-term bounds.
-
-    Each omitted class-I term of family X/Y contributes at most
-    sqrt(perimeter * c_bound); the c bounds only need the analytic root
-    windows nu_j in ((j-1/2) pi/a, j pi/a), so no further root solving is
-    required and the sum collapses geometrically.
-    """
-    per = 4.0 * (1.0 + alpha)
-    total = 0.0
-    for j in range(m + 1, m + 501):
-        nu1_lo = (j - 0.5) * math.pi / alpha
-        nu1_hi = j * math.pi / alpha
-        c1 = min(
-            2.56 / alpha * math.exp(-2.0 * nu1_lo),
-            4.0 * nu1_hi * math.exp(-2.0 * alpha * nu1_lo),
-        )
-        nu2_lo = (j - 0.5) * math.pi
-        c2 = 2.56 * math.exp(-2.0 * alpha * nu2_lo)
-        term = math.sqrt(per * c1) + math.sqrt(per * c2)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return total
-
-
 def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValueResult:
     """Value at the origin with a certified error radius.
 
@@ -327,9 +284,9 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
     if e.alpha == 1.0:
-        per_norm = _square_tail_bound(m, e.alpha, tol)
+        per_norm = square_center_tail(m, tol)
     else:
-        per_norm = _rect_tail_bound(m, e.alpha)
+        per_norm = rect_center_tail(m, e.alpha)
     return CentralValueResult(value, m, per_norm * e.data_norm, e.data_norm)
 
 
@@ -354,10 +311,7 @@ def energy_tail(e: SteklovExpansion, quintile: float = 0.2) -> EnergyTail:
 
 def _term_dict(term: ExpansionTerm) -> dict:
     mode = term.mode
-    if mode.kind == ModeKind.XY:
-        cls, fam, idx = SymmetryClass.II.value, None, None
-    else:
-        cls, fam, idx = mode.symmetry_class.value, mode.family.value, mode.index
+    cls, fam, idx = mode.label()
     return {
         "class": cls,
         "family": fam,
@@ -382,23 +336,9 @@ def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
     cls = SymmetryClass(d["class"])
     if d["family"] is None:
         return resolve(ModeId.xy(), alpha)
-    fam = Family(d["family"])
     # keep the stored nu/delta bit-exact; only the normalization is recomputed
-    from .modes import log_normalization_integral
-    from . import stable
-
-    nu = float(d["nu"])
-    log_total = log_normalization_integral(cls, fam, nu, alpha)
-    log_norm_sq = log_total - math.log(4.0 * (1.0 + alpha))
-    return SteklovMode(
-        ModeId.separated(cls, fam, int(d["index"])),
-        alpha,
-        nu,
-        float(d["delta"]),
-        stable.exp_or_inf(log_norm_sq),
-        stable.exp_or_inf(-0.5 * log_norm_sq),
-        -0.5 * log_norm_sq,
-    )
+    mode_id = ModeId.separated(cls, Family(d["family"]), int(d["index"]))
+    return _mode_at(mode_id, alpha, float(d["nu"]), float(d["delta"]))
 
 
 def expansion_from_dict(doc: dict) -> SteklovExpansion:

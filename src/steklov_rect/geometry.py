@@ -65,10 +65,6 @@ class Rectangle:
             return (-self.alpha, self.alpha)
         return (-1.0, 1.0)
 
-    def edge_length(self, edge: Edge) -> float:
-        lo, hi = self.edge_range(edge)
-        return hi - lo
-
     def edge_xy(self, edge: Edge, t):
         """Cartesian coordinates of edge points; t may be an array."""
         t = np.asarray(t, dtype=float)
@@ -122,11 +118,6 @@ class Rectangle:
     def is_corner(self, edge: Edge, t: float, tol: float = 1e-12) -> bool:
         lo, hi = self.edge_range(edge)
         return t <= lo + tol or t >= hi - tol
-
-    @property
-    def corners(self) -> list[tuple[float, float]]:
-        a = self.alpha
-        return [(1.0, -a), (1.0, a), (-1.0, a), (-1.0, -a)]
 
     def __str__(self) -> str:  # pragma: no cover
         return f"(-1,1)x(-{self.alpha},{self.alpha})"

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,7 +37,6 @@ __all__ = [
     "normal_derivative",
     "spectrum",
     "first_modes",
-    "mode_streams",
 ]
 
 _CLASS_ORDER = {SymmetryClass.I: 0, SymmetryClass.II: 1, SymmetryClass.III: 2, SymmetryClass.IV: 3}
@@ -100,19 +97,25 @@ class ModeId:
 class SteklovMode:
     """A fully resolved, boundary-normalized mode.
 
-    norm_sq is the boundary mean square of the *unnormalized* profile and
-    scale = 1/sqrt(norm_sq) the normalization multiplier. Both can leave the
-    double range for very large nu; log_scale is the authoritative quantity
-    and all evaluation goes through it.
+    log_scale is the log of the normalization multiplier and the only stored
+    encoding of it: scale = exp(log_scale) and norm_sq = exp(-2 log_scale),
+    the boundary mean square of the *unnormalized* profile, both leave the
+    double range for very large nu, so all evaluation goes through log_scale.
     """
 
     mode_id: ModeId
     alpha: float
     nu: float
     delta: float
-    norm_sq: float
-    scale: float
     log_scale: float
+
+    @property
+    def scale(self) -> float:
+        return stable.exp_or_inf(self.log_scale)
+
+    @property
+    def norm_sq(self) -> float:
+        return stable.exp_or_inf(-2.0 * self.log_scale)
 
     @property
     def rect(self) -> Rectangle:
@@ -136,6 +139,14 @@ class SteklovMode:
 
     def sort_key(self) -> tuple:
         return (self.delta,) + self.mode_id.sort_key()
+
+    def label(self) -> tuple[str, Optional[str], Optional[int]]:
+        """(class, family, index) as written out: constant is class I, xy class II."""
+        if self.kind == ModeKind.CONSTANT:
+            return SymmetryClass.I.value, None, None
+        if self.kind == ModeKind.XY:
+            return SymmetryClass.II.value, None, None
+        return self.symmetry_class.value, self.family.value, self.index
 
 
 def eigenvalue(
@@ -197,51 +208,38 @@ def log_normalization_integral(
 
 
 def normalization_integral(
-    symmetry_class: SymmetryClass,
-    family: Family,
-    nu: float,
-    alpha: float,
-    scaled: bool = True,
+    symmetry_class: SymmetryClass, family: Family, nu: float, alpha: float
 ) -> float:
-    """Boundary integral of the squared unnormalized profile.
+    """Boundary integral of the squared unnormalized profile; inf past the double range."""
+    return stable.exp_or_inf(log_normalization_integral(symmetry_class, family, nu, alpha))
 
-    With scaled=False the hyperbolic factors are evaluated directly, which
-    overflows past nu ~ 350; an OverflowError there signals misconfiguration
-    rather than silently returning inf.
-    """
-    logv = log_normalization_integral(symmetry_class, family, nu, alpha)
-    if not scaled and logv > 709.0:
-        raise OverflowError(
-            f"normalization integral overflows doubles at nu={nu}; "
-            "use the log-scaled path"
-        )
-    return stable.exp_or_inf(logv)
+
+def _mode_at(mode_id: ModeId, alpha: float, nu: float, delta: float) -> SteklovMode:
+    """The boundary-normalized mode with the given root and eigenvalue."""
+    if mode_id.kind == ModeKind.CONSTANT:
+        log_scale = 0.0
+    elif mode_id.kind == ModeKind.XY:
+        # mean square of x*y over the boundary is 1/3; log(sqrt(3)) keeps
+        # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
+        log_scale = math.log(math.sqrt(3.0))
+    else:
+        log_total = log_normalization_integral(mode_id.symmetry_class, mode_id.family, nu, alpha)
+        log_scale = -0.5 * (log_total - math.log(Rectangle(alpha).perimeter))
+    return SteklovMode(mode_id, alpha, nu, delta, log_scale)
 
 
 def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovMode:
     """Fully populate a mode: root, eigenvalue, normalization. Deterministic."""
-    rect = Rectangle(alpha)  # validates alpha
+    Rectangle(alpha)  # validates alpha
     if mode_id.kind == ModeKind.CONSTANT:
-        return SteklovMode(mode_id, alpha, 0.0, 0.0, 1.0, 1.0, 0.0)
+        return _mode_at(mode_id, alpha, 0.0, 0.0)
     if mode_id.kind == ModeKind.XY:
         if alpha != 1.0:
             raise InvalidModeError(f"the xy mode exists only on the square, got alpha={alpha}")
-        # mean square of x*y over the boundary is 1/3
-        return SteklovMode(mode_id, alpha, 0.0, 1.0, 1.0 / 3.0, math.sqrt(3.0), 0.5 * math.log(3.0))
+        return _mode_at(mode_id, alpha, 0.0, 1.0)
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
     nu = solve_nu(eq, mode_id.index, tol)
-    delta = eigenvalue(mode_id.symmetry_class, mode_id.family, nu, alpha)
-    log_total = log_normalization_integral(mode_id.symmetry_class, mode_id.family, nu, alpha)
-    log_norm_sq = log_total - math.log(rect.perimeter)
-    return SteklovMode(
-        mode_id,
-        alpha,
-        nu,
-        delta,
-        stable.exp_or_inf(log_norm_sq),
-        stable.exp_or_inf(-0.5 * log_norm_sq),
-        -0.5 * log_norm_sq,
-    )
+    return _mode_at(mode_id, alpha, nu, eigenvalue(mode_id.symmetry_class, mode_id.family, nu, alpha))
 
 
 def _separated_factors(mode: SteklovMode, x, y, d_hyp: bool = False, d_trig: bool = False):
@@ -332,42 +330,29 @@ def normal_derivative(mode: SteklovMode, point: BoundaryPoint) -> float:
     return float(nx * dx + ny * dy)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("STEKLOV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def mode_streams(
-    alpha: float,
-    classes: Optional[Sequence[SymmetryClass]] = None,
-    families: Optional[Sequence[Family]] = None,
-) -> list[tuple[SymmetryClass, Family]]:
-    """The (class, family) sequences present for this filter, in tie-break order."""
-    classes = list(SymmetryClass) if classes is None else list(classes)
-    families = list(Family) if families is None else list(families)
-    return [(c, f) for c in SymmetryClass if c in classes for f in Family if f in families]
+def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryClass, Family]]:
+    """The (class, family) sequences passing the class filter, in tie-break order."""
+    return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
 def first_modes(
     alpha: float,
     count: int,
     classes: Optional[Sequence[SymmetryClass]] = None,
-    families: Optional[Sequence[Family]] = None,
     tol: float = DEFAULT_TOL,
 ) -> list[SteklovMode]:
     """The first `count` non-constant modes in ascending-eigenvalue order.
 
-    Merges the per-(class, family) sequences lazily; each sequence is strictly
-    increasing in delta, so a heap of one candidate per sequence suffices.
-    Ties (the square is full of them) break by class then family order.
+    classes restricts the modes to those symmetry classes (all four when
+    None); the xy mode counts as class II. Merges the per-(class, family)
+    sequences lazily; each sequence is strictly increasing in delta, so a
+    heap of one candidate per sequence suffices. Ties (the square is full of
+    them) break by class then family order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     heap: list[tuple] = []
-    for cls, fam in mode_streams(alpha, classes, families):
+    for cls, fam in _streams(classes):
         mode = resolve(ModeId.separated(cls, fam, 1), alpha, tol)
         heapq.heappush(heap, (mode.sort_key(), mode))
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
@@ -391,33 +376,21 @@ def spectrum(
     alpha: float,
     j_max: int,
     classes: Optional[Sequence[SymmetryClass]] = None,
-    families: Optional[Sequence[Family]] = None,
     tol: float = DEFAULT_TOL,
-    include_constant: bool = True,
-    threads: Optional[int] = None,
 ) -> list[SteklovMode]:
     """All modes with per-sequence index <= j_max, sorted by eigenvalue.
 
-    Includes the constant mode (unless suppressed or filtered out of class I)
-    and the xy mode on the square when class II passes the filter. threads
-    defaults to the STEKLOV_THREADS environment variable and caps the worker
-    pool used to resolve independent modes.
+    classes restricts the modes to those symmetry classes (all four when
+    None). The constant mode is included when class I passes the filter, and
+    the xy mode on the square when class II does.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     ids: list[ModeId] = []
-    allowed = list(SymmetryClass) if classes is None else list(classes)
-    if include_constant and SymmetryClass.I in allowed:
+    if classes is None or SymmetryClass.I in classes:
         ids.append(ModeId.constant())
-    if alpha == 1.0 and SymmetryClass.II in allowed:
+    if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
         ids.append(ModeId.xy())
-    for cls, fam in mode_streams(alpha, classes, families):
+    for cls, fam in _streams(classes):
         ids.extend(ModeId.separated(cls, fam, j) for j in range(1, j_max + 1))
-
-    workers = _env_threads() if threads is None else max(1, threads)
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            modes = list(pool.map(lambda mid: resolve(mid, alpha, tol), ids))
-    else:
-        modes = [resolve(mid, alpha, tol) for mid in ids]
-    return sorted(modes, key=SteklovMode.sort_key)
+    return sorted((resolve(mid, alpha, tol) for mid in ids), key=SteklovMode.sort_key)

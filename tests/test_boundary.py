@@ -15,6 +15,7 @@ from steklov_rect import (
     Rectangle,
     SampledBoundaryFunction,
     SymmetryClass,
+    boundary_norm,
     builtin_boundary,
     coefficient,
     constant_function,
@@ -101,6 +102,11 @@ class TestInnerProduct:
             inner_product(tr, constant_function(1.0), rect=Rectangle(1.0))
 
 
+class TestNorm:
+    def test_nan_data_has_nan_norm(self):
+        assert math.isnan(boundary_norm(constant_function(math.nan), rect=Rectangle(1.0)))
+
+
 class TestMean:
     def test_constant(self):
         assert mean(constant_function(2.5), rect=Rectangle(0.4)) == pytest.approx(2.5, rel=1e-14)
@@ -183,6 +189,15 @@ class TestSampledData:
         path = tmp_path / "bad2.csv"
         path.write_text("arclength,value\n0.0,1.0\n0.5,oops\n")
         with pytest.raises(BoundaryDataError):
+            load_boundary_csv(path, 1.0)
+
+    @pytest.mark.parametrize("s, v", [("1.5", "nan"), ("1.5", "inf"), ("nan", "1.0")])
+    def test_non_finite_sample_rejected(self, tmp_path, s, v):
+        rows = ["arclength,value", "0.5,1.0", f"{s},{v}"]
+        rows += [f"{si},1.0" for si in (2.5, 3.5, 4.5, 5.5, 6.5, 7.5)]
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(BoundaryDataError, match="finite"):
             load_boundary_csv(path, 1.0)
 
     def test_out_of_range_arclength_rejected(self):

@@ -106,6 +106,44 @@ class TestCentral:
         assert run(capsys, "central", "--data", str(path))[0] == 1
 
 
+class TestBadValues:
+    """Out-of-range or non-finite flags exit 2, non-finite data exits 1; both with a message."""
+
+    @staticmethod
+    def assert_clean_error(rc, err, want_rc):
+        assert rc == want_rc
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("central", "--builtin", "x2-y2", "--root-tol", "-1"),
+        ("central", "--builtin", "x2-y2", "--root-tol", "nan"),
+        ("spectrum", "--root-tol", "inf"),
+        ("solve", "--mode", "dirichlet", "--builtin", "x", "--quad-order", "1"),
+        ("central", "--builtin", "const:nan"),
+        ("central", "--builtin", "const:inf"),
+        ("central", "--builtin", "coshcos:nan"),
+        ("solve", "--mode", "neumann", "--builtin", "const:nan"),
+    ])
+    def test_usage_error(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        self.assert_clean_error(rc, err, want_rc=2)
+
+    def test_overflowing_data_is_data_error(self, capsys):
+        with np.errstate(all="ignore"):
+            rc, _, err = run(capsys, "central", "--builtin", "coshcos:800")
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert "not finite" in err
+
+    def test_nan_sample_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("arclength,value\n" + "".join(
+            f"{s},{'nan' if s == 1.5 else 1.0}\n" for s in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5)))
+        rc, _, err = run(capsys, "central", "--data", str(path))
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert "finite" in err
+
+
 class TestSolve:
     def test_robin_t1_equals_dirichlet(self, capsys):
         rc1, out1, _ = run(capsys, "solve", "--mode", "robin", "--t", "1",

@@ -6,6 +6,7 @@ import pytest
 
 from steklov_rect import (
     AnalyticBoundaryFunction,
+    BoundaryDataError,
     Family,
     IncompatibleDataError,
     LinearCombination,
@@ -243,6 +244,11 @@ class TestNeumann:
     def test_incompatible_data_rejected(self):
         with pytest.raises(IncompatibleDataError):
             solve_neumann(constant_function(1.0), 1.0, 4)
+
+    def test_non_finite_data_rejected(self):
+        # abs(nan) > limit is False, so the compatibility check alone lets nan through
+        with pytest.raises(BoundaryDataError):
+            solve_neumann(constant_function(math.nan), 1.0, 4)
 
     def test_robin_limit(self):
         eta = LinearCombination(
