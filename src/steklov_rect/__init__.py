@@ -48,6 +48,7 @@ from .boundary import (
     boundary_norm,
     builtin_boundary,
     coefficient,
+    coefficients,
     constant_function,
     inner_product,
     load_boundary_csv,

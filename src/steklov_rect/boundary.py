@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, trace_on_edge
+from .modes import SteklovMode, _trace_block, trace_on_edge
 
 __all__ = [
     "BoundaryFunction",
@@ -33,6 +33,7 @@ __all__ = [
     "mean",
     "boundary_norm",
     "coefficient",
+    "coefficients",
     "default_panels",
     "load_boundary_csv",
     "builtin_boundary",
@@ -280,15 +281,39 @@ def boundary_norm(
     return math.sqrt(inner_product(u, u, rect=rect, order=order, panels=panels))
 
 
-def coefficient(
-    u: BoundaryFunction,
-    mode: SteklovMode,
-    order: int = 32,
-    panels: Optional[int] = None,
-) -> float:
+def coefficients(u: BoundaryFunction, modes: Sequence[SteklovMode], order: int = 32) -> list[float]:
+    """Expansion coefficients <u, mode trace> against boundary-normalized modes.
+
+    Each mode keeps the rule inner_product would give it, with panels
+    default_panels(u.freq_hint + nu). Modes with the same panel count share
+    one grid per edge and one evaluation of u on it; the traces of the modes
+    of one kind are built as one block. Every coefficient is the same sum of
+    the same per-edge dot products as inner_product's, so bit for bit equal.
+    """
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault((mode.alpha, default_panels(u.freq_hint + mode.nu)), []).append(i)
+    totals = [0.0] * len(modes)
+    for (alpha, panels), members in groups.items():
+        rect = Rectangle(alpha)
+        kinds: dict[tuple, list[int]] = {}
+        for i in members:
+            kinds.setdefault((modes[i].kind, modes[i].symmetry_class, modes[i].family), []).append(i)
+        for edge in _EDGE_ORDER:
+            pts, wts = edge_quadrature(rect, edge, order, panels)
+            hv = u.edge_values(rect, edge, pts)
+            x, y = rect.edge_xy(edge, pts)
+            x, y = (x[:1], y) if edge in (Edge.RIGHT, Edge.LEFT) else (x, y[:1])
+            for idx in kinds.values():
+                prod = hv * _trace_block([modes[i] for i in idx], x, y)
+                for i, row in zip(idx, prod):
+                    totals[i] += float(np.dot(wts, row))
+    return [totals[i] / modes[i].rect.perimeter for i in range(len(modes))]
+
+
+def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> float:
     """Expansion coefficient <u, mode trace> against a boundary-normalized mode."""
-    trace = ModeTrace(mode)
-    return inner_product(u, trace, rect=trace.rect, order=order, panels=panels)
+    return coefficients(u, [mode], order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,8 @@ def cmd_solve(args) -> int:
         e = xp.solve_robin(eta, args.alpha, args.t, args.m, order=args.quad_order, tol=args.root_tol)
     else:
         e = xp.solve_neumann(eta, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
-    values = [(x, y, float(xp.evaluate_interior(e, x, y))) for x, y in points]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    values = list(zip(xs, ys, xp.evaluate_interior(e, xs, ys).tolist()))
     doc = xp.expansion_to_dict(e)
     if args.format == "json":
         out = {"expansion": doc, "values": [{"x": x, "y": y, "value": v} for x, y, v in values]}

@@ -242,45 +242,65 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
     return _mode_at(mode_id, alpha, nu, eigenvalue(mode_id.symmetry_class, mode_id.family, nu, alpha))
 
 
-def _separated_factors(mode: SteklovMode, x, y, d_hyp: bool = False, d_trig: bool = False):
-    """Normalized profile (or a first derivative factor) for separated modes.
+def _separated_factors(
+    symmetry_class: SymmetryClass, family: Family, nu, log_scale, x, y,
+    d_hyp: bool = False, d_trig: bool = False,
+):
+    """(x factor, y factor) of normalized separated modes; the profile is their product.
 
-    d_hyp differentiates the hyperbolic factor, d_trig the trig one; the nu
-    prefactor of the derivative is left to the caller.
+    nu and log_scale are one mode's, or arrays for several modes of one
+    (class, family) that broadcast against x and y. d_hyp differentiates the
+    hyperbolic factor, d_trig the trig one; the nu prefactor of the
+    derivative is left to the caller.
     """
-    cls, fam = mode.symmetry_class, mode.family
-    hyp_cosh, trig_cos = _profile_parts(cls, fam)
-    u = x if fam == Family.X else y  # hyperbolic variable
-    v = y if fam == Family.X else x  # trig variable
-    uh = mode.nu * np.asarray(u, dtype=float)
-    vt = mode.nu * np.asarray(v, dtype=float)
+    hyp_cosh, trig_cos = _profile_parts(symmetry_class, family)
+    u, v = (x, y) if family == Family.X else (y, x)  # hyperbolic, trig variable
+    uh = nu * np.asarray(u, dtype=float)
+    vt = nu * np.asarray(v, dtype=float)
 
     use_cosh = hyp_cosh ^ d_hyp  # derivative swaps cosh <-> sinh
     if use_cosh:
-        hyp_part = stable.signed_exp_cosh(uh, mode.log_scale)
+        hyp_part = stable.signed_exp_cosh(uh, log_scale)
     else:
-        hyp_part = stable.signed_exp_sinh(uh, mode.log_scale)
+        hyp_part = stable.signed_exp_sinh(uh, log_scale)
 
     use_cos = trig_cos ^ d_trig
     trig_part = np.cos(vt) if use_cos else np.sin(vt)
     if d_trig and trig_cos:  # d/dv cos = -sin
         trig_part = -trig_part
-    return hyp_part * trig_part
+    return (hyp_part, trig_part) if family == Family.X else (trig_part, hyp_part)
+
+
+def _mode_factors(mode: SteklovMode, x, y):
+    """(x factor, y factor) of any mode at coordinates x and y; the mode is their product."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if mode.kind == ModeKind.CONSTANT:
+        return np.ones(x.shape), np.ones(y.shape)
+    if mode.kind == ModeKind.XY:
+        return mode.scale * x, y
+    return _separated_factors(mode.symmetry_class, mode.family, mode.nu, mode.log_scale, x, y)
+
+
+def _trace_block(modes: Sequence[SteklovMode], x, y) -> np.ndarray:
+    """Values of modes of one kind (one (class, family) when separated) at 1-d x and y.
+
+    Row i holds modes[i]; x and y broadcast against each other, so an edge
+    passes its fixed coordinate as a single value.
+    """
+    m0 = modes[0]
+    if m0.kind != ModeKind.SEPARATED:
+        return np.array([np.multiply(*_mode_factors(m, x, y)) for m in modes])
+    nu = np.array([[m.nu] for m in modes])
+    log_scale = np.array([[m.log_scale] for m in modes])
+    fx, fy = _separated_factors(m0.symmetry_class, m0.family, nu, log_scale, x, y)
+    return fx * fy
 
 
 def evaluate(mode: SteklovMode, x, y):
     """Boundary-normalized eigenfunction value(s) on the closed rectangle."""
-    rect = mode.rect
-    check_interior(rect, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if mode.kind == ModeKind.CONSTANT:
-        out = np.ones(np.broadcast(x, y).shape)
-        return float(out) if out.ndim == 0 else out
-    if mode.kind == ModeKind.XY:
-        out = mode.scale * x * y
-        return float(out) if out.ndim == 0 else out
-    out = _separated_factors(mode, x, y)
+    check_interior(mode.rect, x, y)
+    out = np.multiply(*_mode_factors(mode, x, y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -304,13 +324,10 @@ def gradient(mode: SteklovMode, x, y):
         return z, z.copy()
     if mode.kind == ModeKind.XY:
         return mode.scale * y, mode.scale * x
-    if mode.family == Family.X:
-        dx = mode.nu * _separated_factors(mode, x, y, d_hyp=True)
-        dy = mode.nu * _separated_factors(mode, x, y, d_trig=True)
-    else:
-        dx = mode.nu * _separated_factors(mode, x, y, d_trig=True)
-        dy = mode.nu * _separated_factors(mode, x, y, d_hyp=True)
-    return dx, dy
+    args = (mode.symmetry_class, mode.family, mode.nu, mode.log_scale, x, y)
+    d_hyp = mode.nu * np.multiply(*_separated_factors(*args, d_hyp=True))
+    d_trig = mode.nu * np.multiply(*_separated_factors(*args, d_trig=True))
+    return (d_hyp, d_trig) if mode.family == Family.X else (d_trig, d_hyp)
 
 
 _OUTWARD = {Edge.RIGHT: (1.0, 0.0), Edge.TOP: (0.0, 1.0), Edge.LEFT: (-1.0, 0.0), Edge.BOTTOM: (0.0, -1.0)}

@@ -18,7 +18,9 @@ from steklov_rect import (
     boundary_norm,
     builtin_boundary,
     coefficient,
+    coefficients,
     constant_function,
+    first_modes,
     inner_product,
     load_boundary_csv,
     mean,
@@ -130,6 +132,40 @@ class TestCoefficient:
 
     def test_constant_against_mode(self):
         assert abs(coefficient(constant_function(1.0), class_one(1))) < 1e-10
+
+
+class TestCoefficients:
+    """The batched path gives inner_product's numbers bit for bit."""
+
+    @staticmethod
+    def data(alpha):
+        waves = LinearCombination([
+            (0.7, builtin_boundary("x2-y2")),
+            (-0.4, builtin_boundary("x3-3xy2")),
+            (0.3, builtin_boundary("coshcos:2.2")),
+            (0.2, builtin_boundary("sinsinh:1.7")),
+            (0.5, builtin_boundary("xy")),
+        ])
+        rect = Rectangle(alpha)
+        s = np.linspace(0.0, rect.perimeter, 400, endpoint=False) + 1e-3
+        pts = [rect.arclength_to_point(v) for v in s]
+        sampled = SampledBoundaryFunction(rect, s, [p.x**3 - 3 * p.x * p.y**2 + p.y for p in pts])
+        return [builtin_boundary("coscosh:1.3"), waves, sampled]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_equals_inner_product(self, alpha):
+        modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 80)
+        kinds = {(m.symmetry_class, m.family) for m in modes if m.family is not None}
+        assert len(kinds) == 8
+        assert any(m.mode_id == ModeId.xy() for m in modes) == (alpha == 1.0)
+        for h in self.data(alpha):
+            assert len({default_panels(h.freq_hint + m.nu) for m in modes}) > 5
+            want = [inner_product(h, ModeTrace(m)) for m in modes]
+            assert coefficients(h, modes) == want
+            assert [coefficient(h, m) for m in modes[::7]] == want[::7]
+
+    def test_no_modes(self):
+        assert coefficients(constant_function(1.0), []) == []
 
 
 class TestSampledData:

@@ -1,9 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from steklov_rect import Rectangle, expand_for_central, central_value, builtin_boundary
+from steklov_rect import (
+    Rectangle,
+    builtin_boundary,
+    central_value,
+    evaluate_interior,
+    expand_for_central,
+    solve_robin,
+)
 from steklov_rect.cli import main
 
 TABLE1_NU = (2.36502037, 5.49780392, 8.63937983, 11.7809725, 14.9225651, 18.0641578)
@@ -130,9 +138,11 @@ class TestBadValues:
         self.assert_clean_error(rc, err, want_rc=2)
 
     def test_overflowing_data_is_data_error(self, capsys):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning that escapes raises here
             rc, _, err = run(capsys, "central", "--builtin", "coshcos:800")
         self.assert_clean_error(rc, err, want_rc=1)
+        assert len(err.splitlines()) == 1
         assert "not finite" in err
 
     def test_nan_sample_is_data_error(self, capsys, tmp_path):
@@ -182,6 +192,16 @@ class TestSolve:
         vals = json.loads(out)["values"]
         assert vals[0]["value"] == pytest.approx(0.1875, abs=1e-4)
         assert vals[1]["value"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_eval_points_match_evaluate_interior(self, capsys):
+        pts = [(0.5, 0.25), (0.0, -0.0), (0.5, 0.25), (-1.0, 0.3), (0.1, -0.7)]
+        rc, out, _ = run(capsys, "solve", "--mode", "robin", "--t", "0.4", "--builtin", "sinsinh:1.3",
+                         "--alpha", "0.8", "--m", "30", "--format", "json",
+                         "--eval", ";".join(f"{x},{y}" for x, y in pts))
+        assert rc == 0
+        e = solve_robin(builtin_boundary("sinsinh:1.3"), 0.8, 0.4, 30)
+        got = [(v["x"], v["y"], v["value"]) for v in json.loads(out)["values"]]
+        assert got == [(x, y, evaluate_interior(e, x, y)) for x, y in pts]
 
     def test_eval_outside_domain(self, capsys):
         rc, _, err = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x",

@@ -7,17 +7,20 @@ import pytest
 from steklov_rect import (
     AnalyticBoundaryFunction,
     BoundaryDataError,
+    ExpansionTerm,
     Family,
     IncompatibleDataError,
     LinearCombination,
     ModeId,
     ModeKind,
     ModeTrace,
+    SteklovExpansion,
     SymmetryClass,
     builtin_boundary,
     central_value,
     constant_function,
     energy_tail,
+    evaluate,
     evaluate_interior,
     expand_dirichlet,
     expand_for_central,
@@ -113,6 +116,61 @@ class TestEvaluateInterior:
         for t1, t2 in zip(e.terms, e2.terms):
             assert t1.mode.mode_id == t2.mode.mode_id
             assert t2.coefficient == pytest.approx(t1.coefficient, abs=1e-8)
+
+
+class TestEvaluateInteriorTermByTerm:
+    """evaluate_interior equals mean_term + sum c * evaluate(mode) in term order, bit for bit."""
+
+    @staticmethod
+    def term_by_term(e, x, y):
+        out = np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, e.mean_term)
+        for t in e.terms:
+            out = out + t.coefficient * evaluate(t.mode, x, y)
+        return out
+
+    @staticmethod
+    def points(alpha):
+        rng = np.random.default_rng(7)
+        gx, gy = np.meshgrid(np.linspace(-0.6, 0.6, 23), alpha * np.linspace(-0.6, 0.6, 19))
+        sx, sy = rng.uniform(-1.0, 1.0, 300), alpha * rng.uniform(-1.0, 1.0, 300)
+        rep = np.array([0.3, -0.2, 0.3, 0.0, -0.0, 0.3])
+        return [
+            (gx, gy),
+            (sx, sy),
+            (0.3, -0.2 * alpha),
+            (0.0, -0.0),
+            (np.linspace(-1.0, 1.0, 9)[:, None], alpha * np.linspace(-1.0, 1.0, 7)[None, :]),
+            (rep, alpha * rep[::-1]),
+            (np.array([1.0, -1.0, 0.5, -1.0]), np.array([alpha, -alpha, alpha, 0.0])),
+        ]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_equals_term_by_term(self, alpha):
+        h = LinearCombination([
+            (1.5, constant_function(1.0)),
+            (0.7, builtin_boundary("x2-y2")),
+            (0.3, builtin_boundary("sinsinh:1.7")),
+            (0.5, builtin_boundary("xy")),
+        ])
+        for e in (expand_dirichlet(h, alpha, 120), expand_dirichlet(h, alpha, 0)):
+            for x, y in self.points(alpha):
+                got = evaluate_interior(e, x, y)
+                want = self.term_by_term(e, x, y)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_signed_zero_coordinates_stay_apart(self):
+        # sin(nu * -0.0) = -0.0, so the term's sign reaches a -0.0 mean term
+        mode = resolve(ModeId.separated(SymmetryClass.IV, Family.Y, 1), 1.0)
+        e = SteklovExpansion(1.0, "dirichlet", None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
+        got = evaluate_interior(e, np.array([-0.0, 0.0, -0.0]), 0.1)
+        assert np.signbit(got).tolist() == [True, False, True]
+
+    def test_point_outside_raises(self):
+        e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)
+        with pytest.raises(DomainError):
+            evaluate_interior(e, np.array([0.0, 0.2]), np.array([0.1, 0.6]))
 
 
 class TestCentralValue:
