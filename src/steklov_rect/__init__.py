@@ -26,7 +26,6 @@ from .modes import (
     ModeId,
     ModeKind,
     SteklovMode,
-    boundary_trace,
     eigenvalue,
     evaluate,
     first_modes,
@@ -35,7 +34,6 @@ from .modes import (
     log_normalization_integral,
     resolve,
     spectrum,
-    trace_on_edge,
 )
 from .boundary import (
     AnalyticBoundaryFunction,

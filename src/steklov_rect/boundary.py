@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _trace_block, trace_on_edge
+from .modes import SteklovMode, _trace_block, evaluate
 
 __all__ = [
     "BoundaryFunction",
@@ -103,7 +103,7 @@ class ModeTrace(BoundaryFunction):
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
         self._check_rect(rect)
-        return np.asarray(trace_on_edge(self.mode, edge, t), dtype=float)
+        return np.asarray(evaluate(self.mode, *rect.edge_xy(edge, t)), dtype=float)
 
 
 class LinearCombination(BoundaryFunction):
@@ -128,7 +128,9 @@ class SampledBoundaryFunction(BoundaryFunction):
     Arc length runs counterclockwise from (1, -alpha); samples must be
     strictly increasing in [0, perimeter) with at least two per edge.
     Interpolation is per-edge splines (cubic when enough points), never
-    across corners, so per-edge smooth data with corner kinks is fine.
+    across corners, so per-edge smooth data with corner kinks is fine. Each
+    sample goes to the edge and coordinate Rectangle.arclength_to_edge gives
+    it, so one at a corner's arc length stays at that corner.
     """
 
     def __init__(self, rect: Rectangle, arclength: Sequence[float], values: Sequence[float]):
@@ -144,30 +146,17 @@ class SampledBoundaryFunction(BoundaryFunction):
             raise BoundaryDataError(f"arclength must lie in [0, {rect.perimeter})")
         self.rect = rect
         self._splines: dict[Edge, Callable] = {}
+        edges, t = rect.arclength_to_edge(s)
         for edge in _EDGE_ORDER:
-            ts, vs = self._edge_samples(rect, edge, s, v)
+            on_edge = edges == edge
+            ts, vs = t[on_edge], v[on_edge]
             if ts.size < 2:
                 raise EdgeCoverageError(
                     f"edge {edge.name} has {ts.size} samples; at least 2 required"
                 )
+            order = np.argsort(ts)
             k = min(3, ts.size - 1)
-            self._splines[edge] = make_interp_spline(ts, vs, k=k)
-
-    @staticmethod
-    def _edge_samples(rect: Rectangle, edge: Edge, s: np.ndarray, v: np.ndarray):
-        a = rect.alpha
-        spans = {
-            Edge.RIGHT: (0.0, 2 * a),
-            Edge.TOP: (2 * a, 2 * a + 2.0),
-            Edge.LEFT: (2 * a + 2.0, 4 * a + 2.0),
-            Edge.BOTTOM: (4 * a + 2.0, 4 * a + 4.0),
-        }
-        lo, hi = spans[edge]
-        mask = (s >= lo) & (s < hi)
-        ts = np.array([rect.arclength_to_point(si).t for si in s[mask]])
-        vs = v[mask]
-        order = np.argsort(ts)
-        return ts[order], vs[order]
+            self._splines[edge] = make_interp_spline(ts[order], vs[order], k=k)
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
         self._check_rect(rect)

@@ -91,19 +91,27 @@ class Rectangle:
 
     # Arc length runs counterclockwise from the vertex (1, -alpha):
     # RIGHT upward, TOP leftward, LEFT downward, BOTTOM rightward.
-    def arclength_to_point(self, s: float) -> BoundaryPoint:
+    def arclength_to_edge(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Edges and edge coordinates t of arc lengths s (an array or a number).
+
+        s is taken modulo the perimeter, then the edge spans are subtracted
+        in turn. The edge test and t come from the same differences, so an
+        arc length that rounds onto a corner lands at that corner, on the
+        edge that t belongs to.
+        """
         a = self.alpha
-        s = float(s) % self.perimeter
-        if s < 2 * a:
-            return self.boundary_point(Edge.RIGHT, -a + s)
-        s -= 2 * a
-        if s < 2.0:
-            return self.boundary_point(Edge.TOP, 1.0 - s)
-        s -= 2.0
-        if s < 2 * a:
-            return self.boundary_point(Edge.LEFT, a - s)
-        s -= 2 * a
-        return self.boundary_point(Edge.BOTTOM, -1.0 + s)
+        with np.errstate(invalid="ignore"):  # inf maps to nan, as with Python's %
+            s0 = np.mod(np.asarray(s, dtype=float), self.perimeter)
+        s1 = s0 - 2 * a
+        s2 = s1 - 2.0
+        s3 = s2 - 2 * a
+        on = [s0 < 2 * a, s1 < 2.0, s2 < 2 * a]
+        edges = np.select(on, [Edge.RIGHT, Edge.TOP, Edge.LEFT], Edge.BOTTOM)
+        return edges, np.select(on, [-a + s0, 1.0 - s1, a - s2], -1.0 + s3)
+
+    def arclength_to_point(self, s: float) -> BoundaryPoint:
+        edge, t = self.arclength_to_edge(float(s))
+        return self.boundary_point(Edge(int(edge)), float(t))
 
     def arclength_of(self, edge: Edge, t: float) -> float:
         a = self.alpha

@@ -32,8 +32,6 @@ __all__ = [
     "log_normalization_integral",
     "resolve",
     "evaluate",
-    "boundary_trace",
-    "trace_on_edge",
     "normal_derivative",
     "spectrum",
     "first_modes",
@@ -302,17 +300,6 @@ def evaluate(mode: SteklovMode, x, y):
     check_interior(mode.rect, x, y)
     out = np.multiply(*_mode_factors(mode, x, y))
     return float(out) if out.ndim == 0 else out
-
-
-def trace_on_edge(mode: SteklovMode, edge: Edge, t):
-    """Trace along one edge as a function of the edge coordinate."""
-    x, y = mode.rect.edge_xy(edge, t)
-    return evaluate(mode, x, y)
-
-
-def boundary_trace(mode: SteklovMode, point: BoundaryPoint) -> float:
-    """Trace at a boundary point; equals evaluate at its coordinates."""
-    return float(evaluate(mode, point.x, point.y))
 
 
 def gradient(mode: SteklovMode, x, y):

@@ -21,11 +21,11 @@ from steklov_rect import (
     ModeTrace,
     Rectangle,
     SymmetryClass,
-    boundary_trace,
     builtin_boundary,
     central_value,
     check_rect_bounds,
     check_square_bounds,
+    evaluate,
     expand_dirichlet,
     expand_for_central,
     evaluate_interior,
@@ -38,7 +38,6 @@ from steklov_rect import (
     solve_nu,
     solve_neumann,
     solve_robin,
-    trace_on_edge,
 )
 
 from _oracles import boundary_integral, raw_profile
@@ -179,7 +178,7 @@ def test_criterion_07_steklov_property_random_boundary_points():
             dense = np.linspace(-0.999, 0.999, 1001)
             max_tr = max(
                 np.abs(
-                    trace_on_edge(mode, e, dense * (alpha if e in (Edge.RIGHT, Edge.LEFT) else 1.0))
+                    evaluate(mode, *mode.rect.edge_xy(e, dense * (alpha if e in (Edge.RIGHT, Edge.LEFT) else 1.0)))
                 ).max()
                 for e in Edge
             )
@@ -190,7 +189,7 @@ def test_criterion_07_steklov_property_random_boundary_points():
                 pad = 1e-9 * (hi - lo)
                 t = float(rng.uniform(lo + pad, hi - pad))
                 p = rect.boundary_point(edge, t)
-                resid = abs(normal_derivative(mode, p) - mode.delta * boundary_trace(mode, p))
+                resid = abs(normal_derivative(mode, p) - mode.delta * evaluate(mode, p.x, p.y))
                 worst = max(worst, resid / ((1.0 + abs(mode.delta)) * max_tr))
                 ok = ok and resid < limit
     report(7, ok, f"normal derivative = delta * trace at random boundary points, worst "

@@ -204,6 +204,21 @@ class TestSampledData:
         sampled = SampledBoundaryFunction(rect, np.array(ss)[order], np.array(vs)[order])
         assert mean(sampled, rect=rect) == pytest.approx(2.5, rel=1e-12)
 
+    def test_sample_at_corner_arclength(self):
+        # 5.6 == fl(4 alpha + 2): the sum rounds onto the corner (-1, -alpha),
+        # and the sample must stay there instead of landing inside an edge
+        alpha = 0.9
+        rect = Rectangle(alpha)
+        assert 4 * alpha + 2.0 == 5.6
+        s = np.sort(np.append(np.linspace(0.0, rect.perimeter, 40, endpoint=False), 5.6))
+        pts = [rect.arclength_to_point(float(si)) for si in s]
+        sampled = SampledBoundaryFunction(rect, s, [p.x**2 - p.y**2 for p in pts])
+        for edge in Edge:
+            t = np.linspace(*rect.edge_range(edge), 201)
+            x, y = rect.edge_xy(edge, t)
+            err = sampled.edge_values(rect, edge, t) - (x**2 - y**2)
+            assert np.abs(err).max() < 1e-12, edge
+
     def test_missing_edge_rejected(self):
         rect = Rectangle(1.0)
         s = np.array([0.1, 0.5, 2.5, 3.0, 4.5, 5.0])  # nothing on the bottom edge

@@ -98,6 +98,23 @@ class TestCentral:
         reference = central_value(expand_for_central(builtin_boundary("coshcos:1"), alpha, 40))
         assert abs(doc["value"] - reference.value) <= doc["bound"]
 
+    def test_sampled_grid_through_corners(self, capsys, tmp_path):
+        # a 0.1 arc-length grid at alpha 0.9 has a sample at 5.6 == fl(4 alpha + 2),
+        # on the corner (-1, -alpha); x^2 - y^2 vanishes at the center
+        rect = Rectangle(0.9)
+        lines = ["arclength,value"]
+        for k in range(76):
+            p = rect.arclength_to_point(k / 10)
+            lines.append(f"{k / 10!r},{p.x**2 - p.y**2!r}")
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        rc, out, _ = run(capsys, "central", "--data", str(path), "--alpha", "0.9",
+                         "--m", "6", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert abs(doc["value"]) <= doc["bound"]
+
     def test_requires_exactly_one_source(self, capsys):
         assert run(capsys, "central")[0] == 2
         assert run(capsys, "central", "--builtin", "x", "--data", "f.csv")[0] == 2

@@ -4,6 +4,22 @@ import pytest
 from steklov_rect import DomainError, Edge, Rectangle
 
 
+def _walk(rect, s):
+    """Reference map: walk the edges from (1, -alpha), subtracting each span in turn."""
+    a = rect.alpha
+    s = s % rect.perimeter
+    if s < 2 * a:
+        return Edge.RIGHT, -a + s
+    s -= 2 * a
+    if s < 2.0:
+        return Edge.TOP, 1.0 - s
+    s -= 2.0
+    if s < 2 * a:
+        return Edge.LEFT, a - s
+    s -= 2 * a
+    return Edge.BOTTOM, -1.0 + s
+
+
 class TestRectangle:
     def test_perimeter(self):
         assert Rectangle(0.25).perimeter == 5.0
@@ -30,12 +46,33 @@ class TestRectangle:
         rect = Rectangle(0.5)
         with pytest.raises(DomainError):
             rect.boundary_point(Edge.RIGHT, 0.6)
+        with pytest.raises(DomainError):
+            rect.arclength_to_point(float("inf"))
 
     def test_arclength_roundtrip(self):
-        rect = Rectangle(0.4)
-        for s in np.linspace(0.0, rect.perimeter, 37, endpoint=False):
-            p = rect.arclength_to_point(float(s))
-            assert rect.arclength_of(p.edge, p.t) == pytest.approx(float(s), abs=1e-12)
+        for alpha in (0.4, 0.9, 0.37, 0.1, 1.0):
+            rect = Rectangle(alpha)
+            per = rect.perimeter
+            corners = np.array([2 * alpha, 2 * alpha + 2.0, 4 * alpha + 2.0])
+            near = [corners]
+            for direction in (np.inf, -np.inf):
+                c = corners
+                for _ in range(4):
+                    c = np.nextafter(c, direction)
+                    near.append(c)
+            s = np.concatenate([
+                np.linspace(0.0, per, 37, endpoint=False),
+                np.random.default_rng(7).uniform(0.0, per, 200),
+                *near,
+                [per, per + 0.3, 2 * per + 1.1],
+            ])
+            edges, t = rect.arclength_to_edge(s)
+            for si, edge, ti in zip(s, edges, t):
+                p = rect.arclength_to_point(float(si))
+                want_edge, want_t = _walk(rect, float(si))
+                assert (p.edge, p.t.hex()) == (want_edge, want_t.hex())
+                assert (Edge(int(edge)), float(ti).hex()) == (want_edge, want_t.hex())
+                assert rect.arclength_of(p.edge, p.t) == pytest.approx(float(si) % per, abs=1e-12)
 
     def test_arclength_walks_counterclockwise(self):
         rect = Rectangle(0.5)

@@ -13,7 +13,6 @@ from steklov_rect import (
     ModeKind,
     Rectangle,
     SymmetryClass,
-    boundary_trace,
     eigenvalue,
     evaluate,
     first_modes,
@@ -24,7 +23,6 @@ from steklov_rect import (
     normalization_integral,
     resolve,
     spectrum,
-    trace_on_edge,
 )
 from steklov_rect.modes import gradient
 
@@ -191,7 +189,7 @@ class TestEvaluate:
         vals = [evaluate(mode, x, 0.05) for x in (0.0, 0.5, 0.999, 1.0)]
         assert all(math.isfinite(v) for v in vals)
         assert max(abs(v) for v in vals) < 100.0
-        edge = trace_on_edge(mode, Edge.RIGHT, np.linspace(-0.1, 0.1, 64))
+        edge = evaluate(mode, *mode.rect.edge_xy(Edge.RIGHT, np.linspace(-0.1, 0.1, 64)))
         assert np.all(np.isfinite(edge))
 
     def test_harmonicity_by_finite_differences(self):
@@ -201,7 +199,7 @@ class TestEvaluate:
             for mode in first_modes(alpha, 10):
                 bound_t = np.linspace(-0.99, 0.99, 400)
                 max_tr = max(
-                    np.abs(trace_on_edge(mode, e, bound_t * (alpha if e in (Edge.RIGHT, Edge.LEFT) else 1.0))).max()
+                    np.abs(evaluate(mode, *mode.rect.edge_xy(e, bound_t * (alpha if e in (Edge.RIGHT, Edge.LEFT) else 1.0)))).max()
                     for e in Edge
                 )
                 xs = rng.uniform(-0.9, 0.9, 100)
@@ -218,18 +216,18 @@ class TestBoundaryOperations:
     def test_constant_trace(self):
         mode = resolve(ModeId.constant(), 0.8)
         p = Rectangle(0.8).boundary_point(Edge.TOP, 0.3)
-        assert boundary_trace(mode, p) == 1.0
+        assert evaluate(mode, p.x, p.y) == 1.0
 
     def test_trace_value_on_right_edge(self):
         mode = class_one(1)
         p = Rectangle(1.0).boundary_point(Edge.RIGHT, 0.0)
         expected = mode.scale * np.cosh(mode.nu)  # profile value at (1, 0)
-        assert boundary_trace(mode, p) == pytest.approx(expected, rel=1e-12)
+        assert evaluate(mode, p.x, p.y) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.98265, rel=1e-4)
 
     def test_even_symmetry_of_trace(self):
         mode = class_one(2)
-        top = trace_on_edge(mode, Edge.TOP, np.array([0.4, -0.4]))
+        top = evaluate(mode, *mode.rect.edge_xy(Edge.TOP, np.array([0.4, -0.4])))
         assert top[0] == top[1]
 
     def test_normal_derivative_steklov_identity(self):
@@ -242,7 +240,7 @@ class TestBoundaryOperations:
                     t = float(rng.uniform(lo + 1e-3, hi - 1e-3))
                     p = rect.boundary_point(edge, t)
                     dn = normal_derivative(mode, p)
-                    assert dn == pytest.approx(mode.delta * boundary_trace(mode, p), abs=1e-9 * (1 + mode.delta))
+                    assert dn == pytest.approx(mode.delta * evaluate(mode, p.x, p.y), abs=1e-9 * (1 + mode.delta))
 
     def test_normal_derivative_against_finite_differences(self):
         mode = resolve(ModeId.separated(SymmetryClass.IV, Family.Y, 2), 0.7)
@@ -256,7 +254,7 @@ class TestBoundaryOperations:
     def test_xy_normal_derivative(self):
         mode = resolve(ModeId.xy(), 1.0)
         p = Rectangle(1.0).boundary_point(Edge.RIGHT, 0.37)
-        assert normal_derivative(mode, p) == pytest.approx(boundary_trace(mode, p), rel=1e-15)
+        assert normal_derivative(mode, p) == pytest.approx(evaluate(mode, p.x, p.y), rel=1e-15)
 
     def test_corner_error(self):
         mode = class_one(1)
