@@ -35,10 +35,7 @@ def _fmt(x: float) -> str:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=1.0, help="aspect ratio in (0, 1]")
     p.add_argument("--quad-order", type=int, default=32, dest="quad_order")
-    p.add_argument(
-        "--root-tol", type=float, default=1e-12, dest="root_tol",
-        help="absolute root tolerance in nu, floored at 4 ulp of each root; below 8.9e-16 (4 ulp of 1.0) exits 1",
-    )
+    p.add_argument("--root-tol", type=float, default=1e-12, dest="root_tol")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 

@@ -32,9 +32,6 @@ DEFAULT_TOL = 1e-12
 # runs so the default tolerance reaches full double precision.
 _POLISH_CUTOFF = 1e-9
 
-# Finest accepted tolerance: 4 ulp at nu = 1.
-_MIN_TOL = 4.0 * math.ulp(1.0)
-
 # Relative guard band around poles of the tangent term.
 _POLE_GUARD = 1e-8
 
@@ -204,18 +201,15 @@ def solve_nu(eq: DeterminingEquation, j: int, tol: float = DEFAULT_TOL) -> float
 
     The root is localized within tol: plain bisection down to that width for
     coarse tolerances, bisection plus a bracketed Newton polish for tight
-    ones, whose target is floored at 4 ulp of the root. A tol below 4 ulp of
-    1.0 raises NonConvergenceError. Roots are strictly increasing in j and
-    successive differences approach pi / tan_scale.
+    ones. Roots are strictly increasing in j and successive differences
+    approach pi / tan_scale.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if tol < _MIN_TOL:
-        raise NonConvergenceError(f"tol={tol} is below 4 ulp(1.0), finer than doubles resolve a root")
     lo, hi = bracket(eq, j)
     lo, hi, flo, fhi = _safe_endpoints(eq, lo, hi)
 
-    coarse = tol if tol >= _POLISH_CUTOFF else 1e-6
+    coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
     while hi - lo > coarse:
         mid = 0.5 * (lo + hi)
         fm = residual(eq, mid)
@@ -230,8 +224,6 @@ def solve_nu(eq: DeterminingEquation, j: int, tol: float = DEFAULT_TOL) -> float
         return x
 
     # Newton polish, kept inside the bracket so tangent poles stay out of reach.
-    # Adjacent doubles near the root are ulp(hi) apart: no narrower width exists.
-    target = max(tol, 4.0 * math.ulp(hi))
     a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
     for _ in range(60):
         f = residual(eq, x)
@@ -251,17 +243,13 @@ def solve_nu(eq: DeterminingEquation, j: int, tol: float = DEFAULT_TOL) -> float
         fp = a * (1.0 + t * t) + s * dhyp
         step = f / fp
         x_new = x - step
-        if x_new == x:  # a step below half an ulp: x is the root to double precision
-            return x
-        # a root within rounding of an endpoint may lie just past it; only a
-        # step that leaves the bracket by more than the target falls back to bisection
-        if not (lo - target < x_new < hi + target):
+        if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
             step = x_new - x
         x = x_new
         # converge only when the requested localization is certified, either
         # by a small nonzero Newton step or by the bracket width itself
-        if (0.0 < abs(step) <= 0.25 * target) or (hi - lo) <= target:
+        if (0.0 < abs(step) <= 0.25 * tol) or (hi - lo) <= tol:
             return x
     raise NonConvergenceError(
         f"root polish for {eq}, j={j} did not reach tol={tol}; "

@@ -120,41 +120,6 @@ class TestSolveNu:
         eq = eq_of(SymmetryClass.I, Family.Y, 0.5)
         assert solve_nu(eq, 1) == pytest.approx(2.442886300519586, abs=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.37, 0.1, 0.001])
-    def test_matches_mpmath_to_4_ulp(self, alpha):
-        # 50-digit roots of the directly written equations, nu from ~1 to ~1e4,
-        # among them I x 262 at 0.1 (nu ~ 8e3) and IV y 1 at 0.001
-        mpmath = pytest.importorskip("mpmath")
-        direct = {  # (sign, coth): tan(a nu) + sign * tanh or coth(b nu)
-            (SymmetryClass.I, Family.X): (1, False), (SymmetryClass.I, Family.Y): (1, False),
-            (SymmetryClass.II, Family.X): (-1, False), (SymmetryClass.II, Family.Y): (-1, False),
-            (SymmetryClass.III, Family.X): (-1, True), (SymmetryClass.III, Family.Y): (1, True),
-            (SymmetryClass.IV, Family.X): (1, True), (SymmetryClass.IV, Family.Y): (-1, True),
-        }
-        with mpmath.workdps(50):
-            for (cls, fam), (sign, coth) in direct.items():
-                a = mpmath.mpf(alpha) if fam == Family.X else mpmath.mpf(1)
-                b = mpmath.mpf(1) if fam == Family.X else mpmath.mpf(alpha)
-                hyp = (lambda u: 1 / mpmath.tanh(u)) if coth else mpmath.tanh
-                eq = eq_of(cls, fam, alpha)
-                for j in (1, 2, 3, 7, 30, 262, 1000, 3000):
-                    if j * math.pi / float(a) > 1.05e4:
-                        continue
-                    nu = solve_nu(eq, j)
-                    ref = mpmath.findroot(lambda v: mpmath.tan(a * v) + sign * hyp(b * v), mpmath.mpf(nu))
-                    lo, hi = bracket(eq, j)
-                    assert lo < ref < hi, (cls, fam, j)
-                    assert abs(nu - ref) <= 4 * math.ulp(float(ref)), (cls, fam, j, nu, ref)
-
-    def test_tolerance_floor(self):
-        # tol is floored at 4 ulp of the root: the finest accepted tol, 4 ulp(1.0),
-        # still converges at nu ~ 8e3, and anything finer raises at once
-        eq = eq_of(SymmetryClass.I, Family.X, 0.1)
-        finest = 4 * math.ulp(1.0)
-        assert solve_nu(eq, 262, tol=finest) == solve_nu(eq, 262)
-        with pytest.raises(NonConvergenceError):
-            solve_nu(eq, 1, tol=0.99 * finest)
-
     @pytest.mark.parametrize("cls,fam", ALL_EQS)
     @pytest.mark.parametrize("alpha", ALL_ALPHAS)
     def test_bracketing_soundness_and_monotonicity(self, cls, fam, alpha):
