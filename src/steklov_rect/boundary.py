@@ -14,7 +14,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .geometry import Edge, Rectangle
 from .modes import SteklovMode, _trace_block, evaluate
@@ -145,43 +144,94 @@ class SampledBoundaryFunction(BoundaryFunction):
         if s.size and (s[0] < 0.0 or s[-1] >= rect.perimeter):
             raise BoundaryDataError(f"arclength must lie in [0, {rect.perimeter})")
         self.rect = rect
-        self._splines: dict[Edge, Callable] = {}
+        self._splines: dict[Edge, _EdgeSpline] = {}
         edges, t = rect.arclength_to_edge(s)
         for edge in _EDGE_ORDER:
-            on_edge = edges == edge
-            ts, vs = t[on_edge], v[on_edge]
+            ts, vs = t[edges == edge], v[edges == edge]
             if ts.size < 2:
                 raise EdgeCoverageError(
                     f"edge {edge.name} has {ts.size} samples; at least 2 required"
                 )
             order = np.argsort(ts)
-            k = min(3, ts.size - 1)
-            self._splines[edge] = make_interp_spline(ts[order], vs[order], k=k)
+            if np.any(np.diff(ts[order]) == 0):  # arc lengths a rounding apart, near a corner
+                raise BoundaryDataError(f"two samples fall on one point of edge {edge.name}")
+            self._splines[edge] = _EdgeSpline(ts[order], vs[order])
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
         self._check_rect(rect)
-        return np.asarray(self._splines[edge](np.asarray(t, dtype=float)), dtype=float)
+        return self._splines[edge](np.asarray(t, dtype=float))
+
+
+def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x with a_i x_{i-1} + b_i x_i + c_i x_{i+1} = d_i (a_0 = c_{n-1} = 0) by cyclic
+    reduction, one numpy pass per halving; no pivoting, so b must dominate."""
+    n = b.size
+    if n == 1:
+        return d / b
+    if n % 2 == 0:  # the equation x_n = 0 makes the length odd
+        a, b, c, d = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0), np.append(d, 0.0)
+    f, g = -a[1::2] / b[:-2:2], -c[1::2] / b[2::2]  # odd rows absorb their neighbours
+    x = np.zeros(b.size + 2)  # x_k at k + 1, between two zeros
+    x[2:-1:2] = _solve_tridiagonal(f * a[:-2:2], b[1::2] + f * c[:-2:2] + g * a[2::2],
+                                   g * c[2::2], d[1::2] + f * d[:-2:2] + g * d[2::2])
+    x[1::2] = (d[::2] - a[::2] * x[:-2:2] - c[::2] * x[2::2]) / b[::2]
+    return x[1 : n + 1]
+
+
+class _EdgeSpline:
+    """Interpolant of samples (t, y) on one edge, t increasing, in cubic Hermite form: not-a-knot
+    cubic from 4 samples, parabola for 3, line for 2, end pieces extended past the ends."""
+
+    def __init__(self, t: np.ndarray, y: np.ndarray):
+        secant = np.diff(y) / (h := np.diff(t))
+        s = np.repeat(secant, 2)  # the line through two samples
+        if t.size > 2:
+            # CubicSpline's not-a-knot rows: h_1 s_0 + w0 s_1 = r0, w1 s_{n-2} + h_{n-3} s_{n-1} = r1
+            # and h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = r_i for i = 1..n-2
+            w0, w1 = t[2] - t[0], t[-1] - t[-3]
+            r0 = ((h[0] + 2.0 * w0) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / w0
+            r1 = (h[-1] ** 2 * secant[-2] + (2.0 * w1 + h[-1]) * h[-2] * secant[-1]) / w1
+            s = (h[1] * secant[:1] + h[0] * secant[1:2]) / w0  # the parabola's middle slope
+            if t.size > 3:  # rows 1 and n-2 less the end rows, with nothing left to cancel
+                r = 3.0 * (h[1:] * secant[:-1] + h[:-1] * secant[1:])
+                r[0] = (h[1] ** 2 * secant[0] + h[0] * (2.0 * h[0] + 3.0 * h[1]) * secant[1]) / w0
+                r[-1] = (h[-2] ** 2 * secant[-1] + h[-1] * (3.0 * h[-2] + 2.0 * h[-1]) * secant[-2]) / w1
+                diag = np.concatenate(([w0], 2.0 * (h[1:-2] + h[2:-1]), [w1]))
+                s = _solve_tridiagonal(np.append(0.0, h[2:]), diag, np.append(h[:-2], 0.0), r)
+            s = np.concatenate(([(r0 - w0 * s[0]) / h[1]], s, [(r1 - w1 * s[-1]) / h[-2]]))
+        self.t, self.y, self.s = t, y, s
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        t, y, s = self.t, self.y, self.s
+        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+        # an end piece is one cubic over two intervals; its wider form rounds less
+        j = np.where(i == 0, min(2, t.size - 1), i + 1)
+        i = np.where(j == t.size - 1, max(t.size - 3, 0), i)
+        near_j = t[j] - x < x - t[i]  # expand about the nearer end of the piece
+        i, j = np.where(near_j, j, i), np.where(near_j, i, j)
+        h, dx = t[j] - t[i], x - t[i]
+        secant = (y[j] - y[i]) / h
+        c2, c3 = (3.0 * secant - 2.0 * s[i] - s[j]) / h, (s[i] + s[j] - 2.0 * secant) / (h * h)
+        return y[i] + dx * (s[i] + dx * (c2 + dx * c3))
 
 
 def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     """Read sampled boundary data: header ``arclength,value``, '#' comments."""
     rect = Rectangle(alpha)
-    arclength: list[float] = []
-    values: list[float] = []
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.lstrip().startswith("#")]
+    if not lines:
         raise BoundaryDataError(f"{path}: empty boundary data file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:2] != ["arclength", "value"]:
-        raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {rows[0]}")
-    for r in rows[1:]:
+    first = next(csv.reader(lines[:1]))
+    if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
+        raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
+    data = np.empty((0, 2))
+    if len(lines) > 1:  # loadtxt warns on no data
         try:
-            arclength.append(float(r[0]))
-            values.append(float(r[1]))
-        except (IndexError, ValueError) as exc:
-            raise BoundaryDataError(f"{path}: bad row {r}") from exc
-    return SampledBoundaryFunction(rect, arclength, values)
+            data = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 1), ndmin=2, quotechar='"', comments=None)
+        except ValueError as exc:
+            raise BoundaryDataError(f"{path}: bad row: {exc}") from exc
+    return SampledBoundaryFunction(rect, data[:, 0], data[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -285,21 +285,20 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     Only class-I terms are summed (all other classes vanish at the origin
     identically). m is the number of complete class-I pairs present; the
     bound covers everything the truncation omitted, scaled by the data norm
-    recorded at expansion time (infinite when that norm is unknown).
+    recorded at expansion time (infinite when that norm is unknown), plus the
+    sum's rounding: (k + 2) eps times the sum of the magnitudes of its k + 1 terms.
     """
-    fam_x = _class_one_prefix(e, Family.X)
-    fam_y = _class_one_prefix(e, Family.Y)
+    fam_x, fam_y = _class_one_prefix(e, Family.X), _class_one_prefix(e, Family.Y)
     value = e.mean_term
     for term in fam_x + fam_y:
         value += term.coefficient * term.mode.scale  # evaluate at (0,0) = scale
     m = min(len(fam_x), len(fam_y))
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
-    if e.alpha == 1.0:
-        per_norm = square_center_tail(m, tol)
-    else:
-        per_norm = rect_center_tail(m, e.alpha)
-    return CentralValueResult(value, m, per_norm * e.data_norm, e.data_norm)
+    per_norm = square_center_tail(m, tol) if e.alpha == 1.0 else rect_center_tail(m, e.alpha)
+    magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
+    rounding = (len(fam_x) + len(fam_y) + 2) * np.finfo(float).eps * magnitude
+    return CentralValueResult(value, m, per_norm * e.data_norm + rounding, e.data_norm)
 
 
 def energy_tail(e: SteklovExpansion, quintile: float = 0.2) -> EnergyTail:

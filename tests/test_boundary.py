@@ -1,7 +1,10 @@
+import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from steklov_rect import (
     AnalyticBoundaryFunction,
@@ -26,7 +29,7 @@ from steklov_rect import (
     mean,
     resolve,
 )
-from steklov_rect.boundary import default_panels, edge_quadrature
+from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature
 
 from _oracles import boundary_mean, fd_laplacian
 
@@ -219,6 +222,16 @@ class TestSampledData:
             err = sampled.edge_values(rect, edge, t) - (x**2 - y**2)
             assert np.abs(err).max() < 1e-12, edge
 
+    def test_samples_at_one_point_rejected(self):
+        # distinct arc lengths just past the corner at s = 0.2 (alpha 0.1)
+        # all round to the edge coordinate t = 1 of the top edge
+        rect = Rectangle(0.1)
+        corner = np.array([0.2, np.nextafter(0.2, 1.0), np.nextafter(np.nextafter(0.2, 1.0), 1.0)])
+        s = np.concatenate(([0.05, 0.1], corner, [0.5, 1.0, 2.5, 2.6]))
+        assert len(set(rect.arclength_to_edge(corner)[1].tolist())) == 1
+        with pytest.raises(BoundaryDataError, match="one point of edge TOP"):
+            SampledBoundaryFunction(rect, s, np.arange(s.size, dtype=float))
+
     def test_missing_edge_rejected(self):
         rect = Rectangle(1.0)
         s = np.array([0.1, 0.5, 2.5, 3.0, 4.5, 5.0])  # nothing on the bottom edge
@@ -255,6 +268,164 @@ class TestSampledData:
         rect = Rectangle(0.25)
         with pytest.raises(BoundaryDataError):
             SampledBoundaryFunction(rect, [0.0, rect.perimeter], [1.0, 2.0])
+
+
+def _csv_reader_parse(path):
+    """The loader's earlier parse (csv.reader, float per cell), kept as its oracle."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    assert [c.strip().lower() for c in rows[0]][:2] == ["arclength", "value"]
+    try:
+        return [float(r[0]) for r in rows[1:]], [float(r[1]) for r in rows[1:]]
+    except (IndexError, ValueError) as exc:
+        raise BoundaryDataError(f"{path}: bad row") from exc
+
+
+_SAMPLES = [(0.25 + 0.625 * k, math.sin(1.0 + k)) for k in range(12)]
+
+
+def _layout(fmt, comment_every=0):
+    rows = ["arclength,value"]
+    for k, (a, v) in enumerate(_SAMPLES):
+        if comment_every and k % comment_every == 0:
+            rows.append("  # a comment between samples, 1,2")
+        rows.append(fmt.format(a=repr(a), v=repr(v)))
+    return "\n".join(rows) + "\n"
+
+
+class TestLoadCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _layout("{a},{v}"),
+            _layout("{a},{v}", comment_every=3),
+            "# leading comment\n\n" + _layout("{a},{v}").replace("\n", "\n\n", 4),
+            _layout("{a},{v},extra,7"),
+            _layout('"{a}","{v}"'),
+            _layout(" {a} ,\t{v}  "),
+            _layout("{a},{v}").replace("arclength,value", '"Arclength", VALUE ,note'),
+            _layout("{a},{v}\r"),
+        ],
+        ids=["plain", "comments", "blank-lines", "extra-columns", "quoted", "whitespace",
+             "header-variants", "crlf"],
+    )
+    def test_matches_csv_reader_parse(self, tmp_path, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        want = SampledBoundaryFunction(Rectangle(1.0), *_csv_reader_parse(path))
+        got = load_boundary_csv(path, 1.0)
+        rect = Rectangle(1.0)
+        for edge in Edge:
+            t = np.linspace(*rect.edge_range(edge), 33)
+            assert np.array_equal(got.edge_values(rect, edge, t), want.edge_values(rect, edge, t))
+
+    @pytest.mark.parametrize(
+        "bad_row", ["1.0", "1.0,oops", "1.0,", "oops,1.0", "1.0,2.0 # inline comment"]
+    )
+    def test_bad_row_names_path(self, tmp_path, bad_row):
+        path = tmp_path / "bad-row.csv"
+        path.write_text(_layout("{a},{v}") + bad_row + "\n")
+        with pytest.raises(BoundaryDataError):
+            _csv_reader_parse(path)
+        with pytest.raises(BoundaryDataError, match="bad-row.csv"):
+            load_boundary_csv(path, 1.0)
+
+    def test_header_only_is_coverage_error(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("arclength,value\n# nothing else\n")
+        with pytest.raises(EdgeCoverageError):
+            load_boundary_csv(path, 1.0)
+
+
+def _jittered(rng, n, lo=-1.0, hi=1.0):
+    """n increasing positions, one in each of n equal cells of [lo, hi]."""
+    return lo + (np.arange(n) + rng.uniform(0.1, 0.9, n)) * ((hi - lo) / n)
+
+
+def _mp_spline(t, y, x):
+    """The interpolant at x, in 50 digits: slopes from a dense solve of the
+    defining conditions (continuous second derivative at interior samples,
+    one cubic on each pair of end intervals), then the Hermite cubic."""
+    with mpmath.workdps(50):
+        t = [mpmath.mpf(v) for v in t]
+        y = [mpmath.mpf(v) for v in y]
+        n = len(t)
+        h = [t[i + 1] - t[i] for i in range(n - 1)]
+        d = [(y[i + 1] - y[i]) / h[i] for i in range(n - 1)]
+        if n == 2:
+            s = [d[0], d[0]]
+        elif n == 3:
+            c = (d[1] - d[0]) / (t[2] - t[0])
+            s = [d[0] + c * (ti - t[0] + ti - t[1]) for ti in t]
+        else:
+            a, b = mpmath.zeros(n, n), mpmath.zeros(n, 1)
+            for i in range(1, n - 1):
+                # p''(t_i) from the left piece equals p''(t_i) from the right one
+                a[i, i - 1], a[i, i], a[i, i + 1] = 2 / h[i - 1], 4 / h[i - 1] + 4 / h[i], 2 / h[i]
+                b[i] = 6 * d[i - 1] / h[i - 1] + 6 * d[i] / h[i]
+            for row, j in ((0, 0), (n - 1, n - 3)):
+                # equal third derivatives on pieces j and j + 1
+                for k, sign in ((j, 1), (j + 1, -1)):
+                    a[row, k] += sign * 6 / h[k] ** 2
+                    a[row, k + 1] += sign * 6 / h[k] ** 2
+                    b[row] += sign * 12 * d[k] / h[k] ** 2
+            s = list(mpmath.lu_solve(a, b))
+        out = []
+        for xv in x:
+            xv = mpmath.mpf(xv)
+            i = min(sum(1 for ti in t[1:] if ti <= xv), n - 2)
+            dx = xv - t[i]
+            c2 = (3 * d[i] - 2 * s[i] - s[i + 1]) / h[i]
+            c3 = (s[i] + s[i + 1] - 2 * d[i]) / h[i] ** 2
+            out.append(float(y[i] + dx * (s[i] + dx * (c2 + dx * c3))))
+        return np.array(out)
+
+
+class TestEdgeSpline:
+    """The per-edge interpolant of sampled data against scipy and mpmath."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 1000, 25000])
+    def test_matches_scipy_inside_samples(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            t, y = _jittered(rng, n), rng.normal(size=n)
+            x = np.linspace(t[0], t[-1], 4001)
+            want = make_interp_spline(t, y, k=min(3, n - 1))(x)
+            assert np.abs(_EdgeSpline(t, y)(x) - want).max() <= 1e-14 * np.abs(y).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 1000, 25000])
+    def test_reproduces_polynomials_over_whole_edge(self, n):
+        # cubic from 4 samples up, the parabola from 3, the line from 2,
+        # extrapolated ends included
+        rng = np.random.default_rng(100 + n)
+        coef = rng.normal(size=min(3, n - 1) + 1)
+        t = _jittered(rng, n)
+        x = np.linspace(-1.0, 1.0, 4001)
+        want = np.polynomial.polynomial.polyval(x, coef)
+        got = _EdgeSpline(t, np.polynomial.polynomial.polyval(t, coef))(x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+    def test_no_farther_from_exact_spline_than_scipy(self, n):
+        rng = np.random.default_rng(200 + n)
+        x = np.linspace(-1.0, 1.0, 201)
+        for _ in range(3):
+            t, y = _jittered(rng, n), rng.normal(size=n)
+            exact = _mp_spline(t, y, x)
+            err = np.abs(_EdgeSpline(t, y)(x) - exact).max()
+            err_scipy = np.abs(make_interp_spline(t, y, k=min(3, n - 1))(x) - exact).max()
+            # at the rounding floor either side may be the closer one
+            assert err <= max(err_scipy, 4 * np.finfo(float).eps * np.abs(exact).max())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_far_extrapolation_closer_than_scipy(self, seed):
+        # 40 samples of smooth data end 30 spacings short of the edge's end
+        t = _jittered(np.random.default_rng(seed), 40, -1.0, 1.0 - 60.0 / 70.0)
+        y = np.sin(3.0 * t) + t**2
+        x = np.linspace(-1.0, 1.0, 201)
+        exact = _mp_spline(t, y, x)
+        err = np.abs(_EdgeSpline(t, y)(x) - exact).max()
+        assert err < np.abs(make_interp_spline(t, y, k=3)(x) - exact).max()
 
 
 class TestBuiltins:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,16 @@ class TestCentral:
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(7.0, rel=1e-13)
         assert abs(doc["value"] - 7.0) <= doc["bound"]
+
+    def test_bound_covers_rounding(self, capsys):
+        # the truncation tail alone (3.8e-17) is below the 1.1e-16 error that
+        # rounding leaves in this value
+        rc, out, _ = run(capsys, "central", "--builtin", "const:1", "--alpha", "1", "--m", "12",
+                         "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["value"] != 1.0
+        assert abs(doc["value"] - 1.0) <= doc["bound"]
 
     def test_x2y2_within_published_coefficient(self, capsys):
         rc, out, _ = run(capsys, "central", "--builtin", "x2-y2", "--m", "3",
@@ -269,3 +283,29 @@ class TestTables:
         assert rc == 0
         rows = json.loads(out)
         assert len(rows) == 37 and all(r["ok"] for r in rows)
+
+
+_NO_SCIPY = """
+import sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+import steklov_rect
+assert not loaded(), loaded()
+import steklov_rect.cli
+assert not loaded(), loaded()
+assert steklov_rect.cli.main(["central", "--data", sys.argv[1], "--alpha", "0.5", "--m", "3"]) == 0
+assert not loaded(), loaded()
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would cost most of a CLI call
+    rect = Rectangle(0.5)
+    s = (np.arange(200) + 0.5) * (rect.perimeter / 200)
+    path = tmp_path / "samples.csv"
+    rows = "".join(f"{a!r},{v!r}\n" for a, v in zip(s.tolist(), np.cos(s).tolist()))
+    path.write_text("arclength,value\n" + rows)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

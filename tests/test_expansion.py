@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,7 +203,10 @@ class TestCentralValue:
             e = expand_for_central(h, 1.0, m)
             res = central_value(e)
             nu_m = [t.mode.nu for t in e.terms if t.mode.family == Family.X][-1]
-            assert res.bound == pytest.approx(0.41 * math.exp(-nu_m) * res.data_norm, rel=1e-12)
+            parts = [e.mean_term] + [t.coefficient * t.mode.scale for t in e.terms]
+            rounding = (2 * m + 2) * sys.float_info.epsilon * sum(abs(p) for p in parts)
+            want = 0.41 * math.exp(-nu_m) * res.data_norm + rounding
+            assert res.bound == pytest.approx(want, rel=1e-12)
             assert abs(1.0 - res.value) <= res.bound
 
     def test_rectangle_bound_certifies(self):
