@@ -4,7 +4,8 @@ Integrals use composite Gauss-Legendre panels per edge. Gauss nodes are
 interior to panels, so corner values of the data are never touched and
 traces may be discontinuous at corners. The panel count scales with the
 highest oscillation frequency in play (an integrand cos(nu t) needs panels
-proportional to nu).
+proportional to nu); an expansion takes its mean, norm and coefficients from
+one grid sized for its largest nu.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _trace_block, evaluate
+from .modes import SteklovMode, _factor_block, evaluate
 
 __all__ = [
     "BoundaryFunction",
@@ -33,6 +34,7 @@ __all__ = [
     "boundary_norm",
     "coefficient",
     "coefficients",
+    "project",
     "default_panels",
     "load_boundary_csv",
     "builtin_boundary",
@@ -296,58 +298,65 @@ def inner_product(
 _ONE = constant_function(1.0)
 
 
-def mean(
-    u: BoundaryFunction,
-    rect: Optional[Rectangle] = None,
-    order: int = 32,
-    panels: Optional[int] = None,
-) -> float:
+def mean(u: BoundaryFunction, rect: Optional[Rectangle] = None, order: int = 32) -> float:
     """Boundary mean of u, i.e. its inner product with the constant 1."""
-    return inner_product(u, _ONE, rect=rect, order=order, panels=panels)
+    return inner_product(u, _ONE, rect=rect, order=order)
 
 
-def boundary_norm(
-    u: BoundaryFunction,
-    rect: Optional[Rectangle] = None,
-    order: int = 32,
-    panels: Optional[int] = None,
-) -> float:
+def boundary_norm(u: BoundaryFunction, rect: Optional[Rectangle] = None, order: int = 32) -> float:
     """Mean L2 boundary norm sqrt(<u, u>); nan for data that is not finite.
 
     The Gauss weights are positive, so <u, u> is never negative; it is nan
     exactly when the data is, and that nan must reach the caller.
     """
-    return math.sqrt(inner_product(u, u, rect=rect, order=order, panels=panels))
+    return math.sqrt(inner_product(u, u, rect=rect, order=order))
+
+
+# Entries (modes x nodes) of a factor block built at once: larger blocks only raise peak memory.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def project(
+    u: BoundaryFunction, rect: Rectangle, modes: Sequence[SteklovMode], order: int = 32
+) -> tuple[float, float, list[float]]:
+    """Boundary mean, mean L2 norm and coefficients <u, mode trace> of u, from one grid.
+
+    One composite Gauss grid per edge, with default_panels(u.freq_hint +
+    largest nu) panels, carries every integral, and u is evaluated on it once.
+    A mode is the product of an x and a y factor; opposite edges share their
+    nodes, so on each pair the factor along the edges is one block per
+    (class, family), multiplied by the weighted data of both edges at once.
+    """
+    panels = default_panels(u.freq_hint + max((m.nu for m in modes), default=0.0))
+    kinds: dict[tuple, list[int]] = {}
+    for i, mode in enumerate(modes):
+        kinds.setdefault((mode.kind, mode.symmetry_class, mode.family), []).append(i)
+    total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
+    pairs = (((Edge.RIGHT, Edge.LEFT), (1.0, -1.0)), ((Edge.TOP, Edge.BOTTOM), (rect.alpha, -rect.alpha)))
+    for pair, ends in pairs:
+        t, w = edge_quadrature(rect, pair[0], order, panels)
+        hv = np.stack([u.edge_values(rect, edge, t) for edge in pair], axis=1)  # nodes x edges
+        wh = w[:, None] * hv
+        total += float(np.sum(wh))
+        square += float(np.sum(wh * hv))
+        vertical = pair[0] == Edge.RIGHT
+        x, y = (np.array(ends), t) if vertical else (t, np.array(ends))
+        rows = max(1, _BLOCK_ENTRIES // t.size)
+        for idx in kinds.values():
+            for k in range(0, len(idx), rows):
+                part = idx[k : k + rows]
+                fx, fy = _factor_block([modes[i] for i in part], x, y)
+                along, across = (fy, fx) if vertical else (fx, fy)
+                coeffs[part] += np.sum((along @ wh) * across, axis=1)
+    per = rect.perimeter
+    return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 
 
 def coefficients(u: BoundaryFunction, modes: Sequence[SteklovMode], order: int = 32) -> list[float]:
-    """Expansion coefficients <u, mode trace> against boundary-normalized modes.
-
-    Each mode keeps the rule inner_product would give it, with panels
-    default_panels(u.freq_hint + nu). Modes with the same panel count share
-    one grid per edge and one evaluation of u on it; the traces of the modes
-    of one kind are built as one block. Every coefficient is the same sum of
-    the same per-edge dot products as inner_product's, so bit for bit equal.
-    """
-    groups: dict[tuple[float, int], list[int]] = {}
-    for i, mode in enumerate(modes):
-        groups.setdefault((mode.alpha, default_panels(u.freq_hint + mode.nu)), []).append(i)
-    totals = [0.0] * len(modes)
-    for (alpha, panels), members in groups.items():
-        rect = Rectangle(alpha)
-        kinds: dict[tuple, list[int]] = {}
-        for i in members:
-            kinds.setdefault((modes[i].kind, modes[i].symmetry_class, modes[i].family), []).append(i)
-        for edge in _EDGE_ORDER:
-            pts, wts = edge_quadrature(rect, edge, order, panels)
-            hv = u.edge_values(rect, edge, pts)
-            x, y = rect.edge_xy(edge, pts)
-            x, y = (x[:1], y) if edge in (Edge.RIGHT, Edge.LEFT) else (x, y[:1])
-            for idx in kinds.values():
-                prod = hv * _trace_block([modes[i] for i in idx], x, y)
-                for i, row in zip(idx, prod):
-                    totals[i] += float(np.dot(wts, row))
-    return [totals[i] / modes[i].rect.perimeter for i in range(len(modes))]
+    """Expansion coefficients <u, mode trace> against boundary-normalized modes of one rectangle."""
+    if not modes:
+        return []
+    return project(u, modes[0].rect, modes, order)[2]
 
 
 def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> float:

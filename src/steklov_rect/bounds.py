@@ -14,9 +14,12 @@ import enum
 import io
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .geometry import Rectangle
-from .modes import Family, ModeId, SymmetryClass, log_normalization_integral, resolve
+from .modes import Family, SymmetryClass, _stream_modes, log_normalization_integral
 from .roots import DEFAULT_TOL, DeterminingEquation, solve_nu
 from . import stable
 
@@ -70,25 +73,24 @@ def check_square_bounds(j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound
     """Strict decay records for the square, j = 1..j_max."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
+    nus = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), np.arange(1, j_max + 1), tol)
     out: list[DecayBound] = []
-    for j in range(1, j_max + 1):
-        nu = solve_nu(eq, j, tol)
+    for j, nu in enumerate(nus.tolist(), start=1):
         log_i = log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0)
-        out.append(
-            DecayBound(BoundKind.SQUARE_CJ, 1.0, j, nu, -log_i, math.log(2.56) - 2.0 * nu)
-        )
-        out.append(
-            DecayBound(
-                BoundKind.SQUARE_CENTER,
-                1.0,
-                j,
-                nu,
-                0.5 * (math.log(8.0) - log_i),
-                math.log(4.53) - nu,
-            )
-        )
+        out += [
+            DecayBound(BoundKind.SQUARE_CJ, 1.0, j, nu, -log_i, math.log(2.56) - 2.0 * nu),
+            DecayBound(BoundKind.SQUARE_CENTER, 1.0, j, nu, 0.5 * (math.log(8.0) - log_i),
+                       math.log(4.53) - nu),
+        ]
     return out
+
+
+def _class_one_roots(alpha: float, j_max: int, tol: float) -> list[tuple[int, float, float]]:
+    """(j, nu1_j, nu2_j) for j = 1..j_max: the class-I roots of families X and Y."""
+    js = np.arange(1, j_max + 1)
+    nu1 = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, alpha), js, tol)
+    nu2 = solve_nu(DeterminingEquation(SymmetryClass.I, Family.Y, alpha), js, tol)
+    return list(zip(js.tolist(), nu1.tolist(), nu2.tolist()))
 
 
 def check_rect_bounds(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound]:
@@ -97,44 +99,16 @@ def check_rect_bounds(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> lis
         raise ValueError(f"rectangle bounds need 0 < alpha < 1, got {alpha}")
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    eq1 = DeterminingEquation(SymmetryClass.I, Family.X, alpha)
-    eq2 = DeterminingEquation(SymmetryClass.I, Family.Y, alpha)
     out: list[DecayBound] = []
-    for j in range(1, j_max + 1):
-        nu1 = solve_nu(eq1, j, tol)
+    for j, nu1, nu2 in _class_one_roots(alpha, j_max, tol):
         log_i = log_normalization_integral(SymmetryClass.I, Family.X, nu1, alpha)
-        out.append(
-            DecayBound(
-                BoundKind.RECT_C1_STRONG,
-                alpha,
-                j,
-                nu1,
-                -log_i,
-                math.log(2.56 / alpha) - 2.0 * nu1,
-            )
-        )
-        out.append(
-            DecayBound(
-                BoundKind.RECT_C1_SMALL_ALPHA,
-                alpha,
-                j,
-                nu1,
-                -log_i,
-                math.log(4.0 * nu1) - 2.0 * alpha * nu1,
-            )
-        )
-        nu2 = solve_nu(eq2, j, tol)
         log_j = log_normalization_integral(SymmetryClass.I, Family.Y, nu2, alpha)
-        out.append(
-            DecayBound(
-                BoundKind.RECT_C2,
-                alpha,
-                j,
-                nu2,
-                -log_j,
-                math.log(2.56) - 2.0 * alpha * nu2,
-            )
-        )
+        out += [
+            DecayBound(BoundKind.RECT_C1_STRONG, alpha, j, nu1, -log_i, math.log(2.56 / alpha) - 2.0 * nu1),
+            DecayBound(BoundKind.RECT_C1_SMALL_ALPHA, alpha, j, nu1, -log_i,
+                       math.log(4.0 * nu1) - 2.0 * alpha * nu1),
+            DecayBound(BoundKind.RECT_C2, alpha, j, nu2, -log_j, math.log(2.56) - 2.0 * alpha * nu2),
+        ]
     return out
 
 
@@ -145,14 +119,7 @@ def nu_orderings(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[tup
     root always lies slightly *above* alpha times the family-1 root, by a gap
     of about exp(-2 alpha nu2).
     """
-    eq1 = DeterminingEquation(SymmetryClass.I, Family.X, alpha)
-    eq2 = DeterminingEquation(SymmetryClass.I, Family.Y, alpha)
-    rows = []
-    for j in range(1, j_max + 1):
-        nu1 = solve_nu(eq1, j, tol)
-        nu2 = solve_nu(eq2, j, tol)
-        rows.append((j, alpha * nu2, alpha * nu1, nu2, nu1))
-    return rows
+    return [(j, alpha * nu2, alpha * nu1, nu2, nu1) for j, nu1, nu2 in _class_one_roots(alpha, j_max, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +132,22 @@ _CENTER_COEFF = 0.41
 _CENTER_COEFF_MIN_INDEX = 3
 
 
-def square_center_tail(m: int, tol: float = DEFAULT_TOL) -> float:
+def square_center_tail(m: int, tol: float = DEFAULT_TOL, nus: Sequence[float] = ()) -> float:
     """Certified |h(0,0) - h_m(0,0)| / ||h|| on the square.
 
     The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
     that the geometric tail summed from nu_{m+1} is used, which is valid for
-    every m.
+    every m. nus may hold the class-I x-family roots nu_1, nu_2, ... already
+    solved; the root needed is solved here only when nus does not hold it.
     """
-    eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
+    j = m if m >= _CENTER_COEFF_MIN_INDEX else m + 1
+    if j <= len(nus):
+        nu = nus[j - 1]
+    else:
+        nu = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)
     if m >= _CENTER_COEFF_MIN_INDEX:
-        nu_m = solve_nu(eq, m, tol)
-        return _CENTER_COEFF * math.exp(-nu_m)
-    nu_next = solve_nu(eq, m + 1, tol)
-    return _PAIR_BOUND * math.exp(-nu_next) / (1.0 - math.exp(-math.pi))
+        return _CENTER_COEFF * math.exp(-nu)
+    return _PAIR_BOUND * math.exp(-nu) / (1.0 - math.exp(-math.pi))
 
 
 def rect_center_tail(m: int, alpha: float) -> float:
@@ -281,27 +251,22 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     the certified relative-error coefficients for the central value
     (square_center_tail for m = 1, 2, 3).
     """
-    modes = [resolve(ModeId.separated(SymmetryClass.I, Family.X, j), 1.0, root_tol) for j in range(1, 7)]
+    modes = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), np.arange(1, 7), root_tol)
     nus = [mode.nu for mode in modes]
-    deltas = [mode.delta for mode in modes]
-    centers = [mode.scale for mode in modes]  # a class-I mode's value at (0,0)
     cs = [math.exp(-log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0)) for nu in nus]
 
-    rows: list[TableRow] = []
-    for j, nu in enumerate(nus, start=1):
-        rows.append(TableRow(1, f"nu_{j}", nu, TABLE1_NU[j - 1], TOL_TABLE1))
-    for j in range(2, 7):
-        rows.append(TableRow(1, f"dnu_{j}", nus[j - 1] - nus[j - 2], TABLE1_DNU[j - 2], TOL_TABLE1))
-    for j, d in enumerate(deltas, start=1):
-        rows.append(TableRow(1, f"delta_{j}", d, TABLE1_DELTA[j - 1], TOL_TABLE1))
-    for j, v in enumerate(centers, start=1):
-        rows.append(TableRow(2, f"center_{j}", v, TABLE2_CENTER[j - 1], TOL_TABLE23))
-    for j, c in enumerate(cs, start=1):
-        rows.append(TableRow(3, f"c_{j}", c, TABLE3_C[j - 1], TOL_TABLE23))
-    for j in range(2, 7):
-        rows.append(TableRow(3, f"c_{j}/c_{j-1}", cs[j - 1] / cs[j - 2], TABLE3_RATIO[j - 2], TOL_TABLE23))
-    for m in range(1, 4):
-        rows.append(
-            TableRow(4, f"relerr_m{m}", square_center_tail(m, root_tol), TABLE4_RELERR[m - 1], TOL_TABLE4)
-        )
+    rows = [TableRow(1, f"nu_{j}", nu, TABLE1_NU[j - 1], TOL_TABLE1) for j, nu in enumerate(nus, start=1)]
+    rows += [TableRow(1, f"dnu_{j}", nus[j - 1] - nus[j - 2], TABLE1_DNU[j - 2], TOL_TABLE1)
+             for j in range(2, 7)]
+    rows += [TableRow(1, f"delta_{j}", m.delta, TABLE1_DELTA[j - 1], TOL_TABLE1)
+             for j, m in enumerate(modes, start=1)]
+    # a class-I mode's value at (0,0) is its scale
+    rows += [TableRow(2, f"center_{j}", m.scale, TABLE2_CENTER[j - 1], TOL_TABLE23)
+             for j, m in enumerate(modes, start=1)]
+    rows += [TableRow(3, f"c_{j}", c, TABLE3_C[j - 1], TOL_TABLE23) for j, c in enumerate(cs, start=1)]
+    rows += [TableRow(3, f"c_{j}/c_{j-1}", cs[j - 1] / cs[j - 2], TABLE3_RATIO[j - 2], TOL_TABLE23)
+             for j in range(2, 7)]
+    tails = [square_center_tail(m, root_tol, nus) for m in range(1, 4)]
+    rows += [TableRow(4, f"relerr_m{m}", v, TABLE4_RELERR[m - 1], TOL_TABLE4)
+             for m, v in enumerate(tails, start=1)]
     return TableReport(tuple(rows))

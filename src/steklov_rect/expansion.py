@@ -23,15 +23,15 @@ from .geometry import Rectangle, check_interior
 from .modes import (
     Family,
     ModeId,
-    ModeKind,
     SteklovMode,
     SymmetryClass,
     _mode_at,
     _mode_factors,
+    _stream_modes,
     first_modes,
     resolve,
 )
-from .roots import DEFAULT_TOL
+from .roots import DEFAULT_TOL, DeterminingEquation
 
 __all__ = [
     "ExpansionTerm",
@@ -118,14 +118,15 @@ def _build(
 ) -> SteklovExpansion:
     """Coefficients of h against modes; with t set, each is divided by (1-t)*delta + t.
 
+    The mean, the norm and the coefficients come from one quadrature grid.
+
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
     spuriously reject valid data, and its mean term is 0.
     """
     rect = Rectangle(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
-        raw_mean = bd.mean(h, rect=rect, order=order)
-        norm = bd.boundary_norm(h, rect=rect, order=order)
+        raw_mean, norm, coeffs = bd.project(h, rect, modes, order)
     if not (math.isfinite(raw_mean) and math.isfinite(norm)):
         raise bd.BoundaryDataError(
             f"boundary data is not finite: mean = {raw_mean!r}, norm = {norm!r}"
@@ -140,7 +141,7 @@ def _build(
     else:
         mean_term = raw_mean if t is None else raw_mean / t
     terms = []
-    for mode, c in zip(modes, bd.coefficients(h, modes, order)):
+    for mode, c in zip(modes, coeffs):
         if t is not None:
             c = c / ((1.0 - t) * mode.delta + t)
         terms.append(ExpansionTerm(mode, c))
@@ -182,13 +183,9 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    modes = [
-        resolve(ModeId.separated(SymmetryClass.I, fam, j), alpha, tol)
-        for j in range(1, m + 1)
-        for fam in (Family.X, Family.Y)
-    ]
-    modes.sort(key=SteklovMode.sort_key)
-    return _build(h, alpha, modes, order, "dirichlet", None)
+    eqs = [DeterminingEquation(SymmetryClass.I, fam, alpha) for fam in Family]
+    modes = [mode for eq in eqs for mode in _stream_modes(eq, np.arange(1, m + 1), tol)]
+    return _build(h, alpha, sorted(modes, key=SteklovMode.sort_key), order, "dirichlet", None)
 
 
 def solve_robin(
@@ -264,18 +261,11 @@ def evaluate_interior(e: SteklovExpansion, x, y):
 
 def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[ExpansionTerm]:
     """Class-I terms of one family forming a complete index prefix 1..m."""
-    by_index = {
-        t.mode.index: t
-        for t in e.terms
-        if t.mode.kind == ModeKind.SEPARATED
-        and t.mode.symmetry_class == SymmetryClass.I
-        and t.mode.family == family
-    }
-    out = []
-    j = 1
-    while j in by_index:
-        out.append(by_index[j])
-        j += 1
+    by_index = {t.mode.index: t for t in e.terms
+                if t.mode.symmetry_class == SymmetryClass.I and t.mode.family == family}
+    out: list[ExpansionTerm] = []
+    while len(out) + 1 in by_index:
+        out.append(by_index[len(out) + 1])
     return out
 
 
@@ -295,7 +285,8 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     m = min(len(fam_x), len(fam_y))
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
-    per_norm = square_center_tail(m, tol) if e.alpha == 1.0 else rect_center_tail(m, e.alpha)
+    per_norm = (square_center_tail(m, tol, [t.mode.nu for t in fam_x]) if e.alpha == 1.0
+                else rect_center_tail(m, e.alpha))
     magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
     rounding = (len(fam_x) + len(fam_y) + 2) * np.finfo(float).eps * magnitude
     return CentralValueResult(value, m, per_norm * e.data_norm + rounding, e.data_norm)

@@ -11,7 +11,6 @@ equals 1.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import BoundaryPoint, CornerError, Edge, Rectangle, check_interior
-from .roots import DEFAULT_TOL, DeterminingEquation, Family, SymmetryClass, solve_nu
+from .roots import DEFAULT_TOL, DeterminingEquation, Family, SymmetryClass, bracket, solve_nu
 from . import stable
 
 __all__ = [
@@ -236,8 +235,7 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
             raise InvalidModeError(f"the xy mode exists only on the square, got alpha={alpha}")
         return _mode_at(mode_id, alpha, 0.0, 1.0)
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
-    nu = solve_nu(eq, mode_id.index, tol)
-    return _mode_at(mode_id, alpha, nu, eigenvalue(mode_id.symmetry_class, mode_id.family, nu, alpha))
+    return _stream_modes(eq, np.array([mode_id.index]), tol)[0]
 
 
 def _separated_factors(
@@ -280,19 +278,19 @@ def _mode_factors(mode: SteklovMode, x, y):
     return _separated_factors(mode.symmetry_class, mode.family, mode.nu, mode.log_scale, x, y)
 
 
-def _trace_block(modes: Sequence[SteklovMode], x, y) -> np.ndarray:
-    """Values of modes of one kind (one (class, family) when separated) at 1-d x and y.
+def _factor_block(modes: Sequence[SteklovMode], x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(x factors, y factors) of modes of one kind (one (class, family) when separated).
 
-    Row i holds modes[i]; x and y broadcast against each other, so an edge
-    passes its fixed coordinate as a single value.
+    x and y are 1-d; row i of each block holds modes[i], so the traces of
+    the modes at (x[k], y[l]) are x_block[:, k] * y_block[:, l].
     """
     m0 = modes[0]
     if m0.kind != ModeKind.SEPARATED:
-        return np.array([np.multiply(*_mode_factors(m, x, y)) for m in modes])
+        fx, fy = zip(*(_mode_factors(m, x, y) for m in modes))
+        return np.array(fx), np.array(fy)
     nu = np.array([[m.nu] for m in modes])
     log_scale = np.array([[m.log_scale] for m in modes])
-    fx, fy = _separated_factors(m0.symmetry_class, m0.family, nu, log_scale, x, y)
-    return fx * fy
+    return _separated_factors(m0.symmetry_class, m0.family, nu, log_scale, x, y)
 
 
 def evaluate(mode: SteklovMode, x, y):
@@ -339,6 +337,30 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
     return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
+def _stream_modes(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
+    """The modes of indices js of one (class, family), their roots solved in one call."""
+    cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
+    return [
+        _mode_at(ModeId.separated(cls, fam, j), alpha, nu, eigenvalue(cls, fam, nu, alpha))
+        for j, nu in zip(js.tolist(), solve_nu(eq, js, tol).tolist())
+    ]
+
+
+def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues at the two ends of the root windows of indices js.
+
+    delta = nu tanh(b nu) or nu coth(b nu) rises with nu, so these bound the
+    eigenvalue of each mode from below and above without solving its root.
+    """
+    lo, hi = bracket(eq, js)
+    b = eq.hyp_scale
+    if _profile_parts(eq.symmetry_class, eq.family)[0]:  # a cosh factor: nu tanh(b nu)
+        return lo * np.tanh(b * lo), hi * np.tanh(b * hi)
+    # nu coth(b nu) falls to 1/b as nu -> 0, where a window may start
+    low = np.divide(lo, np.tanh(b * lo), out=np.full(lo.shape, 1.0 / b), where=lo > 0.0)
+    return low, hi / np.tanh(b * hi)
+
+
 def first_modes(
     alpha: float,
     count: int,
@@ -348,32 +370,30 @@ def first_modes(
     """The first `count` non-constant modes in ascending-eigenvalue order.
 
     classes restricts the modes to those symmetry classes (all four when
-    None); the xy mode counts as class II. Merges the per-(class, family)
-    sequences lazily; each sequence is strictly increasing in delta, so a
-    heap of one candidate per sequence suffices. Ties (the square is full of
-    them) break by class then family order.
+    None); the xy mode counts as class II. The eigenvalues at the upper ends
+    of the root windows give a level that at least `count` modes stay
+    below; only modes whose window starts below it are solved, one solve_nu
+    call per (class, family), and the candidates are sorted once. Ties (the
+    square is full of them) break by class then family order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    heap: list[tuple] = []
-    for cls, fam in _streams(classes):
-        mode = resolve(ModeId.separated(cls, fam, 1), alpha, tol)
-        heapq.heappush(heap, (mode.sort_key(), mode))
-    if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
-        mode = resolve(ModeId.xy(), alpha, tol)
-        heapq.heappush(heap, (mode.sort_key(), mode))
-    out: list[SteklovMode] = []
-    while heap and len(out) < count:
-        _, mode = heapq.heappop(heap)
-        out.append(mode)
-        if mode.kind == ModeKind.SEPARATED:
-            nxt = resolve(
-                ModeId.separated(mode.symmetry_class, mode.family, mode.index + 1), alpha, tol
-            )
-            heapq.heappush(heap, (nxt.sort_key(), nxt))
-    if len(out) < count:
-        raise InvalidModeError(f"filter yields only {len(out)} modes, {count} requested")
-    return out
+    Rectangle(alpha)  # validates alpha
+    eqs = [DeterminingEquation(cls, fam, alpha) for cls, fam in _streams(classes)]
+    if count == 0:
+        return []
+    if not eqs:
+        raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
+    js = np.arange(1, count + 1)  # no stream holds more than count of the first count modes
+    windows = [_window_deltas(eq, js) for eq in eqs]
+    with_xy = alpha == 1.0 and (classes is None or SymmetryClass.II in classes)
+    modes = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
+    uppers = np.concatenate([hi for _, hi in windows] + [[m.delta for m in modes]])
+    level = np.partition(uppers, count - 1)[count - 1]
+    for eq, (lo, _) in zip(eqs, windows):
+        modes += _stream_modes(eq, js[lo <= level], tol)
+    modes.sort(key=SteklovMode.sort_key)
+    return modes[:count]
 
 
 def spectrum(
@@ -390,11 +410,11 @@ def spectrum(
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
-    ids: list[ModeId] = []
+    modes: list[SteklovMode] = []
     if classes is None or SymmetryClass.I in classes:
-        ids.append(ModeId.constant())
+        modes.append(resolve(ModeId.constant(), alpha))
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
-        ids.append(ModeId.xy())
+        modes.append(resolve(ModeId.xy(), alpha))
     for cls, fam in _streams(classes):
-        ids.extend(ModeId.separated(cls, fam, j) for j in range(1, j_max + 1))
-    return sorted((resolve(mid, alpha, tol) for mid in ids), key=SteklovMode.sort_key)
+        modes += _stream_modes(DeterminingEquation(cls, fam, alpha), np.arange(1, j_max + 1), tol)
+    return sorted(modes, key=SteklovMode.sort_key)

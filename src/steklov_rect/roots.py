@@ -12,6 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "SymmetryClass",
@@ -84,17 +87,17 @@ class DeterminingEquation:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
-    @property
+    @cached_property
     def tan_scale(self) -> float:
         """a: the tangent argument is a*nu."""
         return self.alpha if self.family == Family.X else 1.0
 
-    @property
+    @cached_property
     def hyp_scale(self) -> float:
         """b: the hyperbolic argument is b*nu."""
         return 1.0 if self.family == Family.X else self.alpha
 
-    @property
+    @cached_property
     def uses_coth(self) -> bool:
         # Equating the edge ratios F'/F (tanh or coth) and G'/G (-tan or cot)
         # gives tan = -tanh/-coth for a cos trig factor but tan = 1/tanh etc.
@@ -106,7 +109,7 @@ class DeterminingEquation:
             hyp_even, trig_even = self.symmetry_class.even_y, self.symmetry_class.even_x
         return hyp_even != trig_even
 
-    @property
+    @cached_property
     def sign(self) -> int:
         """+1 when the equation reads tan = -hyp, -1 when tan = +hyp."""
         cls, fam = self.symmetry_class, self.family
@@ -119,35 +122,45 @@ class DeterminingEquation:
         return +1 if fam == Family.X else -1
 
 
-def _coth(u: float) -> float:
-    return 1.0 / math.tanh(u)
+def _residual(eq: DeterminingEquation, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, within the pole guard band) at every nu of an array."""
+    theta = eq.tan_scale * nu
+    # Distance from theta to the nearest pole (k + 1/2)*pi of tan.
+    k = np.floor(theta / math.pi)
+    near_pole = np.abs(theta - (k + 0.5) * math.pi) < _POLE_GUARD * np.maximum(1.0, np.abs(theta))
+    hyp = np.tanh(eq.hyp_scale * nu)
+    if eq.uses_coth:
+        hyp = 1.0 / hyp
+    return np.tan(theta) + eq.sign * hyp, near_pole
 
 
-def residual(eq: DeterminingEquation, nu: float) -> float:
-    """Left-minus-right side of the determining equation at nu > 0.
+def _checked_residual(eq: DeterminingEquation, nu: np.ndarray, active=True) -> np.ndarray:
+    """Residuals at nu, raising PoleProximityError when an active nu is near a pole."""
+    value, near_pole = _residual(eq, nu)
+    if (near_pole & active).any():
+        raise PoleProximityError(f"nu={nu[near_pole & active][0]} within guard distance of a tangent pole")
+    return value
+
+
+def residual(eq: DeterminingEquation, nu):
+    """Left-minus-right side of the determining equation at nu > 0 (a number or an array).
 
     Raises PoleProximityError within a relative guard band of the tangent
     poles, where the value would be dominated by cancellation; callers must
     shrink their interval instead of trusting a value there.
     """
-    if nu <= 0.0:
+    nu = np.asarray(nu, dtype=float)
+    if np.any(nu <= 0.0):
         raise ValueError(f"nu must be positive, got {nu}")
-    theta = eq.tan_scale * nu
-    # Distance from theta to the nearest pole (k + 1/2)*pi of tan.
-    k = math.floor(theta / math.pi)
-    dist = abs(theta - (k + 0.5) * math.pi)
-    if dist < _POLE_GUARD * max(1.0, abs(theta)):
-        raise PoleProximityError(
-            f"nu={nu} within guard distance of a tangent pole (theta={theta})"
-        )
-    hyp = _coth if eq.uses_coth else math.tanh
-    return math.tan(theta) + eq.sign * hyp(eq.hyp_scale * nu)
+    value = _checked_residual(eq, nu)
+    return float(value) if value.ndim == 0 else value
 
 
-def bracket(eq: DeterminingEquation, j: int) -> tuple[float, float]:
+def bracket(eq: DeterminingEquation, j):
     """Interval containing exactly the j-th positive root, free of interior poles.
 
-    The tangent term sweeps all reals once per pole-to-pole window while the
+    j may be an int array; lo and hi are then arrays of the same shape. The
+    tangent term sweeps all reals once per pole-to-pole window while the
     hyperbolic term stays in (0,1) or (1,inf), so each window holds exactly
     one root; which half-window, and whether window 0 contributes, depends on
     the sign and on tanh vs coth:
@@ -159,99 +172,100 @@ def bracket(eq: DeterminingEquation, j: int) -> tuple[float, float]:
     * tan = +coth: roots where tan > 1, one per window starting at window 0.
     * tan = -coth: roots where tan < -1; none in window 0.
     """
-    if j < 1:
+    if np.any(np.asarray(j) < 1):
         raise ValueError(f"root index must be >= 1, got {j}")
-    a = eq.tan_scale
-    half = 0.5 * math.pi / a
-    if not eq.uses_coth:
-        if eq.sign > 0:  # tan = -tanh
-            return ((2 * j - 1) * half, 2 * j * half)
-        # tan = +tanh
-        n0 = 1 if eq.tan_scale < eq.hyp_scale else 0
-        k = j - n0
-        return (2 * k * half, (2 * k + 1) * half)
-    if eq.sign < 0:  # tan = +coth
-        k = j - 1
-        return (2 * k * half, (2 * k + 1) * half)
-    # tan = -coth
-    return ((2 * j - 1) * half, 2 * j * half)
+    half = 0.5 * math.pi / eq.tan_scale
+    if eq.sign > 0:  # tan = -tanh or tan = -coth: the upper half of window j
+        return ((2 * j - 1) * half, 2 * j * half)
+    # tan = +tanh or tan = +coth: the lower half of window k
+    k = j - (1 if eq.uses_coth or eq.tan_scale < eq.hyp_scale else 0)
+    return (2 * k * half, (2 * k + 1) * half)
 
 
-def _safe_endpoints(eq: DeterminingEquation, lo: float, hi: float) -> tuple[float, float, float, float]:
-    """Nudge bracket endpoints inward past pole guards until signs differ."""
+def _safe_endpoints(eq: DeterminingEquation, lo: np.ndarray, hi: np.ndarray):
+    """Nudge bracket endpoints inward past pole guards until signs differ.
+
+    Each bracket is nudged on its own: a pole hit widens its nudge, equal
+    signs narrow it. Returns the nudged (lo, hi) and the residual at lo.
+    """
     span = hi - lo
-    nudge = max(2.0 * _POLE_GUARD * max(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
+    nudge = np.maximum(2.0 * _POLE_GUARD * np.maximum(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
+    out_lo, out_hi, out_flo = np.empty_like(lo), np.empty_like(hi), np.empty_like(lo)
+    todo = np.arange(lo.size)
     for _ in range(8):
-        a = max(lo + nudge, 1e-300)
-        b = hi - nudge
-        try:
-            fa = residual(eq, a)
-            fb = residual(eq, b)
-        except PoleProximityError:
-            nudge *= 4.0
-            continue
-        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            return a, b, fa, fb
-        nudge *= 0.25
-    raise BracketError(f"no sign change on bracket ({lo}, {hi}) for {eq}")
+        a = np.maximum(lo[todo] + nudge[todo], 1e-300)
+        b = hi[todo] - nudge[todo]
+        fa, pole_a = _residual(eq, a)
+        fb, pole_b = _residual(eq, b)
+        pole = pole_a | pole_b
+        ok = ~pole & (np.copysign(1.0, fa) != np.copysign(1.0, fb))
+        done = todo[ok]
+        out_lo[done], out_hi[done], out_flo[done] = a[ok], b[ok], fa[ok]
+        nudge[todo] *= np.where(pole, 4.0, np.where(ok, 1.0, 0.25))
+        todo = todo[~ok]
+        if todo.size == 0:
+            return out_lo, out_hi, out_flo
+    raise BracketError(f"no sign change on bracket ({lo[todo[0]]}, {hi[todo[0]]}) for {eq}")
 
 
-def solve_nu(eq: DeterminingEquation, j: int, tol: float = DEFAULT_TOL) -> float:
+def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     """The j-th strictly positive root of the determining equation.
 
-    The root is localized within tol: plain bisection down to that width for
-    coarse tolerances, bisection plus a bracketed Newton polish for tight
-    ones. Roots are strictly increasing in j and successive differences
+    j is an int, or an int array of indices solved together (the roots
+    come back as an array of the same shape). Each root is localized within
+    tol: plain bisection down to that width for coarse tolerances,
+    bisection plus a bracketed Newton polish for tight ones. Every root runs
+    the iteration it would run alone; the array only shares the numpy
+    calls. Roots are strictly increasing in j and successive differences
     approach pi / tan_scale.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = bracket(eq, j)
-    lo, hi, flo, fhi = _safe_endpoints(eq, lo, hi)
-
+    js = np.asarray(j)
+    lo, hi = bracket(eq, js.ravel())
+    lo, hi, flo = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
-    while hi - lo > coarse:
+    while (act := hi - lo > coarse).any():
         mid = 0.5 * (lo + hi)
-        fm = residual(eq, mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        fm = _checked_residual(eq, mid, act)
+        same = np.copysign(1.0, fm) == np.copysign(1.0, flo)
+        up, down = act & same, act & ~same  # the root lies above / below mid
+        zero = act & (fm == 0.0)  # an exact root closes its bracket onto mid
+        lo, flo = np.where(up | zero, mid, lo), np.where(up, fm, flo)
+        hi = np.where(down | zero, mid, hi)
     x = 0.5 * (lo + hi)
-    if tol >= _POLISH_CUTOFF:
-        return x
+    if tol < _POLISH_CUTOFF:
+        x = _polish(eq, js.ravel(), x, lo, hi, flo, tol)
+    return float(x[0]) if js.ndim == 0 else x.reshape(js.shape)
 
-    # Newton polish, kept inside the bracket so tangent poles stay out of reach.
-    a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
+
+def _polish(eq, js, x, lo, hi, flo, tol):
+    """Newton polish, kept inside the bracket so tangent poles stay out of reach."""
+    a, b, s, coth = eq.tan_scale, eq.hyp_scale, eq.sign, eq.uses_coth
+    out, todo = np.empty_like(x), np.arange(x.size)  # todo: the roots still polishing
     for _ in range(60):
-        f = residual(eq, x)
-        if math.copysign(1.0, f) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        t = math.tan(a * x)
-        if b * x > 350.0:  # sech^2 / csch^2 underflow far below double eps
-            dhyp = 0.0
-        elif eq.uses_coth:
-            sh = math.sinh(b * x)
-            dhyp = -b / (sh * sh)
-        else:
-            ch = math.cosh(b * x)
-            dhyp = b / (ch * ch)
-        fp = a * (1.0 + t * t) + s * dhyp
-        step = f / fp
+        if todo.size == 0:
+            return out
+        f = _checked_residual(eq, x)
+        below = np.copysign(1.0, f) == np.copysign(1.0, flo)
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        t = np.tan(a * x)
+        # past b*x = 350 sech^2 / csch^2 are far below an ulp of the tan term
+        g = (np.sinh if coth else np.cosh)(np.minimum(b * x, 350.0))
+        step = f / (a * (1.0 + t * t) + s * ((-b if coth else b) / (g * g)))
         x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
+        outside = ~((lo < x_new) & (x_new < hi))
+        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
+        step = np.where(outside, x_new - x, step)
         x = x_new
         # converge only when the requested localization is certified, either
         # by a small nonzero Newton step or by the bracket width itself
-        if (0.0 < abs(step) <= 0.25 * tol) or (hi - lo) <= tol:
-            return x
+        done = ((0.0 < np.abs(step)) & (np.abs(step) <= 0.25 * tol)) | (hi - lo <= tol)
+        out[todo[done]] = x[done]
+        todo, x, lo, hi, flo = todo[~done], x[~done], lo[~done], hi[~done], flo[~done]
+    if todo.size == 0:
+        return out
     raise NonConvergenceError(
-        f"root polish for {eq}, j={j} did not reach tol={tol}; "
+        f"root polish for {eq}, j={js[todo[0]]} did not reach tol={tol}; "
         "tolerance is likely below double precision"
     )

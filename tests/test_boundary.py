@@ -29,9 +29,10 @@ from steklov_rect import (
     mean,
     resolve,
 )
-from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature
+from steklov_rect.modes import evaluate
+from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature, project
 
-from _oracles import boundary_mean, fd_laplacian
+from _oracles import boundary_integral, boundary_mean, fd_laplacian
 
 
 def class_one(j, alpha=1.0, fam=Family.X):
@@ -138,7 +139,7 @@ class TestCoefficient:
 
 
 class TestCoefficients:
-    """The batched path gives inner_product's numbers bit for bit."""
+    """One grid per expansion: every coefficient, the mean and the norm from one evaluation of the data."""
 
     @staticmethod
     def data(alpha):
@@ -155,17 +156,49 @@ class TestCoefficients:
         sampled = SampledBoundaryFunction(rect, s, [p.x**3 - 3 * p.x * p.y**2 + p.y for p in pts])
         return [builtin_boundary("coscosh:1.3"), waves, sampled]
 
+    @staticmethod
+    def on_edges(h, rect):
+        """h as a function of (x, y) on the boundary, for the oracle's edge-by-edge calls."""
+        def fn(x, y):
+            if np.all(x == 1.0):
+                return h.edge_values(rect, Edge.RIGHT, y)
+            if np.all(x == -1.0):
+                return h.edge_values(rect, Edge.LEFT, y)
+            return h.edge_values(rect, Edge.TOP if np.all(y == rect.alpha) else Edge.BOTTOM, x)
+        return fn
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
-    def test_equals_inner_product(self, alpha):
+    def test_matches_independent_quadrature(self, alpha):
+        rect = Rectangle(alpha)
         modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 80)
         kinds = {(m.symmetry_class, m.family) for m in modes if m.family is not None}
         assert len(kinds) == 8
         assert any(m.mode_id == ModeId.xy() for m in modes) == (alpha == 1.0)
         for h in self.data(alpha):
-            assert len({default_panels(h.freq_hint + m.nu) for m in modes}) > 5
+            fn, norm = self.on_edges(h, rect), boundary_norm(h, rect=rect)
+            # one 100-node Gauss panel per edge resolves nu <= 60; scipy's
+            # nodes for n >= 140 carry ~1e-13 errors of their own
+            want = [boundary_integral(lambda x, y: fn(x, y) * evaluate(m, x, y), alpha, n=100) / rect.perimeter
+                    for m in modes]
+            got = coefficients(h, modes)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * norm
+            assert [coefficient(h, m) for m in modes[::7]] == pytest.approx(want[::7], abs=1e-13 * norm)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    def test_one_grid_matches_per_mode_grids(self, alpha):
+        # inner_product sizes a grid for each mode alone, as coefficients did
+        # before it shared one grid; the difference is rounding only
+        rect = Rectangle(alpha)
+        modes = first_modes(alpha, 400)
+        for h in self.data(alpha):
+            norm = boundary_norm(h, rect=rect)
+            assert len({default_panels(h.freq_hint + m.nu) for m in modes}) > 40
             want = [inner_product(h, ModeTrace(m)) for m in modes]
-            assert coefficients(h, modes) == want
-            assert [coefficient(h, m) for m in modes[::7]] == want[::7]
+            mean_h, norm_h, got = project(h, rect, modes)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
+            assert mean_h == pytest.approx(mean(h, rect=rect), abs=1e-14 * norm)
+            assert norm_h == pytest.approx(norm, rel=1e-14)
+            assert got == coefficients(h, modes)
 
     def test_no_modes(self):
         assert coefficients(constant_function(1.0), []) == []

@@ -13,6 +13,21 @@ from steklov_rect import (
 RECT_ALPHAS = (0.1, 0.25, 0.5, 0.75)
 
 
+def test_one_root_solve_per_family(monkeypatch):
+    import steklov_rect.bounds as bounds_module
+    import steklov_rect.modes as modes_module
+
+    calls = []
+    for module in (bounds_module, modes_module):
+        solve = module.solve_nu
+        monkeypatch.setattr(module, "solve_nu", lambda eq, j, tol, solve=solve: calls.append(j) or solve(eq, j, tol))
+    check_square_bounds(20)
+    check_rect_bounds(0.5, 20)
+    nu_orderings(0.5, 20)
+    reproduce_tables()
+    assert [len(j) for j in calls] == [20, 20, 20, 20, 20, 6]
+
+
 class TestSquareBounds:
     def test_strict_up_to_fifty(self):
         records = check_square_bounds(50)

@@ -209,6 +209,15 @@ class TestCentralValue:
             assert res.bound == pytest.approx(want, rel=1e-12)
             assert abs(1.0 - res.value) <= res.bound
 
+    def test_square_tail_takes_the_expansion_root(self, monkeypatch):
+        # from m = 3 on the tail needs nu_m, which the expansion already holds
+        import steklov_rect.bounds as bounds_module
+
+        e = expand_for_central(builtin_boundary("coshcos:1"), 1.0, 5)
+        want = central_value(e)
+        monkeypatch.setattr(bounds_module, "solve_nu", lambda *args: pytest.fail("root solved again"))
+        assert central_value(e) == want
+
     def test_rectangle_bound_certifies(self):
         h = builtin_boundary("coshcos:1")
         alpha = 0.5

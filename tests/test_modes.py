@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steklov_rect import (
     CornerError,
@@ -333,3 +334,31 @@ class TestEnumeration:
         deltas = [m.delta for m in modes]
         assert deltas == sorted(deltas)
         assert deltas[1] == pytest.approx(0.6882527423362673, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        count=st.integers(0, 200),
+        classes=st.one_of(st.none(), st.sets(st.sampled_from(list(SymmetryClass)), min_size=1)),
+    )
+    def test_first_modes_is_prefix_of_spectrum(self, alpha, count, classes):
+        # spectrum(alpha, count) holds the first count modes of every stream,
+        # so its first count non-constant modes are the answer, ties included.
+        # It also solves x-family roots up to count * pi / alpha, where the
+        # default tolerance is below the spacing of doubles (TestArraySolve
+        # covers that failure), so both sides use tol = 1e-10.
+        modes = first_modes(alpha, count, classes=classes, tol=1e-10)
+        whole = [m for m in spectrum(alpha, count, classes=classes, tol=1e-10) if m.kind != ModeKind.CONSTANT]
+        assert [m.mode_id for m in modes] == [m.mode_id for m in whole[:count]]
+        assert [m.nu for m in modes] == [m.nu for m in whole[:count]]
+
+    def test_first_modes_ties_on_square(self):
+        # classes III and IV (and I and II at the same index) tie exactly on the square
+        modes = first_modes(1.0, 60)
+        assert len({m.delta for m in modes}) < len(modes)
+        assert modes == [m for m in spectrum(1.0, 60) if m.kind != ModeKind.CONSTANT][:60]
+
+    def test_first_modes_empty_filter(self):
+        assert first_modes(0.5, 0, classes=[]) == []
+        with pytest.raises(InvalidModeError, match="only 0 modes"):
+            first_modes(0.5, 3, classes=[])
