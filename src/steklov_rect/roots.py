@@ -122,24 +122,20 @@ class DeterminingEquation:
         return +1 if fam == Family.X else -1
 
 
-def _residual(eq: DeterminingEquation, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(residual, within the pole guard band) at every nu of an array."""
-    theta = eq.tan_scale * nu
-    # Distance from theta to the nearest pole (k + 1/2)*pi of tan.
-    k = np.floor(theta / math.pi)
-    near_pole = np.abs(theta - (k + 0.5) * math.pi) < _POLE_GUARD * np.maximum(1.0, np.abs(theta))
+def _residual(eq: DeterminingEquation, nu: np.ndarray) -> np.ndarray:
+    """tan(a*nu) + sign * hyp(b*nu) at every nu of an array, with no pole guard."""
     hyp = np.tanh(eq.hyp_scale * nu)
     if eq.uses_coth:
         hyp = 1.0 / hyp
-    return np.tan(theta) + eq.sign * hyp, near_pole
+    return np.tan(eq.tan_scale * nu) + eq.sign * hyp
 
 
-def _checked_residual(eq: DeterminingEquation, nu: np.ndarray, active=True) -> np.ndarray:
-    """Residuals at nu, raising PoleProximityError when an active nu is near a pole."""
-    value, near_pole = _residual(eq, nu)
-    if (near_pole & active).any():
-        raise PoleProximityError(f"nu={nu[near_pole & active][0]} within guard distance of a tangent pole")
-    return value
+def _near_pole(eq: DeterminingEquation, nu: np.ndarray) -> np.ndarray:
+    """Which nu lie within the relative guard band around a pole of the tangent term."""
+    theta = eq.tan_scale * nu
+    # Distance from theta to the nearest pole (k + 1/2)*pi of tan.
+    k = np.floor(theta / math.pi)
+    return np.abs(theta - (k + 0.5) * math.pi) < _POLE_GUARD * np.maximum(1.0, np.abs(theta))
 
 
 def residual(eq: DeterminingEquation, nu):
@@ -152,7 +148,9 @@ def residual(eq: DeterminingEquation, nu):
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0.0):
         raise ValueError(f"nu must be positive, got {nu}")
-    value = _checked_residual(eq, nu)
+    if np.any(_near_pole(eq, nu)):
+        raise PoleProximityError(f"nu={nu} within guard distance of a tangent pole")
+    value = _residual(eq, nu)
     return float(value) if value.ndim == 0 else value
 
 
@@ -186,25 +184,25 @@ def _safe_endpoints(eq: DeterminingEquation, lo: np.ndarray, hi: np.ndarray):
     """Nudge bracket endpoints inward past pole guards until signs differ.
 
     Each bracket is nudged on its own: a pole hit widens its nudge, equal
-    signs narrow it. Returns the nudged (lo, hi) and the residual at lo.
+    signs narrow it. Returns the nudged (lo, hi) and whether the residual is
+    negative at lo. No nu between the two nudged ends lies in a guard band.
     """
     span = hi - lo
     nudge = np.maximum(2.0 * _POLE_GUARD * np.maximum(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
-    out_lo, out_hi, out_flo = np.empty_like(lo), np.empty_like(hi), np.empty_like(lo)
+    out_lo, out_hi, out_neg = np.empty_like(lo), np.empty_like(hi), np.empty(lo.shape, dtype=bool)
     todo = np.arange(lo.size)
     for _ in range(8):
         a = np.maximum(lo[todo] + nudge[todo], 1e-300)
         b = hi[todo] - nudge[todo]
-        fa, pole_a = _residual(eq, a)
-        fb, pole_b = _residual(eq, b)
-        pole = pole_a | pole_b
-        ok = ~pole & (np.copysign(1.0, fa) != np.copysign(1.0, fb))
+        neg_a, neg_b = np.signbit(_residual(eq, a)), np.signbit(_residual(eq, b))
+        pole = _near_pole(eq, a) | _near_pole(eq, b)
+        ok = ~pole & (neg_a != neg_b)
         done = todo[ok]
-        out_lo[done], out_hi[done], out_flo[done] = a[ok], b[ok], fa[ok]
+        out_lo[done], out_hi[done], out_neg[done] = a[ok], b[ok], neg_a[ok]
         nudge[todo] *= np.where(pole, 4.0, np.where(ok, 1.0, 0.25))
         todo = todo[~ok]
         if todo.size == 0:
-            return out_lo, out_hi, out_flo
+            return out_lo, out_hi, out_neg
     raise BracketError(f"no sign change on bracket ({lo[todo[0]]}, {hi[todo[0]]}) for {eq}")
 
 
@@ -223,31 +221,32 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
         raise ValueError(f"tol must be positive, got {tol}")
     js = np.asarray(j)
     lo, hi = bracket(eq, js.ravel())
-    lo, hi, flo = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    # the iterates stay between the nudged ends, so no residual below needs the pole guard,
+    # and the residual keeps its sign at lo
+    lo, hi, neg_lo = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
     while (act := hi - lo > coarse).any():
         mid = 0.5 * (lo + hi)
-        fm = _checked_residual(eq, mid, act)
-        same = np.copysign(1.0, fm) == np.copysign(1.0, flo)
-        up, down = act & same, act & ~same  # the root lies above / below mid
+        fm = _residual(eq, mid)
+        same = np.signbit(fm) == neg_lo
         zero = act & (fm == 0.0)  # an exact root closes its bracket onto mid
-        lo, flo = np.where(up | zero, mid, lo), np.where(up, fm, flo)
-        hi = np.where(down | zero, mid, hi)
+        lo = np.where((act & same) | zero, mid, lo)
+        hi = np.where((act & ~same) | zero, mid, hi)
     x = 0.5 * (lo + hi)
     if tol < _POLISH_CUTOFF:
-        x = _polish(eq, js.ravel(), x, lo, hi, flo, tol)
+        x = _polish(eq, js.ravel(), x, lo, hi, neg_lo, tol)
     return float(x[0]) if js.ndim == 0 else x.reshape(js.shape)
 
 
-def _polish(eq, js, x, lo, hi, flo, tol):
+def _polish(eq, js, x, lo, hi, neg_lo, tol):
     """Newton polish, kept inside the bracket so tangent poles stay out of reach."""
     a, b, s, coth = eq.tan_scale, eq.hyp_scale, eq.sign, eq.uses_coth
     out, todo = np.empty_like(x), np.arange(x.size)  # todo: the roots still polishing
     for _ in range(60):
         if todo.size == 0:
             return out
-        f = _checked_residual(eq, x)
-        below = np.copysign(1.0, f) == np.copysign(1.0, flo)
+        f = _residual(eq, x)
+        below = np.signbit(f) == neg_lo
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         t = np.tan(a * x)
         # past b*x = 350 sech^2 / csch^2 are far below an ulp of the tan term
@@ -262,7 +261,7 @@ def _polish(eq, js, x, lo, hi, flo, tol):
         # by a small nonzero Newton step or by the bracket width itself
         done = ((0.0 < np.abs(step)) & (np.abs(step) <= 0.25 * tol)) | (hi - lo <= tol)
         out[todo[done]] = x[done]
-        todo, x, lo, hi, flo = todo[~done], x[~done], lo[~done], hi[~done], flo[~done]
+        todo, x, lo, hi, neg_lo = todo[~done], x[~done], lo[~done], hi[~done], neg_lo[~done]
     if todo.size == 0:
         return out
     raise NonConvergenceError(
