@@ -228,10 +228,12 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     while (act := hi - lo > coarse).any():
         mid = 0.5 * (lo + hi)
         fm = _residual(eq, mid)
-        same = np.signbit(fm) == neg_lo
-        zero = act & (fm == 0.0)  # an exact root closes its bracket onto mid
-        lo = np.where((act & same) | zero, mid, lo)
-        hi = np.where((act & ~same) | zero, mid, hi)
+        up = act & (np.signbit(fm) == neg_lo)  # the root lies above mid
+        down = act ^ up
+        if not fm.all():  # an exact root closes its bracket onto mid
+            zero = act & (fm == 0.0)
+            up, down = up | zero, down | zero
+        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
     x = 0.5 * (lo + hi)
     if tol < _POLISH_CUTOFF:
         x = _polish(eq, js.ravel(), x, lo, hi, neg_lo, tol)
