@@ -250,9 +250,16 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
+# more panels than this would take gigabytes, for modes or data beyond any quadrature here
+_MAX_PANELS = 2**15
+
+
 def default_panels(freq: float) -> int:
     """Panels per edge for integrands oscillating like cos(freq * t)."""
-    return max(4, math.ceil(freq / math.pi))
+    panels = max(4, math.ceil(freq / math.pi))
+    if panels > _MAX_PANELS:
+        raise BoundaryDataError(f"frequency {freq:g} needs {panels} quadrature panels per edge, over {_MAX_PANELS}")
+    return panels
 
 
 def edge_quadrature(

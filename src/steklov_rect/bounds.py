@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Rectangle
-from .modes import Family, SymmetryClass, _stream_modes, log_normalization_integral
+from .modes import Family, SymmetryClass, _log_norm, _stream_modes
 from .roots import DEFAULT_TOL, DeterminingEquation, solve_nu
 from . import stable
 
@@ -69,14 +69,19 @@ class DecayBound:
         return self.log_actual < self.log_bound
 
 
+def _class_one(alpha: float, family: Family, j_max: int, tol: float) -> tuple[list[float], list[float]]:
+    """Class-I roots nu_1..nu_jmax of one family and the logs of their normalization integrals."""
+    eq = DeterminingEquation(SymmetryClass.I, family, alpha)
+    nu = solve_nu(eq, np.arange(1, j_max + 1), tol)
+    return nu.tolist(), _log_norm(eq, nu).tolist()
+
+
 def check_square_bounds(j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound]:
     """Strict decay records for the square, j = 1..j_max."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    nus = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), np.arange(1, j_max + 1), tol)
     out: list[DecayBound] = []
-    for j, nu in enumerate(nus.tolist(), start=1):
-        log_i = log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0)
+    for j, (nu, log_i) in enumerate(zip(*_class_one(1.0, Family.X, j_max, tol)), start=1):
         out += [
             DecayBound(BoundKind.SQUARE_CJ, 1.0, j, nu, -log_i, math.log(2.56) - 2.0 * nu),
             DecayBound(BoundKind.SQUARE_CENTER, 1.0, j, nu, 0.5 * (math.log(8.0) - log_i),
@@ -85,24 +90,15 @@ def check_square_bounds(j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound
     return out
 
 
-def _class_one_roots(alpha: float, j_max: int, tol: float) -> list[tuple[int, float, float]]:
-    """(j, nu1_j, nu2_j) for j = 1..j_max: the class-I roots of families X and Y."""
-    js = np.arange(1, j_max + 1)
-    nu1 = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, alpha), js, tol)
-    nu2 = solve_nu(DeterminingEquation(SymmetryClass.I, Family.Y, alpha), js, tol)
-    return list(zip(js.tolist(), nu1.tolist(), nu2.tolist()))
-
-
 def check_rect_bounds(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound]:
     """Strict decay records for a rectangle with alpha < 1, j = 1..j_max."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"rectangle bounds need 0 < alpha < 1, got {alpha}")
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
+    (nu1s, log_is), (nu2s, log_js) = (_class_one(alpha, fam, j_max, tol) for fam in Family)
     out: list[DecayBound] = []
-    for j, nu1, nu2 in _class_one_roots(alpha, j_max, tol):
-        log_i = log_normalization_integral(SymmetryClass.I, Family.X, nu1, alpha)
-        log_j = log_normalization_integral(SymmetryClass.I, Family.Y, nu2, alpha)
+    for j, (nu1, nu2, log_i, log_j) in enumerate(zip(nu1s, nu2s, log_is, log_js), start=1):
         out += [
             DecayBound(BoundKind.RECT_C1_STRONG, alpha, j, nu1, -log_i, math.log(2.56 / alpha) - 2.0 * nu1),
             DecayBound(BoundKind.RECT_C1_SMALL_ALPHA, alpha, j, nu1, -log_i,
@@ -119,7 +115,8 @@ def nu_orderings(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[tup
     root always lies slightly *above* alpha times the family-1 root, by a gap
     of about exp(-2 alpha nu2).
     """
-    return [(j, alpha * nu2, alpha * nu1, nu2, nu1) for j, nu1, nu2 in _class_one_roots(alpha, j_max, tol)]
+    (nu1s, _), (nu2s, _) = (_class_one(alpha, fam, j_max, tol) for fam in Family)
+    return [(j, alpha * nu2, alpha * nu1, nu2, nu1) for j, (nu1, nu2) in enumerate(zip(nu1s, nu2s), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +248,10 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     the certified relative-error coefficients for the central value
     (square_center_tail for m = 1, 2, 3).
     """
-    modes = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), np.arange(1, 7), root_tol)
+    eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
+    modes = _stream_modes(eq, np.arange(1, 7), root_tol)
     nus = [mode.nu for mode in modes]
-    cs = [math.exp(-log_normalization_integral(SymmetryClass.I, Family.X, nu, 1.0)) for nu in nus]
+    cs = [math.exp(-log_i) for log_i in _log_norm(eq, np.array(nus)).tolist()]
 
     rows = [TableRow(1, f"nu_{j}", nu, TABLE1_NU[j - 1], TOL_TABLE1) for j, nu in enumerate(nus, start=1)]
     rows += [TableRow(1, f"dnu_{j}", nus[j - 1] - nus[j - 2], TABLE1_DNU[j - 2], TOL_TABLE1)

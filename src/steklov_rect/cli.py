@@ -19,7 +19,7 @@ from . import boundary as bd
 from . import expansion as xp
 from . import modes as md
 from .geometry import DomainError
-from .roots import NonConvergenceError, SymmetryClass
+from .roots import BracketError, NonConvergenceError, SymmetryClass
 
 __all__ = ["main", "build_parser"]
 
@@ -298,6 +298,7 @@ def main(argv=None) -> int:
         xp.IncompatibleDataError,
         md.InvalidModeError,
         NonConvergenceError,
+        BracketError,
         DomainError,
         OSError,
     ) as exc:

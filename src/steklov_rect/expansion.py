@@ -25,7 +25,8 @@ from .modes import (
     ModeId,
     SteklovMode,
     SymmetryClass,
-    _mode_at,
+    _check_nu,
+    _log_scale,
     _mode_factors,
     _stream_modes,
     first_modes,
@@ -340,7 +341,9 @@ def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
         return resolve(ModeId.xy(), alpha)
     # keep the stored nu/delta bit-exact; only the normalization is recomputed
     mode_id = ModeId.separated(cls, Family(d["family"]), int(d["index"]))
-    return _mode_at(mode_id, alpha, float(d["nu"]), float(d["delta"]))
+    nu = _check_nu(float(d["nu"]))
+    log_scale = float(_log_scale(DeterminingEquation(cls, mode_id.family, alpha), nu))
+    return SteklovMode(mode_id, alpha, nu, float(d["delta"]), log_scale)
 
 
 def expansion_from_dict(doc: dict) -> SteklovExpansion:

@@ -11,6 +11,7 @@ equals 1.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -38,6 +39,8 @@ __all__ = [
 
 _CLASS_ORDER = {SymmetryClass.I: 0, SymmetryClass.II: 1, SymmetryClass.III: 2, SymmetryClass.IV: 3}
 _FAMILY_ORDER = {Family.X: 0, Family.Y: 1}
+# one shared equation per (class, family, alpha), so modes read its cached parities
+_equation = functools.lru_cache(maxsize=256)(DeterminingEquation)
 
 
 class InvalidModeError(ValueError):
@@ -119,6 +122,11 @@ class SteklovMode:
         return Rectangle(self.alpha)
 
     @property
+    def equation(self) -> DeterminingEquation:
+        """The determining equation of a separated mode's (class, family)."""
+        return _equation(self.symmetry_class, self.family, self.alpha)
+
+    @property
     def kind(self) -> ModeKind:
         return self.mode_id.kind
 
@@ -146,6 +154,43 @@ class SteklovMode:
         return self.symmetry_class.value, self.family.value, self.index
 
 
+def _delta(eq: DeterminingEquation, nu):
+    """Eigenvalues nu * tanh(b nu) (a cosh factor) or nu * coth(b nu) (sinh) at roots nu."""
+    t = np.tanh(eq.hyp_scale * nu)
+    return nu * t if eq.hyp_cosh else nu / t
+
+
+def _log_norm(eq: DeterminingEquation, nu):
+    """log of the boundary integral of the squared unnormalized profiles of roots nu.
+
+    The hyperbolic variable runs over (-b, b) and the trig variable over
+    (-a, a). Each edge integral is the mean square of one factor times the
+    square of the other at the edge; everything is scaled by exp(-2 b nu)
+    so arbitrarily large nu stays finite.
+    """
+    a, b = eq.tan_scale, eq.hyp_scale
+    u_hyp, u_trig = b * nu, a * nu
+    trig = np.cos(u_trig) if eq.trig_cos else np.sin(u_trig)
+    # 2 * [ F(u_hyp)^2 * int G^2  +  G(u_trig)^2 * int F^2 ], scaled by e^{-2 u_hyp}
+    scaled = 2.0 * (
+        stable.hyp_sq_scaled(u_hyp, eq.hyp_cosh) * a * stable.mean_sq_trig(u_trig, eq.trig_cos)
+        + trig**2 * b * stable.mean_sq_hyp_scaled(u_hyp, eq.hyp_cosh)
+    )
+    return 2.0 * u_hyp + np.log(scaled)
+
+
+def _log_scale(eq: DeterminingEquation, nu):
+    """log of the multipliers that make the modes of roots nu boundary-normalized."""
+    return -0.5 * (_log_norm(eq, nu) - math.log(Rectangle(eq.alpha).perimeter))
+
+
+def _check_nu(nu: float) -> float:
+    """nu itself, for a positive nu; the closed forms below hold only there."""
+    if nu <= 0.0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    return nu
+
+
 def eigenvalue(
     symmetry_class: SymmetryClass, family: Family, nu: float, alpha: float
 ) -> float:
@@ -155,53 +200,14 @@ def eigenvalue(
     edge (tanh for a cosh factor, coth for sinh); the determining equation
     makes the other edge pair agree, which the tests verify independently.
     """
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    hyp_even = symmetry_class.even_x if family == Family.X else symmetry_class.even_y
-    arg = nu if family == Family.X else alpha * nu
-    if hyp_even:
-        return nu * math.tanh(arg)
-    return nu / math.tanh(arg)
-
-
-def _profile_parts(symmetry_class: SymmetryClass, family: Family):
-    """(hyp_is_cosh, trig_is_cos): factor kinds for the hyperbolic/trig variables."""
-    if family == Family.X:
-        return symmetry_class.even_x, symmetry_class.even_y
-    return symmetry_class.even_y, symmetry_class.even_x
+    return float(_delta(DeterminingEquation(symmetry_class, family, alpha), _check_nu(nu)))
 
 
 def log_normalization_integral(
     symmetry_class: SymmetryClass, family: Family, nu: float, alpha: float
 ) -> float:
-    """log of the boundary integral of the squared unnormalized profile.
-
-    Each of the four edge integrals is an elementary mean-square of a single
-    trig/hyperbolic factor times the squared complementary factor at the
-    fixed coordinate; everything is evaluated scaled by exp(-2*nu*L_hyp) so
-    arbitrarily large nu stays finite.
-    """
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    hyp_cosh, trig_cos = _profile_parts(symmetry_class, family)
-    hyp_sq = stable.cosh_sq_scaled if hyp_cosh else stable.sinh_sq_scaled
-    hyp_mean = stable.mean_sq_cosh_scaled if hyp_cosh else stable.mean_sq_sinh_scaled
-    trig = math.cos if trig_cos else math.sin
-    trig_mean = stable.mean_sq_cos if trig_cos else stable.mean_sq_sin
-
-    if family == Family.X:
-        # hyperbolic along x on (-1,1), trig along y on (-alpha,alpha)
-        u_hyp, l_hyp = nu, 1.0
-        u_trig, l_trig = nu * alpha, alpha
-    else:
-        u_hyp, l_hyp = nu * alpha, alpha
-        u_trig, l_trig = nu, 1.0
-    # 2 * [ F(u_hyp)^2 * int G^2  +  G(u_trig)^2 * int F^2 ], scaled by e^{-2 u_hyp}
-    scaled = 2.0 * (
-        hyp_sq(u_hyp) * l_trig * trig_mean(u_trig)
-        + trig(u_trig) ** 2 * l_hyp * hyp_mean(u_hyp)
-    )
-    return 2.0 * u_hyp + math.log(scaled)
+    """log of the boundary integral of the squared unnormalized profile; finite for any nu."""
+    return float(_log_norm(DeterminingEquation(symmetry_class, family, alpha), _check_nu(nu)))
 
 
 def normalization_integral(
@@ -211,60 +217,39 @@ def normalization_integral(
     return stable.exp_or_inf(log_normalization_integral(symmetry_class, family, nu, alpha))
 
 
-def _mode_at(mode_id: ModeId, alpha: float, nu: float, delta: float) -> SteklovMode:
-    """The boundary-normalized mode with the given root and eigenvalue."""
-    if mode_id.kind == ModeKind.CONSTANT:
-        log_scale = 0.0
-    elif mode_id.kind == ModeKind.XY:
-        # mean square of x*y over the boundary is 1/3; log(sqrt(3)) keeps
-        # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
-        log_scale = math.log(math.sqrt(3.0))
-    else:
-        log_total = log_normalization_integral(mode_id.symmetry_class, mode_id.family, nu, alpha)
-        log_scale = -0.5 * (log_total - math.log(Rectangle(alpha).perimeter))
-    return SteklovMode(mode_id, alpha, nu, delta, log_scale)
-
-
 def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovMode:
     """Fully populate a mode: root, eigenvalue, normalization. Deterministic."""
     Rectangle(alpha)  # validates alpha
     if mode_id.kind == ModeKind.CONSTANT:
-        return _mode_at(mode_id, alpha, 0.0, 0.0)
+        return SteklovMode(mode_id, alpha, 0.0, 0.0, 0.0)
     if mode_id.kind == ModeKind.XY:
         if alpha != 1.0:
             raise InvalidModeError(f"the xy mode exists only on the square, got alpha={alpha}")
-        return _mode_at(mode_id, alpha, 0.0, 1.0)
+        # mean square of x*y over the boundary is 1/3; log(sqrt(3)) keeps
+        # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
+        return SteklovMode(mode_id, alpha, 0.0, 1.0, math.log(math.sqrt(3.0)))
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
     return _stream_modes(eq, np.array([mode_id.index]), tol)[0]
 
 
 def _separated_factors(
-    symmetry_class: SymmetryClass, family: Family, nu, log_scale, x, y,
-    d_hyp: bool = False, d_trig: bool = False,
+    eq: DeterminingEquation, nu, log_scale, x, y, d_hyp: bool = False, d_trig: bool = False
 ):
     """(x factor, y factor) of normalized separated modes; the profile is their product.
 
-    nu and log_scale are one mode's, or arrays for several modes of one
+    nu and log_scale are one mode's, or arrays for several modes of eq's
     (class, family) that broadcast against x and y. d_hyp differentiates the
     hyperbolic factor, d_trig the trig one; the nu prefactor of the
     derivative is left to the caller.
     """
-    hyp_cosh, trig_cos = _profile_parts(symmetry_class, family)
-    u, v = (x, y) if family == Family.X else (y, x)  # hyperbolic, trig variable
+    u, v = (x, y) if eq.family == Family.X else (y, x)  # hyperbolic, trig variable
     uh = nu * np.asarray(u, dtype=float)
     vt = nu * np.asarray(v, dtype=float)
-
-    use_cosh = hyp_cosh ^ d_hyp  # derivative swaps cosh <-> sinh
-    if use_cosh:
-        hyp_part = stable.signed_exp_cosh(uh, log_scale)
-    else:
-        hyp_part = stable.signed_exp_sinh(uh, log_scale)
-
-    use_cos = trig_cos ^ d_trig
-    trig_part = np.cos(vt) if use_cos else np.sin(vt)
-    if d_trig and trig_cos:  # d/dv cos = -sin
+    hyp_part = stable.signed_exp_hyp(uh, log_scale, eq.hyp_cosh ^ d_hyp)  # derivative swaps cosh <-> sinh
+    trig_part = np.cos(vt) if eq.trig_cos ^ d_trig else np.sin(vt)
+    if d_trig and eq.trig_cos:  # d/dv cos = -sin
         trig_part = -trig_part
-    return (hyp_part, trig_part) if family == Family.X else (trig_part, hyp_part)
+    return (hyp_part, trig_part) if eq.family == Family.X else (trig_part, hyp_part)
 
 
 def _mode_factors(mode: SteklovMode, x, y):
@@ -275,7 +260,7 @@ def _mode_factors(mode: SteklovMode, x, y):
         return np.ones(x.shape), np.ones(y.shape)
     if mode.kind == ModeKind.XY:
         return mode.scale * x, y
-    return _separated_factors(mode.symmetry_class, mode.family, mode.nu, mode.log_scale, x, y)
+    return _separated_factors(mode.equation, mode.nu, mode.log_scale, x, y)
 
 
 def _factor_block(modes: Sequence[SteklovMode], x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +275,7 @@ def _factor_block(modes: Sequence[SteklovMode], x, y) -> tuple[np.ndarray, np.nd
         return np.array(fx), np.array(fy)
     nu = np.array([[m.nu] for m in modes])
     log_scale = np.array([[m.log_scale] for m in modes])
-    return _separated_factors(m0.symmetry_class, m0.family, nu, log_scale, x, y)
+    return _separated_factors(m0.equation, nu, log_scale, x, y)
 
 
 def evaluate(mode: SteklovMode, x, y):
@@ -309,7 +294,7 @@ def gradient(mode: SteklovMode, x, y):
         return z, z.copy()
     if mode.kind == ModeKind.XY:
         return mode.scale * y, mode.scale * x
-    args = (mode.symmetry_class, mode.family, mode.nu, mode.log_scale, x, y)
+    args = (mode.equation, mode.nu, mode.log_scale, x, y)
     d_hyp = mode.nu * np.multiply(*_separated_factors(*args, d_hyp=True))
     d_trig = mode.nu * np.multiply(*_separated_factors(*args, d_trig=True))
     return (d_hyp, d_trig) if mode.family == Family.X else (d_trig, d_hyp)
@@ -338,11 +323,12 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
 
 
 def _stream_modes(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
-    """The modes of indices js of one (class, family), their roots solved in one call."""
+    """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays."""
+    nu = solve_nu(eq, js, tol)
     cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
     return [
-        _mode_at(ModeId.separated(cls, fam, j), alpha, nu, eigenvalue(cls, fam, nu, alpha))
-        for j, nu in zip(js.tolist(), solve_nu(eq, js, tol).tolist())
+        SteklovMode(ModeId.separated(cls, fam, j), alpha, n, d, s)
+        for j, n, d, s in zip(js.tolist(), nu.tolist(), _delta(eq, nu).tolist(), _log_scale(eq, nu).tolist())
     ]
 
 
@@ -353,12 +339,10 @@ def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray,
     eigenvalue of each mode from below and above without solving its root.
     """
     lo, hi = bracket(eq, js)
-    b = eq.hyp_scale
-    if _profile_parts(eq.symmetry_class, eq.family)[0]:  # a cosh factor: nu tanh(b nu)
-        return lo * np.tanh(b * lo), hi * np.tanh(b * hi)
-    # nu coth(b nu) falls to 1/b as nu -> 0, where a window may start
-    low = np.divide(lo, np.tanh(b * lo), out=np.full(lo.shape, 1.0 / b), where=lo > 0.0)
-    return low, hi / np.tanh(b * hi)
+    with np.errstate(invalid="ignore"):
+        low = _delta(eq, lo)
+    # nu coth(b nu) is 0/0 at nu = 0, where a window may start; it falls to 1/b there
+    return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
 
 
 def first_modes(

@@ -98,28 +98,27 @@ class DeterminingEquation:
         return 1.0 if self.family == Family.X else self.alpha
 
     @cached_property
+    def hyp_cosh(self) -> bool:
+        """Whether the hyperbolic variable is even: the factor in it is cosh, else sinh."""
+        return self.symmetry_class.even_x if self.family == Family.X else self.symmetry_class.even_y
+
+    @cached_property
+    def trig_cos(self) -> bool:
+        """Whether the trig variable is even: the factor in it is cos, else sin."""
+        return self.symmetry_class.even_y if self.family == Family.X else self.symmetry_class.even_x
+
+    @cached_property
     def uses_coth(self) -> bool:
         # Equating the edge ratios F'/F (tanh or coth) and G'/G (-tan or cot)
         # gives tan = -tanh/-coth for a cos trig factor but tan = 1/tanh etc.
         # for a sin factor, so the equation carries tanh exactly when the two
         # factor parities agree (cosh*cos, sinh*sin) and coth when they differ.
-        if self.family == Family.X:
-            hyp_even, trig_even = self.symmetry_class.even_x, self.symmetry_class.even_y
-        else:
-            hyp_even, trig_even = self.symmetry_class.even_y, self.symmetry_class.even_x
-        return hyp_even != trig_even
+        return self.hyp_cosh != self.trig_cos
 
     @cached_property
     def sign(self) -> int:
-        """+1 when the equation reads tan = -hyp, -1 when tan = +hyp."""
-        cls, fam = self.symmetry_class, self.family
-        if cls == SymmetryClass.I:
-            return +1
-        if cls == SymmetryClass.II:
-            return -1
-        if cls == SymmetryClass.III:
-            return -1 if fam == Family.X else +1
-        return +1 if fam == Family.X else -1
+        """+1 when the equation reads tan = -hyp (a cos factor), -1 when tan = +hyp (sin)."""
+        return 1 if self.trig_cos else -1
 
 
 def _residual(eq: DeterminingEquation, nu: np.ndarray) -> np.ndarray:
@@ -181,29 +180,26 @@ def bracket(eq: DeterminingEquation, j):
 
 
 def _safe_endpoints(eq: DeterminingEquation, lo: np.ndarray, hi: np.ndarray):
-    """Nudge bracket endpoints inward past pole guards until signs differ.
+    """Nudge bracket ends inward until the residual is negative at lo and positive at hi.
 
-    Each bracket is nudged on its own: a pole hit widens its nudge, equal
-    signs narrow it. Returns the nudged (lo, hi) and whether the residual is
-    negative at lo. No nu between the two nudged ends lies in a guard band.
+    The residual rises through a bracket, from -inf just above a pole of tan
+    or -hyp at a zero of it, to +hyp at a zero or +inf just below a pole.
+    The pole end (lo for sign > 0, else hi) is nudged once, past its guard
+    band; the nudge at the zero end is quartered while it overshoots a root
+    close to that zero. No nu between the two nudged ends is in a guard band.
     """
     span = hi - lo
     nudge = np.maximum(2.0 * _POLE_GUARD * np.maximum(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
-    out_lo, out_hi, out_neg = np.empty_like(lo), np.empty_like(hi), np.empty(lo.shape, dtype=bool)
-    todo = np.arange(lo.size)
+    shrink = np.ones_like(nudge)  # of the nudge at the zero end
     for _ in range(8):
-        a = np.maximum(lo[todo] + nudge[todo], 1e-300)
-        b = hi[todo] - nudge[todo]
-        neg_a, neg_b = np.signbit(_residual(eq, a)), np.signbit(_residual(eq, b))
-        pole = _near_pole(eq, a) | _near_pole(eq, b)
-        ok = ~pole & (neg_a != neg_b)
-        done = todo[ok]
-        out_lo[done], out_hi[done], out_neg[done] = a[ok], b[ok], neg_a[ok]
-        nudge[todo] *= np.where(pole, 4.0, np.where(ok, 1.0, 0.25))
-        todo = todo[~ok]
-        if todo.size == 0:
-            return out_lo, out_hi, out_neg
-    raise BracketError(f"no sign change on bracket ({lo[todo[0]]}, {hi[todo[0]]}) for {eq}")
+        lo_nudge, hi_nudge = (nudge, shrink * nudge) if eq.sign > 0 else (shrink * nudge, nudge)
+        a, b = np.maximum(lo + lo_nudge, 1e-300), hi - hi_nudge
+        ok = np.signbit(_residual(eq, a)) & ~np.signbit(_residual(eq, b))
+        if ok.all():
+            return a, b
+        shrink[~ok] *= 0.25
+    bad = np.argmin(ok)
+    raise BracketError(f"no sign change on bracket ({lo[bad]}, {hi[bad]}) for {eq}")
 
 
 def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
@@ -222,13 +218,18 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     js = np.asarray(j)
     lo, hi = bracket(eq, js.ravel())
     # the iterates stay between the nudged ends, so no residual below needs the pole guard,
-    # and the residual keeps its sign at lo
-    lo, hi, neg_lo = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    # and the residual stays negative at lo and positive at hi
+    lo, hi = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
+    # a step halves a bracket to within an ulp, so one still wider than coarse after
+    # this many steps has stalled: its midpoint rounds onto an end
+    steps = math.ceil(math.log2(np.max(hi - lo, initial=coarse) / coarse)) + 3
     while (act := hi - lo > coarse).any():
+        if (steps := steps - 1) < 0:
+            raise NonConvergenceError(f"bisection for {eq}, j={js.ravel()[act][0]} stalled above width {coarse}")
         mid = 0.5 * (lo + hi)
         fm = _residual(eq, mid)
-        up = act & (np.signbit(fm) == neg_lo)  # the root lies above mid
+        up = act & np.signbit(fm)  # the root lies above mid
         down = act ^ up
         if not fm.all():  # an exact root closes its bracket onto mid
             zero = act & (fm == 0.0)
@@ -236,11 +237,11 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
         lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
     x = 0.5 * (lo + hi)
     if tol < _POLISH_CUTOFF:
-        x = _polish(eq, js.ravel(), x, lo, hi, neg_lo, tol)
+        x = _polish(eq, js.ravel(), x, lo, hi, tol)
     return float(x[0]) if js.ndim == 0 else x.reshape(js.shape)
 
 
-def _polish(eq, js, x, lo, hi, neg_lo, tol):
+def _polish(eq, js, x, lo, hi, tol):
     """Newton polish, kept inside the bracket so tangent poles stay out of reach."""
     a, b, s, coth = eq.tan_scale, eq.hyp_scale, eq.sign, eq.uses_coth
     out, todo = np.empty_like(x), np.arange(x.size)  # todo: the roots still polishing
@@ -248,12 +249,13 @@ def _polish(eq, js, x, lo, hi, neg_lo, tol):
         if todo.size == 0:
             return out
         f = _residual(eq, x)
-        below = np.signbit(f) == neg_lo
+        below = np.signbit(f)
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         t = np.tan(a * x)
         # past b*x = 350 sech^2 / csch^2 are far below an ulp of the tan term
         g = (np.sinh if coth else np.cosh)(np.minimum(b * x, 350.0))
-        step = f / (a * (1.0 + t * t) + s * ((-b if coth else b) / (g * g)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a slope that rounds to 0 bisects
+            step = f / (a * (1.0 + t * t) + s * ((-b if coth else b) / (g * g)))
         x_new = x - step
         outside = ~((lo < x_new) & (x_new < hi))
         x_new = np.where(outside, 0.5 * (lo + hi), x_new)
@@ -263,7 +265,7 @@ def _polish(eq, js, x, lo, hi, neg_lo, tol):
         # by a small nonzero Newton step or by the bracket width itself
         done = ((0.0 < np.abs(step)) & (np.abs(step) <= 0.25 * tol)) | (hi - lo <= tol)
         out[todo[done]] = x[done]
-        todo, x, lo, hi, neg_lo = todo[~done], x[~done], lo[~done], hi[~done], neg_lo[~done]
+        todo, x, lo, hi = todo[~done], x[~done], lo[~done], hi[~done]
     if todo.size == 0:
         return out
     raise NonConvergenceError(

@@ -14,14 +14,10 @@ import numpy as np
 __all__ = [
     "log_cosh",
     "log_sinh",
-    "signed_exp_cosh",
-    "signed_exp_sinh",
-    "mean_sq_cos",
-    "mean_sq_sin",
-    "mean_sq_cosh_scaled",
-    "mean_sq_sinh_scaled",
-    "cosh_sq_scaled",
-    "sinh_sq_scaled",
+    "signed_exp_hyp",
+    "mean_sq_trig",
+    "mean_sq_hyp_scaled",
+    "hyp_sq_scaled",
     "exp_or_inf",
 ]
 
@@ -38,25 +34,21 @@ def log_sinh(u):
     """log(sinh(u)) for u > 0, elementwise; -inf at u = 0."""
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        return u + np.log1p(-np.exp(-2.0 * u)) - _LOG2
+        return u + np.log(-np.expm1(-2.0 * u)) - _LOG2
 
 
-def signed_exp_cosh(u, log_amp):
-    """exp(log_amp) * cosh(u) for any sign of u, evaluated in log space."""
+def signed_exp_hyp(u, log_amp, even: bool):
+    """exp(log_amp) * cosh(u) (even) or sinh(u) for any sign of u, evaluated in log space."""
     u = np.asarray(u, dtype=float)
-    return np.exp(log_amp + log_cosh(np.abs(u)))
+    if even:
+        return np.exp(log_amp + log_cosh(np.abs(u)))
+    return np.sign(u) * np.exp(log_amp + log_sinh(np.abs(u)))
 
 
-def signed_exp_sinh(u, log_amp):
-    """exp(log_amp) * sinh(u) for any sign of u, evaluated in log space."""
-    u = np.asarray(u, dtype=float)
-    mag = np.exp(log_amp + log_sinh(np.abs(u)))
-    return np.sign(u) * mag
-
-
-def _series_even(u2_times4, alternating: bool) -> float:
-    """sum_{k>=1} (+-1)^(k+1) (2u)^(2k) / (2k+1)! given (2u)^2, for |2u| < 1."""
-    w = u2_times4  # (2u)^2
+def _series_even(u, alternating: bool):
+    """sum_{k>=1} (+-1)^(k+1) (2u)^(2k) / (2k+1)! elementwise, for u < 0.25 (larger u clipped)."""
+    u = np.minimum(u, 0.25)  # so no entry of an array overflows
+    w = 4.0 * u * u  # (2u)^2
     term = w / 6.0
     total = term
     sign = -1.0 if alternating else 1.0
@@ -64,48 +56,35 @@ def _series_even(u2_times4, alternating: bool) -> float:
     for _ in range(8):
         fact_arg += 2
         term = term * w / (fact_arg * (fact_arg - 1))
-        total += sign * term
+        total = total + sign * term
         sign = -sign if alternating else sign
     return total
 
 
-def mean_sq_cos(u: float) -> float:
-    """(1/L) * integral_{-L}^{L} cos(nu t)^2 dt with u = nu L, i.e. 1 + sinc(2u)."""
-    if u == 0.0:
-        return 2.0
-    return 1.0 + math.sin(2.0 * u) / (2.0 * u)
+def mean_sq_trig(u, even: bool):
+    """(1/L) * integral_{-L}^{L} of cos(nu t)^2 (even) or sin(nu t)^2 dt, with u = nu L > 0.
+
+    That is 1 + sinc(2u) or 1 - sinc(2u); below u = 0.25 the latter is a
+    series, where the subtraction would cancel.
+    """
+    sinc = np.sin(2.0 * u) / (2.0 * u)
+    if even:
+        return 1.0 + sinc
+    return np.where(u < 0.25, _series_even(u, alternating=True), 1.0 - sinc)
 
 
-def mean_sq_sin(u: float) -> float:
-    """1 - sinc(2u); series below u = 0.25 where the subtraction cancels."""
-    if u < 0.25:
-        return _series_even(4.0 * u * u, alternating=True)
-    return 1.0 - math.sin(2.0 * u) / (2.0 * u)
+def mean_sq_hyp_scaled(u, even: bool):
+    """exp(-2u) * (sinh(2u)/(2u) +- 1), mean square of cosh (even) or sinh; series below u = 0.25."""
+    e = np.exp(-2.0 * u)
+    ratio = -np.expm1(-4.0 * u) / (4.0 * u)
+    if even:
+        return e + ratio
+    return np.where(u < 0.25, e * _series_even(u, alternating=False), ratio - e)
 
 
-def mean_sq_cosh_scaled(u: float) -> float:
-    """exp(-2u) * (1 + sinh(2u)/(2u)); stable for every u > 0."""
-    if u == 0.0:
-        return 2.0
-    return math.exp(-2.0 * u) + (-math.expm1(-4.0 * u)) / (4.0 * u)
-
-
-def mean_sq_sinh_scaled(u: float) -> float:
-    """exp(-2u) * (sinh(2u)/(2u) - 1); series below u = 0.25."""
-    if u < 0.25:
-        return math.exp(-2.0 * u) * _series_even(4.0 * u * u, alternating=False)
-    return (-math.expm1(-4.0 * u)) / (4.0 * u) - math.exp(-2.0 * u)
-
-
-def cosh_sq_scaled(u: float) -> float:
-    """(cosh(u) * exp(-u))**2 = ((1 + exp(-2u))/2)**2."""
-    t = 0.5 * (1.0 + math.exp(-2.0 * u))
-    return t * t
-
-
-def sinh_sq_scaled(u: float) -> float:
-    """(sinh(u) * exp(-u))**2 = ((1 - exp(-2u))/2)**2."""
-    t = 0.5 * (-math.expm1(-2.0 * u))
+def hyp_sq_scaled(u, even: bool):
+    """(cosh(u) * exp(-u))**2 = ((1 + exp(-2u))/2)**2 (even), or (sinh(u) * exp(-u))**2."""
+    t = 0.5 * (1.0 + np.exp(-2.0 * u)) if even else 0.5 * -np.expm1(-2.0 * u)
     return t * t
 
 

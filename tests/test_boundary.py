@@ -60,6 +60,13 @@ class TestQuadratureRule:
         assert default_panels(0.0) == 4
         assert default_panels(40.0) == math.ceil(40.0 / math.pi)
 
+    def test_default_panels_refuses_a_grid_of_gigabytes(self):
+        # x-family roots near 2.4e9 (alpha = 1e-9, coarse root tolerance) would
+        # ask for 7.5e8 panels of 32 nodes per edge
+        assert default_panels(1e5) == math.ceil(1e5 / math.pi)
+        with pytest.raises(BoundaryDataError, match="quadrature panels"):
+            default_panels(2.4e9)
+
 
 class TestInnerProduct:
     def test_constant_normalization(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -25,6 +26,21 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_child(*argv, timeout=30):
+    """The CLI in a child process under a time limit and a 2 GiB address-space limit.
+
+    A hang then fails the test with TimeoutExpired, and a runaway allocation
+    with a MemoryError, instead of stalling the suite or swamping the host.
+    """
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "steklov_rect.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=limit_memory)
 
 
 class TestSpectrum:
@@ -65,6 +81,16 @@ class TestSpectrum:
         rc, out, _ = run(capsys, "spectrum", "--jmax", "1")
         assert rc == 0
         assert out.splitlines()[1].split()[:3] == ["class", "family", "index"]
+
+    def test_alpha_just_below_one(self, capsys):
+        # at 1 - 2**-53 the class II x root j=1 lies at nu = 1.3e-8, closer to
+        # the end of its bracket than the first nudge; its mode tends to xy
+        rc, out, err = run(capsys, "spectrum", "--alpha", "0.9999999999999999", "--jmax", "1",
+                           "--format", "json")
+        assert rc == 0, err
+        near_xy = [m for m in json.loads(out)["modes"] if (m["class"], m["family"]) == ("II", "x")]
+        assert near_xy[0]["nu"] < 1e-7
+        assert near_xy[0]["delta"] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCentral:
@@ -179,6 +205,25 @@ class TestBadValues:
         self.assert_clean_error(rc, err, want_rc=1)
         assert len(err.splitlines()) == 1
         assert "not finite" in err
+
+    def test_bracket_failure_is_clean_error(self, capsys):
+        # at alpha = 1e-9 the class III/IV y roots lie 2e-9 from a tangent pole,
+        # inside its guard band
+        rc, _, err = run(capsys, "spectrum", "--alpha", "1e-9", "--jmax", "1", "--root-tol", "1e-3")
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert "no sign change" in err
+
+    def test_stalled_bisection_is_clean_error(self):
+        # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the bisection width 1e-9
+        proc = run_child("spectrum", "--alpha", "1e-7", "--jmax", "1", "--root-tol", "1e-9")
+        self.assert_clean_error(proc.returncode, proc.stderr, want_rc=1)
+        assert "stalled" in proc.stderr
+
+    def test_roots_beyond_quadrature_are_clean_error(self):
+        # the class-I x roots near 2.4e9 would need 7.5e8 quadrature panels per edge
+        proc = run_child("central", "--builtin", "x2-y2", "--alpha", "1e-9", "--m", "1", "--root-tol", "1e-3")
+        self.assert_clean_error(proc.returncode, proc.stderr, want_rc=1)
+        assert "quadrature panels" in proc.stderr
 
     def test_nan_sample_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"

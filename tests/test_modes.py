@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steklov_rect import (
     CornerError,
@@ -83,14 +83,18 @@ class TestNormalizationIntegral:
             assert 1.0 / total == pytest.approx(c, rel=1e-6)
 
     def test_matches_quadrature_every_class(self):
-        for cls in SymmetryClass:
-            for fam in Family:
-                for alpha in (0.37, 1.0):
-                    mode = resolve(ModeId.separated(cls, fam, 3), alpha)
+        # j = 1 reaches the series branches below u = 0.25: the sin and sinh
+        # mean squares of class II x at 0.999999, of classes II and III y at 0.1 and 0.01;
+        # at alpha = 0.01 the quadrature oracle overflows for the x family
+        cases = [(alpha, fam) for alpha in (0.999999, 0.37, 1.0, 0.1) for fam in Family]
+        for alpha, fam in cases + [(0.01, Family.Y)]:
+            for cls in SymmetryClass:
+                for j in (1, 3):
+                    mode = resolve(ModeId.separated(cls, fam, j), alpha)
                     fn = raw_profile(*profile_flags(cls, fam), mode.nu)
                     oracle = boundary_integral(lambda x, y: fn(x, y) ** 2, alpha)
                     closed = normalization_integral(cls, fam, mode.nu, alpha)
-                    assert closed == pytest.approx(oracle, rel=1e-10)
+                    assert closed == pytest.approx(oracle, rel=1e-12), (alpha, cls, fam, j)
 
     def test_printed_form_with_wrong_hyperbolic_argument_fails(self):
         # the second bracket must carry sinh(2 nu), not sinh(2 nu alpha);
@@ -341,6 +345,8 @@ class TestEnumeration:
         count=st.integers(0, 200),
         classes=st.one_of(st.none(), st.sets(st.sampled_from(list(SymmetryClass)), min_size=1)),
     )
+    # 1 - 2**-53: the class II x root j=1 lies at 1.3e-8, inside the first bracket nudge
+    @example(alpha=0.9999999999999999, count=1, classes=None)
     def test_first_modes_is_prefix_of_spectrum(self, alpha, count, classes):
         # spectrum(alpha, count) holds the first count modes of every stream,
         # so its first count non-constant modes are the answer, ties included.
