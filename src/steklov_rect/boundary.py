@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _factor_block, evaluate
+from .modes import SteklovMode, _blocks, _factor_block, _factor_parity, evaluate
 
 __all__ = [
     "BoundaryFunction",
@@ -265,14 +265,15 @@ def default_panels(freq: float) -> int:
 def edge_quadrature(
     rect: Rectangle, edge: Edge, order: int, panels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights in the edge coordinate."""
+    """Composite Gauss-Legendre nodes/weights in the edge coordinate, mirror-symmetric about
+    0 bit for bit: each node and weight is averaged with its mirror image (a rounding apart)."""
     nodes, weights = _gauss(order)
     lo, hi = rect.edge_range(edge)
     width = (hi - lo) / panels
     starts = lo + width * np.arange(panels)
     pts = (starts[:, None] + 0.5 * width * (nodes[None, :] + 1.0)).ravel()
     wts = np.tile(0.5 * width * weights, panels)
-    return pts, wts
+    return 0.5 * (pts - pts[::-1]), 0.5 * (wts + wts[::-1])
 
 
 def inner_product(
@@ -319,10 +320,6 @@ def boundary_norm(u: BoundaryFunction, rect: Optional[Rectangle] = None, order: 
     return math.sqrt(inner_product(u, u, rect=rect, order=order))
 
 
-# Entries (modes x nodes) of a factor block built at once: larger blocks only raise peak memory.
-_BLOCK_ENTRIES = 1 << 13
-
-
 def project(
     u: BoundaryFunction, rect: Rectangle, modes: Sequence[SteklovMode], order: int = 32
 ) -> tuple[float, float, list[float]]:
@@ -333,11 +330,10 @@ def project(
     A mode is the product of an x and a y factor; opposite edges share their
     nodes, so on each pair the factor along the edges is one block per
     (class, family), multiplied by the weighted data of both edges at once.
+    That factor is even or odd and the grid symmetric, so the block covers
+    the nodes t >= 0 only, against the data's even or odd part folded there.
     """
     panels = default_panels(u.freq_hint + max((m.nu for m in modes), default=0.0))
-    kinds: dict[tuple, list[int]] = {}
-    for i, mode in enumerate(modes):
-        kinds.setdefault((mode.kind, mode.symmetry_class, mode.family), []).append(i)
     total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
     pairs = (((Edge.RIGHT, Edge.LEFT), (1.0, -1.0)), ((Edge.TOP, Edge.BOTTOM), (rect.alpha, -rect.alpha)))
     for pair, ends in pairs:
@@ -346,15 +342,16 @@ def project(
         wh = w[:, None] * hv
         total += float(np.sum(wh))
         square += float(np.sum(wh * hv))
+        half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
+        mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
+        folded = {True: wh[half:] + mirror, False: wh[half:] - mirror}  # by parity of the factor
         vertical = pair[0] == Edge.RIGHT
-        x, y = (np.array(ends), t) if vertical else (t, np.array(ends))
-        rows = max(1, _BLOCK_ENTRIES // t.size)
-        for idx in kinds.values():
-            for k in range(0, len(idx), rows):
-                part = idx[k : k + rows]
-                fx, fy = _factor_block([modes[i] for i in part], x, y)
-                along, across = (fy, fx) if vertical else (fx, fy)
-                coeffs[part] += np.sum((along @ wh) * across, axis=1)
+        x, y = (np.array(ends), t[half:]) if vertical else (t[half:], np.array(ends))
+        for part, block in _blocks(modes, t.size - half):
+            fx, fy = _factor_block(block, x, y)
+            along, across = (fy, fx) if vertical else (fx, fy)
+            even = _factor_parity(block[0])[1 if vertical else 0]
+            coeffs[part] += np.sum((along @ folded[even]) * across, axis=1)
     per = rect.perimeter
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 

@@ -1,9 +1,9 @@
 """Command-line front end: spectrum, central, solve, tables.
 
 Exit codes: 0 success, 1 numerical or data failure, 2 usage error. All
-floating-point output is written with 9 significant digits in text form and
-full round-trip precision in json/csv form, and identical flags produce
-byte-identical output.
+floating-point output is written with 9 significant digits in text form (more for
+a header's alpha or t that needs them) and full round-trip precision in json/csv
+form, and identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ class UsageError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _fmt_arg(x: float) -> str:  # alpha or t in a header: 9 digits only when they read back as x
+    return _fmt(x) if float(_fmt(x)) == x else repr(x)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -140,15 +144,8 @@ def _emit(args, text: str) -> None:
 
 
 def _mode_row(mode: md.SteklovMode) -> dict:
-    cls, fam, idx = mode.label()
-    return {
-        "class": cls,
-        "family": fam,
-        "index": idx,
-        "nu": mode.nu,
-        "delta": mode.delta,
-        "scale": mode.scale,
-    }
+    return {**dict(zip(("class", "family", "index"), mode.label())),
+            "nu": mode.nu, "delta": mode.delta, "scale": mode.scale}
 
 
 def cmd_spectrum(args) -> int:
@@ -169,7 +166,7 @@ def cmd_spectrum(args) -> int:
             )
         _emit(args, "\n".join(lines) + "\n")
     else:
-        lines = [f"spectrum  alpha={_fmt(args.alpha)}  jmax={args.jmax}",
+        lines = [f"spectrum  alpha={_fmt_arg(args.alpha)}  jmax={args.jmax}",
                  f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'scale':>15}"]
         for r in rows:
             lines.append(
@@ -198,7 +195,7 @@ def cmd_central(args) -> int:
     else:
         _emit(
             args,
-            f"central value  alpha={_fmt(args.alpha)}  m={res.m}\n"
+            f"central value  alpha={_fmt_arg(args.alpha)}  m={res.m}\n"
             f"value     = {_fmt(res.value)}\n"
             f"bound     = {_fmt(res.bound)}  (certified |error| <= bound)\n"
             f"data_norm = {_fmt(res.data_norm)}\n",
@@ -240,8 +237,8 @@ def cmd_solve(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [
-            f"{args.mode} solution  alpha={_fmt(args.alpha)}  M={e.truncation_M}"
-            + (f"  t={_fmt(e.t)}" if e.t is not None else ""),
+            f"{args.mode} solution  alpha={_fmt_arg(args.alpha)}  M={e.truncation_M}"
+            + (f"  t={_fmt_arg(e.t)}" if e.t is not None else ""),
             f"mean term = {_fmt(e.mean_term)}",
             f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'coefficient':>16}",
         ]
@@ -293,15 +290,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        bd.BoundaryDataError,
-        xp.IncompatibleDataError,
-        md.InvalidModeError,
-        NonConvergenceError,
-        BracketError,
-        DomainError,
-        OSError,
-    ) as exc:
+    except (bd.BoundaryDataError, xp.IncompatibleDataError, md.InvalidModeError,
+            NonConvergenceError, BracketError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,11 @@ from .modes import (
     SteklovMode,
     SymmetryClass,
     _check_nu,
+    _blocks,
+    _factor_block,
     _log_scale,
-    _mode_factors,
     _stream_modes,
+    _window_deltas,
     first_modes,
     resolve,
 )
@@ -248,15 +250,22 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     Accuracy is guaranteed on compact interior subsets; on the boundary the
     finite sum is still well defined but only converges in the mean. Each
     term is the product of an x and a y factor, evaluated once per distinct
-    coordinate: on a grid that is M * (nx + ny) factor values, not M * nx * ny.
+    coordinate, in blocks of terms of one (class, family). When the distinct
+    coordinates span no more pairs than there are points (a grid, a line, a
+    point), each block sums on all pairs as one matrix product, else point by
+    point; the values equal the term-by-term sum to rounding, not bit for bit.
     """
     check_interior(e.rect, x, y)
     xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     (xs, ix), (ys, iy) = _axis(xa), _axis(ya)
-    out = np.full(xa.shape, e.mean_term, dtype=float)
-    for term in e.terms:
-        fx, fy = _mode_factors(term.mode, xs, ys)
-        out = out + term.coefficient * (fx[ix] * fy[iy]).reshape(out.shape)
+    grid = xs.size * ys.size <= xa.size
+    total = np.zeros((xs.size, ys.size) if grid else xa.size)
+    c = np.array([term.coefficient for term in e.terms])
+    width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
+    for part, block in _blocks([term.mode for term in e.terms], width):
+        fx, fy = _factor_block(block, xs, ys)
+        total += (c[part, None] * fx).T @ fy if grid else c[part] @ (fx[:, ix] * fy[:, iy])
+    out = (e.mean_term + (total[ix, iy] if grid else total)).reshape(xa.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -278,6 +287,8 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     bound covers everything the truncation omitted, scaled by the data norm
     recorded at expansion time (infinite when that norm is unknown), plus the
     sum's rounding: (k + 2) eps times the sum of the magnitudes of its k + 1 terms.
+    Robin and Neumann divide the tail by the least (1-t) delta + t of an omitted
+    class-I term, at the lower ends of the (m+1)-th root windows (no root solve).
     """
     fam_x, fam_y = _class_one_prefix(e, Family.X), _class_one_prefix(e, Family.Y)
     value = e.mean_term
@@ -288,6 +299,9 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
         return CentralValueResult(value, m, math.inf, None)
     per_norm = (square_center_tail(m, tol, [t.mode.nu for t in fam_x]) if e.alpha == 1.0
                 else rect_center_tail(m, e.alpha))
+    if e.t is not None:
+        eqs = [DeterminingEquation(SymmetryClass.I, fam, e.alpha) for fam in Family]
+        per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)
     magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
     rounding = (len(fam_x) + len(fam_y) + 2) * np.finfo(float).eps * magnitude
     return CentralValueResult(value, m, per_norm * e.data_norm + rounding, e.data_norm)
@@ -314,15 +328,8 @@ def energy_tail(e: SteklovExpansion, quintile: float = 0.2) -> EnergyTail:
 
 def _term_dict(term: ExpansionTerm) -> dict:
     mode = term.mode
-    cls, fam, idx = mode.label()
-    return {
-        "class": cls,
-        "family": fam,
-        "index": idx,
-        "nu": mode.nu,
-        "delta": mode.delta,
-        "coefficient": term.coefficient,
-    }
+    return {**dict(zip(("class", "family", "index"), mode.label())),
+            "nu": mode.nu, "delta": mode.delta, "coefficient": term.coefficient}
 
 
 def expansion_to_dict(e: SteklovExpansion) -> dict:

@@ -14,7 +14,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -276,6 +276,30 @@ def _factor_block(modes: Sequence[SteklovMode], x, y) -> tuple[np.ndarray, np.nd
     nu = np.array([[m.nu] for m in modes])
     log_scale = np.array([[m.log_scale] for m in modes])
     return _separated_factors(m0.equation, nu, log_scale, x, y)
+
+
+def _factor_parity(mode: SteklovMode) -> tuple[bool, bool]:
+    """Whether the x and the y factor of a mode are even (cosh, cos, the constant) rather than odd."""
+    if mode.kind == ModeKind.SEPARATED:
+        return mode.symmetry_class.even_x, mode.symmetry_class.even_y
+    return (mode.kind == ModeKind.CONSTANT,) * 2
+
+
+# Entries (modes x points) of a factor block built at once: larger ones raise peak memory and,
+# past the cache, cost more per entry.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _blocks(modes: Sequence[SteklovMode], width: int) -> Iterator[tuple[list[int], list[SteklovMode]]]:
+    """(indices, modes) of slices of modes of one kind and (class, family), each one _factor_block
+    of at most _BLOCK_ENTRIES values over width points (or of one mode)."""
+    rows = max(1, _BLOCK_ENTRIES // max(1, width))
+    groups: dict[tuple, list[int]] = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault((mode.kind, mode.symmetry_class, mode.family), []).append(i)
+    for idx in groups.values():
+        for k in range(0, len(idx), rows):
+            yield idx[k : k + rows], [modes[i] for i in idx[k : k + rows]]
 
 
 def evaluate(mode: SteklovMode, x, y):

@@ -29,7 +29,7 @@ from steklov_rect import (
     mean,
     resolve,
 )
-from steklov_rect.modes import evaluate
+from steklov_rect.modes import _factor_block, _factor_parity, evaluate
 from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature, project
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
@@ -55,6 +55,16 @@ class TestQuadratureRule:
         pts, wts = edge_quadrature(rect, Edge.RIGHT, order=8, panels=5)
         assert wts.sum() == pytest.approx(1.0, rel=1e-14)  # edge length 2 * alpha
         assert pts.min() > -0.5 and pts.max() < 0.5
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.37, 0.1, 0.013])
+    @pytest.mark.parametrize("edge", [Edge.RIGHT, Edge.TOP])
+    @pytest.mark.parametrize("panels", [4, 5, 17, 93, 1000])
+    def test_grid_is_mirror_symmetric_bit_for_bit(self, alpha, edge, panels):
+        # project folds the data about t = 0 and takes each factor on t >= 0 only
+        for order in (32, 5):
+            pts, wts = edge_quadrature(Rectangle(alpha), edge, order, panels)
+            assert np.array_equal(pts, -pts[::-1]) and np.array_equal(wts, wts[::-1])
+            assert np.all(np.diff(pts) > 0)
 
     def test_default_panels_scale_with_frequency(self):
         assert default_panels(0.0) == 4
@@ -209,6 +219,30 @@ class TestCoefficients:
 
     def test_no_modes(self):
         assert coefficients(constant_function(1.0), []) == []
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.37])
+    def test_factor_parity(self, alpha):
+        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _factor_parity
+        modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 60)
+        t = np.linspace(0.05, 0.95, 7)
+        for mode in modes:
+            fx, fy = _factor_block([mode], t, alpha * t)
+            gx, gy = _factor_block([mode], -t, -alpha * t)
+            even_x, even_y = _factor_parity(mode)
+            assert np.array_equal(gx, fx if even_x else -fx)
+            assert np.array_equal(gy, fy if even_y else -fy)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_odd_grid_matches_per_mode_quadrature(self, alpha):
+        # order 5 and an odd panel count leave a middle node t = 0 without a mirror
+        rect, order = Rectangle(alpha), 5
+        spectrum = first_modes(alpha, 40)
+        for h in self.data(alpha):
+            panels, modes = next((p, spectrum[:k]) for k in range(20, 41)
+                                 if (p := default_panels(h.freq_hint + max(m.nu for m in spectrum[:k]))) % 2)
+            want = [inner_product(h, ModeTrace(m), order=order, panels=panels) for m in modes]
+            got = project(h, rect, modes, order)[2]
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * boundary_norm(h, rect=rect)
 
 
 class TestSampledData:

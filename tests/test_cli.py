@@ -13,6 +13,7 @@ from steklov_rect import (
     Rectangle,
     builtin_boundary,
     central_value,
+    evaluate,
     evaluate_interior,
     expand_for_central,
     solve_robin,
@@ -91,6 +92,14 @@ class TestSpectrum:
         near_xy = [m for m in json.loads(out)["modes"] if (m["class"], m["family"]) == ("II", "x")]
         assert near_xy[0]["nu"] < 1e-7
         assert near_xy[0]["delta"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_header_echoes_alpha_exactly(self, capsys):
+        # 9 digits would print alpha=1, the square, whose xy mode this spectrum lacks
+        rc, out, _ = run(capsys, "spectrum", "--alpha", "0.9999999999999999", "--jmax", "1")
+        assert rc == 0
+        assert out.splitlines()[0] == "spectrum  alpha=0.9999999999999999  jmax=1"
+        rc, out, _ = run(capsys, "spectrum", "--alpha", "0.5", "--jmax", "1")
+        assert out.splitlines()[0] == "spectrum  alpha=0.5  jmax=1"
 
 
 class TestCentral:
@@ -281,7 +290,13 @@ class TestSolve:
         assert rc == 0
         e = solve_robin(builtin_boundary("sinsinh:1.3"), 0.8, 0.4, 30)
         got = [(v["x"], v["y"], v["value"]) for v in json.loads(out)["values"]]
-        assert got == [(x, y, evaluate_interior(e, x, y)) for x, y in pts]
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        assert got == list(zip(xs, ys, evaluate_interior(e, xs, ys).tolist()))
+        # a point alone takes the other contraction, so it agrees to the sum's rounding
+        for (x, y), v in zip(pts, got):
+            parts = [e.mean_term] + [t.coefficient * evaluate(t.mode, x, y) for t in e.terms]
+            bound = len(parts) * sys.float_info.epsilon * sum(abs(p) for p in parts)
+            assert abs(evaluate_interior(e, x, y) - v[2]) <= bound
 
     def test_eval_outside_domain(self, capsys):
         rc, _, err = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x",

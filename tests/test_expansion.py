@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steklov_rect import (
     AnalyticBoundaryFunction,
@@ -33,9 +34,15 @@ from steklov_rect import (
     solve_neumann,
     solve_robin,
 )
+from steklov_rect.bounds import rect_center_tail
+from steklov_rect.expansion import _axis
 from steklov_rect.geometry import DomainError
 
 from _oracles import boundary_mean
+
+
+POLYNOMIALS = ("x", "y", "xy", "x2-y2", "x3-3xy2", "3x2y-y3", "x4-6x2y2+y4", "4x3y-4xy3")
+WAVES = ("coshcos", "sinhsin", "coscosh", "sinsinh")
 
 
 def class_one(j, alpha=1.0, fam=Family.X):
@@ -120,14 +127,28 @@ class TestEvaluateInterior:
 
 
 class TestEvaluateInteriorTermByTerm:
-    """evaluate_interior equals mean_term + sum c * evaluate(mode) in term order, bit for bit."""
+    """evaluate_interior equals mean_term + sum c * evaluate(mode) to the rounding of the sum.
+
+    The terms are summed in another order (by block, and as matrix products
+    on grids), so the check is the recursive-summation bound
+    (M + 1) eps (|mean| + sum |c_j s_j(x, y)|), point by point.
+    """
 
     @staticmethod
     def term_by_term(e, x, y):
+        """The sum in term order and the sum of the magnitudes of its terms."""
         out = np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, e.mean_term)
+        magnitude = np.abs(out)
         for t in e.terms:
-            out = out + t.coefficient * evaluate(t.mode, x, y)
-        return out
+            part = t.coefficient * evaluate(t.mode, x, y)
+            out, magnitude = out + part, magnitude + np.abs(part)
+        return out, magnitude
+
+    def assert_within_rounding(self, e, x, y):
+        got = evaluate_interior(e, x, y)
+        want, magnitude = self.term_by_term(e, x, y)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= (e.truncation_M + 1) * sys.float_info.epsilon * magnitude)
 
     @staticmethod
     def points(alpha):
@@ -145,28 +166,48 @@ class TestEvaluateInteriorTermByTerm:
             (np.array([1.0, -1.0, 0.5, -1.0]), np.array([alpha, -alpha, alpha, 0.0])),
         ]
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
-    def test_equals_term_by_term(self, alpha):
-        h = LinearCombination([
+    @staticmethod
+    def data():
+        return LinearCombination([
             (1.5, constant_function(1.0)),
             (0.7, builtin_boundary("x2-y2")),
             (0.3, builtin_boundary("sinsinh:1.7")),
             (0.5, builtin_boundary("xy")),
         ])
-        for e in (expand_dirichlet(h, alpha, 120), expand_dirichlet(h, alpha, 0)):
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_equals_term_by_term(self, alpha):
+        for e in (expand_dirichlet(self.data(), alpha, 120), expand_dirichlet(self.data(), alpha, 0)):
             for x, y in self.points(alpha):
-                got = evaluate_interior(e, x, y)
-                want = self.term_by_term(e, x, y)
-                assert np.shape(got) == np.shape(want)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+                self.assert_within_rounding(e, x, y)
+        self.assert_within_rounding(expand_dirichlet(self.data(), alpha, 400), *self.points(alpha)[0])
+
+    def test_grid_and_scattered_points_agree(self):
+        # the same points as a meshgrid (one matrix product per block) and
+        # shuffled flat (factors multiplied point by point)
+        alpha = 0.5
+        e = expand_dirichlet(self.data(), alpha, 400)
+        gx, gy = np.meshgrid(np.linspace(-0.9, 0.9, 31), alpha * np.linspace(-0.9, 0.9, 27))
+        order = np.random.default_rng(3).permutation(gx.size)
+        sx, sy = gx.ravel()[order], gy.ravel()[order]
+        on_grid, scattered = evaluate_interior(e, gx, gy).ravel()[order], evaluate_interior(e, sx, sy)
+        _, magnitude = self.term_by_term(e, sx, sy)
+        assert np.all(np.abs(on_grid - scattered) <= 401 * sys.float_info.epsilon * magnitude)
+
+    @pytest.mark.parametrize("x, y", [(np.array([]), np.array([])), (np.zeros((0, 3)), 0.1), ([], 0.2)])
+    def test_no_points(self, x, y):
+        e = expand_dirichlet(self.data(), 0.5, 40)
+        got = evaluate_interior(e, x, y)
+        assert got.shape == np.broadcast(np.asarray(x), np.asarray(y)).shape
 
     def test_signed_zero_coordinates_stay_apart(self):
-        # sin(nu * -0.0) = -0.0, so the term's sign reaches a -0.0 mean term
+        # sin(nu * -0.0) = -0.0: each factor sees the coordinate's own sign
+        xs, ix = _axis(np.array([-0.0, 0.0, -0.0]))
+        assert xs.size == 2
+        assert np.signbit(xs[ix]).tolist() == [True, False, True]
         mode = resolve(ModeId.separated(SymmetryClass.IV, Family.Y, 1), 1.0)
         e = SteklovExpansion(1.0, "dirichlet", None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
-        got = evaluate_interior(e, np.array([-0.0, 0.0, -0.0]), 0.1)
-        assert np.signbit(got).tolist() == [True, False, True]
+        self.assert_within_rounding(e, np.array([-0.0, 0.0, -0.0]), 0.1)
 
     def test_point_outside_raises(self):
         e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)
@@ -193,9 +234,13 @@ class TestCentralValue:
 
     def test_matches_full_interior_evaluation(self):
         # classes II-IV vanish identically at the origin, so the class-I-only
-        # sum equals the full truncated series there, bit for bit
+        # sum equals the full truncated series there, up to the rounding
+        # term of the certificate (the two sums add in different orders)
         e = expand_dirichlet(builtin_boundary("coshcos:1"), 1.0, 25)
-        assert central_value(e).value == evaluate_interior(e, 0.0, 0.0)
+        parts = [e.mean_term] + [t.coefficient * t.mode.scale for t in e.terms
+                                 if t.mode.symmetry_class == SymmetryClass.I]
+        rounding = (len(parts) + 1) * sys.float_info.epsilon * sum(abs(p) for p in parts)
+        assert abs(central_value(e).value - evaluate_interior(e, 0.0, 0.0)) <= rounding
 
     def test_square_bound_formula(self):
         h = builtin_boundary("coshcos:1")
@@ -228,6 +273,55 @@ class TestCentralValue:
         # the certificate shrinks geometrically
         b = [central_value(expand_for_central(h, alpha, m)).bound for m in (2, 4, 6)]
         assert b[2] < 0.1 * b[1] < 0.01 * b[0]
+
+    def test_robin_tail_formula(self):
+        # class I y j = 1 at alpha = 0.1 has delta near 0.8, so a Robin
+        # coefficient can exceed its Dirichlet one; the omitted modes' root
+        # windows start at nu = pi/2 (family y) and 5 pi (family x)
+        alpha, t = 0.1, 0.05
+        e = solve_robin(builtin_boundary("coshcos:1"), alpha, t, 0)
+        res = central_value(e)
+        divisor = (1.0 - t) * (math.pi / 2) * math.tanh(alpha * math.pi / 2) + t
+        rounding = 2 * sys.float_info.epsilon * abs(e.mean_term)
+        want = rect_center_tail(0, alpha) * e.data_norm / divisor + rounding
+        assert res.m == 0 and divisor < 0.3
+        assert res.bound == pytest.approx(want, rel=1e-6)
+
+    def test_dirichlet_tail_unchanged_by_robin_t_one(self):
+        h = builtin_boundary("coshcos:1")
+        for alpha in (1.0, 0.5):
+            assert central_value(solve_robin(h, alpha, 1.0, 12)) == central_value(expand_dirichlet(h, alpha, 12))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1])
+    def test_robin_certificate_on_exact_solutions(self, alpha, t):
+        # eta = trace of a class-I mode s solves to s / ((1-t) delta + t), whose
+        # center value is scale / ((1-t) delta + t); m runs below and past the mode
+        for fam in Family:
+            for j in (1, 2):
+                mode = class_one(j, alpha, fam)
+                exact = mode.scale / ((1.0 - t) * mode.delta + t)
+                for M in range(0, 7):
+                    res = central_value(solve_robin(ModeTrace(mode), alpha, t, M, classes=[SymmetryClass.I]))
+                    assert abs(res.value - exact) <= res.bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(math.log(0.02), 0.0).map(math.exp)),
+        m=st.integers(0, 12),
+        polys=st.lists(st.sampled_from(POLYNOMIALS), min_size=2, max_size=2),
+        waves=st.lists(st.tuples(st.sampled_from(WAVES), st.floats(0.1, 8.0)), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dirichlet_certificate_holds(self, alpha, m, polys, waves, seed):
+        parts = [builtin_boundary(name) for name in polys]
+        parts += [builtin_boundary(f"{kind}:{nu!r}") for kind, nu in waves]
+        weights = np.random.default_rng(seed).standard_normal(len(parts)).tolist()
+        h = LinearCombination(list(zip(weights, parts)))
+        exact = sum(w * float(f.fn(0.0, 0.0)) for w, f in zip(weights, parts))
+        res = central_value(expand_for_central(h, alpha, m))
+        assert res.m == m
+        assert abs(res.value - exact) <= res.bound
 
     def test_loaded_expansion_has_no_certificate(self):
         e = expand_for_central(builtin_boundary("coshcos:1"), 1.0, 3)
