@@ -264,7 +264,10 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
     for part, block in _blocks([term.mode for term in e.terms], width):
         fx, fy = _factor_block(block, xs, ys)
-        total += (c[part, None] * fx).T @ fy if grid else c[part] @ (fx[:, ix] * fy[:, iy])
+        if grid:
+            total += (c[part, None] * fx).T @ fy
+        else:
+            total += np.einsum("k,kn,kn->n", c[part], fx.take(ix, 1), fy.take(iy, 1))
     out = (e.mean_term + (total[ix, iy] if grid else total)).reshape(xa.shape)
     return float(out) if out.ndim == 0 else out
 
