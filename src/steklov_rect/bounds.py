@@ -11,6 +11,7 @@ alpha, so records carry logarithms and strictness is asserted in log space.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .geometry import Rectangle
 from .modes import Family, SymmetryClass, _log_norm, _stream_modes
-from .roots import DEFAULT_TOL, DeterminingEquation, solve_nu
+from .roots import DEFAULT_TOL, DeterminingEquation
 from . import stable
 
 __all__ = [
@@ -72,7 +73,7 @@ class DecayBound:
 def _class_one(alpha: float, family: Family, j_max: int, tol: float) -> tuple[list[float], list[float]]:
     """Class-I roots nu_1..nu_jmax of one family and the logs of their normalization integrals."""
     eq = DeterminingEquation(SymmetryClass.I, family, alpha)
-    nu = solve_nu(eq, np.arange(1, j_max + 1), tol)
+    nu = np.array([mode.nu for mode in _stream_modes(eq, j_max, tol)])
     return nu.tolist(), _log_norm(eq, nu).tolist()
 
 
@@ -135,18 +136,20 @@ def square_center_tail(m: int, tol: float = DEFAULT_TOL, nus: Sequence[float] = 
     The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
     that the geometric tail summed from nu_{m+1} is used, which is valid for
     every m. nus may hold the class-I x-family roots nu_1, nu_2, ... already
-    solved; the root needed is solved here only when nus does not hold it.
+    solved; the root needed is taken from the solved stream when nus does
+    not hold it.
     """
     j = m if m >= _CENTER_COEFF_MIN_INDEX else m + 1
     if j <= len(nus):
         nu = nus[j - 1]
     else:
-        nu = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)
+        nu = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
     if m >= _CENTER_COEFF_MIN_INDEX:
         return _CENTER_COEFF * math.exp(-nu)
     return _PAIR_BOUND * math.exp(-nu) / (1.0 - math.exp(-math.pi))
 
 
+@functools.lru_cache(maxsize=256)  # pure, and its loop costs as much as a small expansion's roots
 def rect_center_tail(m: int, alpha: float) -> float:
     """Certified central tail on a strict rectangle from per-term bounds.
 
@@ -249,7 +252,7 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     (square_center_tail for m = 1, 2, 3).
     """
     eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
-    modes = _stream_modes(eq, np.arange(1, 7), root_tol)
+    modes = _stream_modes(eq, 6, root_tol)
     nus = [mode.nu for mode in modes]
     cs = [math.exp(-log_i) for log_i in _log_norm(eq, np.array(nus)).tolist()]
 

@@ -187,7 +187,7 @@ def expand_for_central(
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     eqs = [DeterminingEquation(SymmetryClass.I, fam, alpha) for fam in Family]
-    modes = [mode for eq in eqs for mode in _stream_modes(eq, np.arange(1, m + 1), tol)]
+    modes = [mode for eq in eqs for mode in _stream_modes(eq, m, tol)]
     return _build(h, alpha, sorted(modes, key=SteklovMode.sort_key), order, "dirichlet", None)
 
 

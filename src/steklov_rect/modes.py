@@ -229,7 +229,7 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
         # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
         return SteklovMode(mode_id, alpha, 0.0, 1.0, math.log(math.sqrt(3.0)))
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
-    return _stream_modes(eq, np.array([mode_id.index]), tol)[0]
+    return _modes_at(eq, np.array([mode_id.index]), tol)[0]
 
 
 def _separated_factors(
@@ -346,7 +346,7 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
     return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
-def _stream_modes(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
+def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
     """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays."""
     nu = solve_nu(eq, js, tol)
     cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
@@ -354,6 +354,30 @@ def _stream_modes(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[S
         SteklovMode(ModeId.separated(cls, fam, j), alpha, n, d, s)
         for j, n, d, s in zip(js.tolist(), nu.tolist(), _delta(eq, nu).tolist(), _log_scale(eq, nu).tolist())
     ]
+
+
+# (class, family) streams kept per process, the least recently used dropped first: the eight
+# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes
+_STREAMS = 64
+
+
+@functools.lru_cache(maxsize=_STREAMS)
+def _solved(eq: DeterminingEquation, tol: float) -> list[tuple[SteklovMode, ...]]:
+    """A one-item list holding the modes of eq's (class, family) solved so far at tol, from index 1."""
+    return [()]
+
+
+def _stream_modes(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
+    """The first count modes of one (class, family), solving only those not solved before.
+
+    Every root runs the iteration it would run alone, so the modes are those
+    a cold solve of indices 1..count gives; a solve that raises leaves the
+    stream as it was.
+    """
+    cell = _solved(eq, tol)
+    if count > len(cell[0]):
+        cell[0] += tuple(_modes_at(eq, np.arange(len(cell[0]) + 1, count + 1), tol))
+    return list(cell[0][:count])
 
 
 def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,9 +404,10 @@ def first_modes(
     classes restricts the modes to those symmetry classes (all four when
     None); the xy mode counts as class II. The eigenvalues at the upper ends
     of the root windows give a level that at least `count` modes stay
-    below; only modes whose window starts below it are solved, one solve_nu
-    call per (class, family), and the candidates are sorted once. Ties (the
-    square is full of them) break by class then family order.
+    below; only modes whose window starts below it are taken, a prefix of
+    each (class, family) stream (_stream_modes, which solves a root once per
+    process), and the candidates are sorted once. Ties (the square is full
+    of them) break by class then family order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -399,7 +424,7 @@ def first_modes(
     uppers = np.concatenate([hi for _, hi in windows] + [[m.delta for m in modes]])
     level = np.partition(uppers, count - 1)[count - 1]
     for eq, (lo, _) in zip(eqs, windows):
-        modes += _stream_modes(eq, js[lo <= level], tol)
+        modes += _stream_modes(eq, int(np.count_nonzero(lo <= level)), tol)  # lo rises with j
     modes.sort(key=SteklovMode.sort_key)
     return modes[:count]
 
@@ -424,5 +449,5 @@ def spectrum(
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
         modes.append(resolve(ModeId.xy(), alpha))
     for cls, fam in _streams(classes):
-        modes += _stream_modes(DeterminingEquation(cls, fam, alpha), np.arange(1, j_max + 1), tol)
+        modes += _stream_modes(DeterminingEquation(cls, fam, alpha), j_max, tol)
     return sorted(modes, key=SteklovMode.sort_key)

@@ -184,21 +184,27 @@ def _safe_endpoints(eq: DeterminingEquation, lo: np.ndarray, hi: np.ndarray):
 
     The residual rises through a bracket, from -inf just above a pole of tan
     or -hyp at a zero of it, to +hyp at a zero or +inf just below a pole.
-    The pole end (lo for sign > 0, else hi) is nudged once, past its guard
-    band; the nudge at the zero end is quartered while it overshoots a root
-    close to that zero. No nu between the two nudged ends is in a guard band.
+    Both ends start one guard band inside, and an end's nudge is quartered
+    while the residual there has the wrong sign: at the zero end when a root
+    lies close to the zero, at the pole end when a huge hyperbolic term puts
+    the root inside the guard band (class III/IV y at alpha = 1e-9). The pole
+    end's nudge stops at 4 ulp of the pole, past the rounding of the bracket
+    end, where tan already has the sign it tends to at the pole.
     """
     span = hi - lo
     nudge = np.maximum(2.0 * _POLE_GUARD * np.maximum(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
-    shrink = np.ones_like(nudge)  # of the nudge at the zero end
-    for _ in range(8):
-        lo_nudge, hi_nudge = (nudge, shrink * nudge) if eq.sign > 0 else (shrink * nudge, nudge)
+    pole_nudge, zero_nudge = nudge, nudge.copy()
+    least = 4.0 * np.spacing(lo if eq.sign > 0 else hi)  # of the pole end's nudge
+    for _ in range(16):
+        lo_nudge, hi_nudge = (pole_nudge, zero_nudge) if eq.sign > 0 else (zero_nudge, pole_nudge)
         a, b = np.maximum(lo + lo_nudge, 1e-300), hi - hi_nudge
-        ok = np.signbit(_residual(eq, a)) & ~np.signbit(_residual(eq, b))
-        if ok.all():
+        neg_a, pos_b = np.signbit(_residual(eq, a)), ~np.signbit(_residual(eq, b))
+        if (neg_a & pos_b).all():
             return a, b
-        shrink[~ok] *= 0.25
-    bad = np.argmin(ok)
+        pole_ok, zero_ok = (neg_a, pos_b) if eq.sign > 0 else (pos_b, neg_a)
+        zero_nudge[~zero_ok] *= 0.25
+        pole_nudge = np.where(pole_ok, pole_nudge, np.maximum(0.25 * pole_nudge, least))
+    bad = np.argmin(neg_a & pos_b)
     raise BracketError(f"no sign change on bracket ({lo[bad]}, {hi[bad]}) for {eq}")
 
 
@@ -217,8 +223,8 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
         raise ValueError(f"tol must be positive, got {tol}")
     js = np.asarray(j)
     lo, hi = bracket(eq, js.ravel())
-    # the iterates stay between the nudged ends, so no residual below needs the pole guard,
-    # and the residual stays negative at lo and positive at hi
+    # the iterates stay between the nudged ends, where the residual is negative at lo and
+    # positive at hi, so no residual below needs the pole guard
     lo, hi = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
     # a step halves a bracket to within an ulp, so one still wider than coarse after

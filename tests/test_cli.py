@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -216,11 +217,22 @@ class TestBadValues:
         assert "not finite" in err
 
     def test_bracket_failure_is_clean_error(self, capsys):
-        # at alpha = 1e-9 the class III/IV y roots lie 2e-9 from a tangent pole,
-        # inside its guard band
-        rc, _, err = run(capsys, "spectrum", "--alpha", "1e-9", "--jmax", "1", "--root-tol", "1e-3")
+        # at alpha = 1e-16 the class III y root lies within an ulp of the tangent
+        # pole pi/2; the root tolerance lets the class III x roots near 1.6e16 solve
+        rc, _, err = run(capsys, "spectrum", "--alpha", "1e-16", "--jmax", "1", "--root-tol", "10",
+                         "--classes", "III")
         self.assert_clean_error(rc, err, want_rc=1)
         assert "no sign change" in err
+
+    def test_root_inside_pole_guard_band(self, capsys):
+        # at alpha = 1e-9 the class III/IV y roots lie 1.6e-9 from the tangent
+        # pole pi/2, inside its guard band
+        rc, out, err = run(capsys, "spectrum", "--alpha", "1e-9", "--jmax", "1", "--root-tol", "1e-3",
+                           "--format", "json")
+        assert rc == 0 and err == ""
+        rows = {(r["class"], r["family"]): r for r in json.loads(out)["modes"]}
+        assert abs(rows["III", "y"]["nu"] - math.pi / 2) <= 1e-3
+        assert abs(rows["IV", "y"]["nu"] - math.pi / 2) <= 1e-3
 
     def test_stalled_bisection_is_clean_error(self):
         # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the bisection width 1e-9

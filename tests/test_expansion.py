@@ -256,11 +256,12 @@ class TestCentralValue:
 
     def test_square_tail_takes_the_expansion_root(self, monkeypatch):
         # from m = 3 on the tail needs nu_m, which the expansion already holds
-        import steklov_rect.bounds as bounds_module
+        import steklov_rect.modes as modes_module
 
         e = expand_for_central(builtin_boundary("coshcos:1"), 1.0, 5)
         want = central_value(e)
-        monkeypatch.setattr(bounds_module, "solve_nu", lambda *args: pytest.fail("root solved again"))
+        modes_module._solved.cache_clear()  # so that a root taken from the streams would be solved
+        monkeypatch.setattr(modes_module, "solve_nu", lambda *args: pytest.fail("root solved again"))
         assert central_value(e) == want
 
     def test_rectangle_bound_certifies(self):

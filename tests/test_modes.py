@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from steklov_rect import (
     CornerError,
+    DeterminingEquation,
     DomainError,
     Edge,
     Family,
@@ -20,12 +21,18 @@ from steklov_rect import (
     inner_product,
     log_normalization_integral,
     ModeTrace,
+    NonConvergenceError,
+    builtin_boundary,
+    expand_for_central,
     normal_derivative,
     normalization_integral,
     resolve,
     spectrum,
 )
+from steklov_rect import modes as md
+from steklov_rect.bounds import rect_center_tail
 from steklov_rect.modes import gradient
+from steklov_rect.roots import DEFAULT_TOL
 
 from _oracles import boundary_integral, fd_laplacian, raw_profile
 
@@ -368,3 +375,106 @@ class TestEnumeration:
         assert first_modes(0.5, 0, classes=[]) == []
         with pytest.raises(InvalidModeError, match="only 0 modes"):
             first_modes(0.5, 3, classes=[])
+
+
+class TestStreamCache:
+    """Each (class, family) stream is solved once per process and extended on demand."""
+
+    ALPHAS = (1.0, 0.5, 0.37, 0.1, 0.9999999999999999)
+
+    @staticmethod
+    def bits(modes):
+        return [(m.mode_id, m.alpha, m.nu.hex(), m.delta.hex(), m.log_scale.hex()) for m in modes]
+
+    @staticmethod
+    def cold(fn):
+        md._solved.cache_clear()
+        return fn()
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = md.solve_nu
+        monkeypatch.setattr(md, "solve_nu", lambda eq, j, tol: calls.append(j.tolist()) or solve(eq, j, tol))
+        return calls
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_warm_equals_cold(self, alpha):
+        h = builtin_boundary("coshcos:2.5")
+
+        def central(m):
+            e = expand_for_central(h, alpha, m)
+            return [e.mean_term.hex(), e.data_norm.hex()] + [t.coefficient.hex() for t in e.terms] + self.bits(
+                [t.mode for t in e.terms])
+
+        requests = [
+            lambda: self.bits(spectrum(alpha, 40)),
+            lambda: self.bits(spectrum(alpha, 3)),
+            lambda: self.bits(first_modes(alpha, 400)),
+            lambda: self.bits(first_modes(alpha, 25)),
+            lambda: central(9),
+            lambda: central(2),
+        ]
+        want = [self.cold(request) for request in requests]
+        # smaller prefixes after larger ones, then larger after smaller
+        for order in (range(len(requests)), reversed(range(len(requests)))):
+            md._solved.cache_clear()
+            for i in order:
+                assert requests[i]() == want[i]
+
+    def test_second_call_solves_nothing(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        md._solved.cache_clear()
+        h = builtin_boundary("x2-y2")
+        run = lambda: (spectrum(0.6, 12), first_modes(0.6, 80), expand_for_central(h, 0.6, 5))
+        run()
+        # spectrum solves each stream, first_modes extends some, expand_for_central finds its roots
+        assert calls[:8] == [list(range(1, 13))] * 8
+        assert calls[8:] and all(j[0] == 13 for j in calls[8:])
+        del calls[:]
+        run()
+        assert calls == []
+
+    def test_extension_solves_only_new_indices(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        md._solved.cache_clear()
+        eq = DeterminingEquation(SymmetryClass.III, Family.Y, 0.45)
+        short = md._stream_modes(eq, 3, DEFAULT_TOL)
+        longer = md._stream_modes(eq, 7, DEFAULT_TOL)
+        assert calls == [[1, 2, 3], [4, 5, 6, 7]]
+        assert longer[:3] == short
+
+    def test_returned_lists_are_fresh(self):
+        md._solved.cache_clear()
+        first = first_modes(0.7, 20)
+        want = list(first)
+        first.clear()
+        stream = md._stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 5, DEFAULT_TOL)
+        stream[0] = None
+        stream.append(None)
+        assert first_modes(0.7, 20) == want
+        assert None not in md._stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 6, DEFAULT_TOL)
+
+    def test_failing_stream_caches_nothing_past_the_failure(self, monkeypatch):
+        # the class I x root j = 3 at alpha = 0.001 cannot reach the default tolerance
+        md._solved.cache_clear()
+        eq = DeterminingEquation(SymmetryClass.I, Family.X, 0.001)
+        assert len(md._stream_modes(eq, 2, DEFAULT_TOL)) == 2
+        calls = self.count_solves(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError, match="j=3 "):
+                md._stream_modes(eq, 4, DEFAULT_TOL)
+            with pytest.raises(NonConvergenceError, match="j=3 "):
+                spectrum(0.001, 3)
+        assert len(md._solved(eq, DEFAULT_TOL)[0]) == 2
+        assert [j for j in calls if j[0] == 3] == [[3, 4], [3], [3, 4], [3]]
+
+    def test_caches_stay_bounded(self):
+        md._solved.cache_clear()
+        for alpha in np.linspace(0.2, 1.0, 100):
+            first_modes(float(alpha), 8)
+            rect_center_tail(3, float(alpha))
+        for cache in (md._solved, rect_center_tail):
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+        assert md._solved.cache_info().currsize == md._STREAMS

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from steklov_rect import (
+    BracketError,
     DeterminingEquation,
     Family,
     NonConvergenceError,
@@ -179,6 +181,25 @@ class TestSolveNu:
             solve_nu(eq, 1, tol=0.0)
         with pytest.raises(ValueError):
             DeterminingEquation(SymmetryClass.I, Family.X, 1.5)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12, 1e-15])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    def test_root_inside_pole_guard_band(self, alpha, tol):
+        # tan(nu) = -/+ coth(alpha nu) puts the class III/IV y roots j = 1 about
+        # alpha * pi/2 above/below the pole pi/2, inside its guard band
+        for cls, side in ((SymmetryClass.III, 1), (SymmetryClass.IV, -1)):
+            with mpmath.workdps(50):
+                a = mpmath.mpf(alpha)
+                # the equation times cos(nu) sinh(alpha nu): no poles near the root
+                fn = lambda v: mpmath.sin(v) * mpmath.sinh(a * v) + side * mpmath.cos(v) * mpmath.cosh(a * v)
+                want = mpmath.findroot(fn, (mpmath.mpf(1.5), mpmath.mpf(1.6)), solver="anderson")
+                assert side * (want - mpmath.pi / 2) > 0
+                assert abs(solve_nu(eq_of(cls, Family.Y, alpha), 1, tol) - want) <= tol
+
+    def test_root_within_ulps_of_pole_is_bracket_error(self):
+        # at alpha = 1e-16 the class III y root lies within an ulp of pi/2
+        with pytest.raises(BracketError, match="no sign change"):
+            solve_nu(eq_of(SymmetryClass.III, Family.Y, 1e-16), 1, 1e-3)
 
 
 # ---------------------------------------------------------------------------
