@@ -375,9 +375,10 @@ def _stream_modes(eq: DeterminingEquation, count: int, tol: float) -> list[Stekl
     stream as it was.
     """
     cell = _solved(eq, tol)
-    if count > len(cell[0]):
-        cell[0] += tuple(_modes_at(eq, np.arange(len(cell[0]) + 1, count + 1), tol))
-    return list(cell[0][:count])
+    have = cell[0]  # read once: another thread may store a shorter prefix meanwhile, never a wrong one
+    if count > len(have):
+        cell[0] = have = have + tuple(_modes_at(eq, np.arange(len(have) + 1, count + 1), tol))
+    return list(have[:count])
 
 
 def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -468,6 +470,29 @@ class TestStreamCache:
                 spectrum(0.001, 3)
         assert len(md._solved(eq, DEFAULT_TOL)[0]) == 2
         assert [j for j in calls if j[0] == 3] == [[3, 4], [3], [3, 4], [3]]
+
+    def test_threads_see_only_whole_prefixes(self):
+        eq = DeterminingEquation(SymmetryClass.II, Family.X, 0.55)
+        want = self.cold(lambda: md._stream_modes(eq, 60, DEFAULT_TOL))
+        md._solved.cache_clear()
+        seen, switch = [], sys.getswitchinterval()
+
+        def worker(k):
+            for count in range(k, 61, 7):
+                seen.append((count, md._stream_modes(eq, count, DEFAULT_TOL)))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 7)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == sum(len(range(k, 61, 7)) for k in range(1, 7))
+        assert all(modes == want[:count] for count, modes in seen)
 
     def test_caches_stay_bounded(self):
         md._solved.cache_clear()
