@@ -437,15 +437,6 @@ class TestStreamCache:
         run()
         assert calls == []
 
-    def test_extension_solves_only_new_indices(self, monkeypatch):
-        calls = self.count_solves(monkeypatch)
-        md._solved.cache_clear()
-        eq = DeterminingEquation(SymmetryClass.III, Family.Y, 0.45)
-        short = md._stream_modes(eq, 3, DEFAULT_TOL)
-        longer = md._stream_modes(eq, 7, DEFAULT_TOL)
-        assert calls == [[1, 2, 3], [4, 5, 6, 7]]
-        assert longer[:3] == short
-
     def test_returned_lists_are_fresh(self):
         md._solved.cache_clear()
         first = first_modes(0.7, 20)
