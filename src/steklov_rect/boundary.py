@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _blocks, _factor_block, _factor_parity, evaluate
+from .modes import SteklovMode, _factor_blocks, evaluate
 
 __all__ = [
     "BoundaryFunction",
@@ -258,7 +258,8 @@ def default_panels(freq: float) -> int:
     """Panels per edge for integrands oscillating like cos(freq * t)."""
     panels = max(4, math.ceil(freq / math.pi))
     if panels > _MAX_PANELS:
-        raise BoundaryDataError(f"frequency {freq:g} needs {panels} quadrature panels per edge, over {_MAX_PANELS}")
+        raise BoundaryDataError(
+            f"frequency {freq:g} needs {panels:.3g} quadrature panels per edge, over {_MAX_PANELS}")
     return panels
 
 
@@ -347,10 +348,8 @@ def project(
         folded = {True: wh[half:] + mirror, False: wh[half:] - mirror}  # by parity of the factor
         vertical = pair[0] == Edge.RIGHT
         x, y = (np.array(ends), t[half:]) if vertical else (t[half:], np.array(ends))
-        for part, block in _blocks(modes, t.size - half):
-            fx, fy = _factor_block(block, x, y)
-            along, across = (fy, fx) if vertical else (fx, fy)
-            even = _factor_parity(block[0])[1 if vertical else 0]
+        for part, fx, fy, (even_x, even_y) in _factor_blocks(modes, x, y, t.size - half):
+            along, across, even = (fy, fx, even_y) if vertical else (fx, fy, even_x)
             coeffs[part] += np.sum((along @ folded[even]) * across, axis=1)
     per = rect.perimeter
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()

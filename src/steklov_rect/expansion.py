@@ -26,8 +26,7 @@ from .modes import (
     SteklovMode,
     SymmetryClass,
     _check_nu,
-    _blocks,
-    _factor_block,
+    _factor_blocks,
     _log_scale,
     _stream_modes,
     _window_deltas,
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 class IncompatibleDataError(ValueError):
-    """Neumann data with nonzero boundary mean has no solution."""
+    """No solution: Neumann data of nonzero boundary mean, or a Robin mean term mean / t that overflows."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def _build(
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
-    spuriously reject valid data, and its mean term is 0.
+    spuriously reject valid data, and its mean term is 0. A Robin mean / t must not overflow.
     """
     rect = Rectangle(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
@@ -143,6 +142,8 @@ def _build(
         mean_term = 0.0
     else:
         mean_term = raw_mean if t is None else raw_mean / t
+        if not math.isfinite(mean_term):
+            raise IncompatibleDataError(f"Robin mean term mean / t = {raw_mean:.3e} / {t:.3e} overflows")
     terms = []
     for mode, c in zip(modes, coeffs):
         if t is not None:
@@ -262,8 +263,7 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     total = np.zeros((xs.size, ys.size) if grid else xa.size)
     c = np.array([term.coefficient for term in e.terms])
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
-    for part, block in _blocks([term.mode for term in e.terms], width):
-        fx, fy = _factor_block(block, xs, ys)
+    for part, fx, fy, _ in _factor_blocks([term.mode for term in e.terms], xs, ys, width):
         if grid:
             total += (c[part, None] * fx).T @ fy
         else:
@@ -307,17 +307,19 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
         per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)
     magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
     rounding = (len(fam_x) + len(fam_y) + 2) * np.finfo(float).eps * magnitude
-    return CentralValueResult(value, m, per_norm * e.data_norm + rounding, e.data_norm)
+    return CentralValueResult(value, m, float(per_norm * e.data_norm + rounding), e.data_norm)
 
 
-def energy_tail(e: SteklovExpansion, quintile: float = 0.2) -> EnergyTail:
+_TAIL_SHARE = 0.2  # of the terms, those of the highest eigenvalues, that energy_tail calls the tail
+
+
+def energy_tail(e: SteklovExpansion) -> EnergyTail:
     """sum (1 + delta) c^2 over all terms (mean term included) plus the share
     contributed by the top-eigenvalue quintile, a cheap convergence read."""
     contributions = [e.mean_term**2]
     contributions += [(1.0 + t.mode.delta) * t.coefficient**2 for t in e.terms]
     total = float(sum(contributions))
-    n_terms = len(e.terms)
-    n_tail = math.ceil(quintile * n_terms)
+    n_tail = math.ceil(_TAIL_SHARE * len(e.terms))
     if n_tail == 0 or total == 0.0:
         return EnergyTail(total, 0.0)
     tail = float(sum(contributions[-n_tail:]))

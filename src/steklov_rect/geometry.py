@@ -9,6 +9,9 @@ import numpy as np
 
 __all__ = ["Edge", "Rectangle", "BoundaryPoint", "DomainError", "CornerError"]
 
+# Slack of the boundary tests: a point this far past an edge is inside, this near a corner at it.
+_TOL = 1e-12
+
 
 class DomainError(ValueError):
     """A point lies outside the closed rectangle or off the named edge."""
@@ -83,11 +86,11 @@ class Rectangle:
         x, y = self.edge_xy(edge, t)
         return BoundaryPoint(edge, float(t), float(x), float(y))
 
-    def contains(self, x, y, tol: float = 1e-12) -> bool:
-        """True when (x, y) lies in the closed rectangle (within tol)."""
+    def contains(self, x, y) -> bool:
+        """True when (x, y) lies in the closed rectangle (within _TOL)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return bool(np.all(np.abs(x) <= 1.0 + tol) and np.all(np.abs(y) <= self.alpha + tol))
+        return bool(np.all(np.abs(x) <= 1.0 + _TOL) and np.all(np.abs(y) <= self.alpha + _TOL))
 
     # Arc length runs counterclockwise from the vertex (1, -alpha):
     # RIGHT upward, TOP leftward, LEFT downward, BOTTOM rightward.
@@ -123,15 +126,15 @@ class Rectangle:
             return 2 * a + 2.0 + (a - t)
         return 4 * a + 2.0 + (t + 1.0)
 
-    def is_corner(self, edge: Edge, t: float, tol: float = 1e-12) -> bool:
+    def is_corner(self, edge: Edge, t: float) -> bool:
         lo, hi = self.edge_range(edge)
-        return t <= lo + tol or t >= hi - tol
+        return t <= lo + _TOL or t >= hi - _TOL
 
     def __str__(self) -> str:  # pragma: no cover
         return f"(-1,1)x(-{self.alpha},{self.alpha})"
 
 
-def check_interior(rect: Rectangle, x, y, tol: float = 1e-12) -> None:
+def check_interior(rect: Rectangle, x, y) -> None:
     """Raise DomainError unless all points lie in the closed rectangle."""
-    if not rect.contains(x, y, tol=tol):
+    if not rect.contains(x, y):
         raise DomainError(f"point outside the closed rectangle {rect}")

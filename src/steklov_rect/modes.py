@@ -173,7 +173,7 @@ def _log_norm(eq: DeterminingEquation, nu):
     trig = np.cos(u_trig) if eq.trig_cos else np.sin(u_trig)
     # 2 * [ F(u_hyp)^2 * int G^2  +  G(u_trig)^2 * int F^2 ], scaled by e^{-2 u_hyp}
     scaled = 2.0 * (
-        stable.hyp_sq_scaled(u_hyp, eq.hyp_cosh) * a * stable.mean_sq_trig(u_trig, eq.trig_cos)
+        stable.hyp_scaled(u_hyp, eq.hyp_cosh) ** 2 * a * stable.mean_sq_trig(u_trig, eq.trig_cos)
         + trig**2 * b * stable.mean_sq_hyp_scaled(u_hyp, eq.hyp_cosh)
     )
     return 2.0 * u_hyp + np.log(scaled)
@@ -263,43 +263,35 @@ def _mode_factors(mode: SteklovMode, x, y):
     return _separated_factors(mode.equation, mode.nu, mode.log_scale, x, y)
 
 
-def _factor_block(modes: Sequence[SteklovMode], x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(x factors, y factors) of modes of one kind (one (class, family) when separated).
-
-    x and y are 1-d; row i of each block holds modes[i], so the traces of
-    the modes at (x[k], y[l]) are x_block[:, k] * y_block[:, l].
-    """
-    m0 = modes[0]
-    if m0.kind != ModeKind.SEPARATED:
-        fx, fy = zip(*(_mode_factors(m, x, y) for m in modes))
-        return np.array(fx), np.array(fy)
-    nu = np.array([[m.nu] for m in modes])
-    log_scale = np.array([[m.log_scale] for m in modes])
-    return _separated_factors(m0.equation, nu, log_scale, x, y)
-
-
-def _factor_parity(mode: SteklovMode) -> tuple[bool, bool]:
-    """Whether the x and the y factor of a mode are even (cosh, cos, the constant) rather than odd."""
-    if mode.kind == ModeKind.SEPARATED:
-        return mode.symmetry_class.even_x, mode.symmetry_class.even_y
-    return (mode.kind == ModeKind.CONSTANT,) * 2
-
-
 # Entries (modes x points) of a factor block built at once: larger ones raise peak memory and,
 # past the cache, cost more per entry.
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _blocks(modes: Sequence[SteklovMode], width: int) -> Iterator[tuple[list[int], list[SteklovMode]]]:
-    """(indices, modes) of slices of modes of one kind and (class, family), each one _factor_block
-    of at most _BLOCK_ENTRIES values over width points (or of one mode)."""
+def _factor_blocks(modes: Sequence[SteklovMode], x, y, width: int) -> Iterator[tuple]:
+    """(indices, x factors, y factors, (even_x, even_y)) of slices of modes of one kind and
+    (class, family), each of at most _BLOCK_ENTRIES values over width points (or of one mode).
+
+    x and y are 1-d; row r of each block holds modes[indices[r]], so the traces of those modes
+    at (x[k], y[l]) are x_block[:, k] * y_block[:, l]. even_x and even_y say whether the x and
+    the y factor are even (cosh, cos, the constant) rather than odd.
+    """
     rows = max(1, _BLOCK_ENTRIES // max(1, width))
     groups: dict[tuple, list[int]] = {}
     for i, mode in enumerate(modes):
         groups.setdefault((mode.kind, mode.symmetry_class, mode.family), []).append(i)
     for idx in groups.values():
+        m0 = modes[idx[0]]
+        cls = m0.symmetry_class  # None for the constant and the xy mode
+        even = (m0.kind == ModeKind.CONSTANT,) * 2 if cls is None else (cls.even_x, cls.even_y)
         for k in range(0, len(idx), rows):
-            yield idx[k : k + rows], [modes[i] for i in idx[k : k + rows]]
+            part = idx[k : k + rows]
+            if cls is not None:
+                nu, log_scale = np.array([[modes[i].nu, modes[i].log_scale] for i in part]).T[..., None]
+                fx, fy = _separated_factors(m0.equation, nu, log_scale, x, y)
+            else:
+                fx, fy = map(np.array, zip(*(_mode_factors(modes[i], x, y) for i in part)))
+            yield part, fx, fy, even
 
 
 def evaluate(mode: SteklovMode, x, y):

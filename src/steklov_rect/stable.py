@@ -1,8 +1,8 @@
 """Overflow-safe building blocks for products of hyperbolic and trig factors.
 
 cosh(nu)**2 overflows doubles near nu = 355 while the boundary-normalized
-eigenfunctions stay O(1), so everything here works with logarithms of the
-hyperbolic magnitudes and with exp(-2u)-scaled edge integrals.
+eigenfunctions stay O(1), so a hyperbolic value is kept as cosh or sinh(u) * exp(-u)
+(hyp_scaled, in [0, 1]) with exp(u) folded into a log amplitude; edge integrals likewise.
 """
 
 from __future__ import annotations
@@ -12,37 +12,25 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_cosh",
-    "log_sinh",
+    "hyp_scaled",
     "signed_exp_hyp",
     "mean_sq_trig",
     "mean_sq_hyp_scaled",
-    "hyp_sq_scaled",
     "exp_or_inf",
 ]
 
-_LOG2 = math.log(2.0)
 
-
-def log_cosh(u):
-    """log(cosh(u)) for u >= 0, elementwise, without overflow."""
-    u = np.asarray(u, dtype=float)
-    return u + np.log1p(np.exp(-2.0 * u)) - _LOG2
-
-
-def log_sinh(u):
-    """log(sinh(u)) for u > 0, elementwise; -inf at u = 0."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        return u + np.log(-np.expm1(-2.0 * u)) - _LOG2
+def hyp_scaled(u, even: bool):
+    """cosh(u) * exp(-u) = (1 + exp(-2u))/2 (even) or sinh(u) * exp(-u) = -expm1(-2u)/2, for u >= 0."""
+    return 0.5 * (1.0 + np.exp(-2.0 * u)) if even else 0.5 * -np.expm1(-2.0 * u)
 
 
 def signed_exp_hyp(u, log_amp, even: bool):
-    """exp(log_amp) * cosh(u) (even) or sinh(u) for any sign of u, evaluated in log space."""
-    u = np.asarray(u, dtype=float)
-    if even:
-        return np.exp(log_amp + log_cosh(np.abs(u)))
-    return np.sign(u) * np.exp(log_amp + log_sinh(np.abs(u)))
+    """exp(log_amp) * cosh(u) (even) or sinh(u), any sign of u, as exp(log_amp + |u|) * hyp_scaled(|u|):
+    the exponent is exact where -log_amp is within a factor 2 of |u|, as at the edges of a normalized mode."""
+    a = np.abs(np.asarray(u, dtype=float))
+    out = np.exp(log_amp + a) * hyp_scaled(a, even)
+    return out if even else np.sign(u) * out
 
 
 def _series_even(u, alternating: bool):
@@ -80,12 +68,6 @@ def mean_sq_hyp_scaled(u, even: bool):
     if even:
         return e + ratio
     return np.where(u < 0.25, e * _series_even(u, alternating=False), ratio - e)
-
-
-def hyp_sq_scaled(u, even: bool):
-    """(cosh(u) * exp(-u))**2 = ((1 + exp(-2u))/2)**2 (even), or (sinh(u) * exp(-u))**2."""
-    t = 0.5 * (1.0 + np.exp(-2.0 * u)) if even else 0.5 * -np.expm1(-2.0 * u)
-    return t * t
 
 
 def exp_or_inf(logv: float) -> float:

@@ -29,7 +29,7 @@ from steklov_rect import (
     mean,
     resolve,
 )
-from steklov_rect.modes import _factor_block, _factor_parity, evaluate
+from steklov_rect.modes import _factor_blocks, evaluate
 from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature, project
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
@@ -222,13 +222,12 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("alpha", [1.0, 0.37])
     def test_factor_parity(self, alpha):
-        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _factor_parity
+        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _factor_blocks
         modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 60)
         t = np.linspace(0.05, 0.95, 7)
         for mode in modes:
-            fx, fy = _factor_block([mode], t, alpha * t)
-            gx, gy = _factor_block([mode], -t, -alpha * t)
-            even_x, even_y = _factor_parity(mode)
+            [(_, fx, fy, (even_x, even_y))] = _factor_blocks([mode], t, alpha * t, t.size)
+            [(_, gx, gy, _)] = _factor_blocks([mode], -t, -alpha * t, t.size)
             assert np.array_equal(gx, fx if even_x else -fx)
             assert np.array_equal(gy, fy if even_y else -fy)
 

@@ -112,6 +112,17 @@ class TestCentral:
         assert doc["value"] == pytest.approx(7.0, rel=1e-13)
         assert abs(doc["value"] - 7.0) <= doc["bound"]
 
+    def test_csv_row_is_plain_numbers(self, capsys):
+        rc, out, _ = run(capsys, "central", "--builtin", "coshcos:2", "--alpha", "0.2", "--m", "3",
+                         "--format", "csv")
+        rc_json, out_json, _ = run(capsys, "central", "--builtin", "coshcos:2", "--alpha", "0.2",
+                                   "--m", "3", "--format", "json")
+        assert rc == rc_json == 0
+        header, row = out.splitlines()
+        doc = json.loads(out_json)
+        assert dict(zip(header.split(","), map(float, row.split(",")))) == {
+            key: doc[key] for key in ("value", "m", "bound", "data_norm")}
+
     def test_bound_covers_rounding(self, capsys):
         # at m = 12 the truncation tail (3.8e-17 per unit of the norm) is
         # below the error rounding leaves in most of these values, so only
@@ -276,6 +287,13 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["expansion"]["mean_term"] == pytest.approx(6.0, rel=1e-13)
         assert doc["values"][0]["value"] == pytest.approx(6.0, rel=1e-12)
+
+    def test_robin_overflowing_mean_term(self, capsys):
+        rc, out, err = run(capsys, "solve", "--mode", "robin", "--t", "1e-310", "--builtin", "const:1",
+                           "--m", "3", "--eval", "0,0", "--format", "json")
+        TestBadValues.assert_clean_error(rc, err, want_rc=1)
+        assert "mean / t" in err and "1.000e-310" in err
+        assert out == ""
 
     def test_neumann_incompatible(self, capsys):
         rc, _, err = run(capsys, "solve", "--mode", "neumann", "--builtin", "const:1")

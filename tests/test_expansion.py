@@ -398,6 +398,13 @@ class TestRobin:
             with pytest.raises(ValueError):
                 solve_robin(h, 1.0, t, 4)
 
+    def test_overflowing_mean_term_rejected(self):
+        # mean / t = 1 / 1e-310 overflows: the solution does not exist in doubles
+        with pytest.raises(IncompatibleDataError, match=r"mean / t = 1\.000e\+00 / 1\.000e-310"):
+            solve_robin(constant_function(1.0), 1.0, 1e-310, 3)
+        # data of zero mean keeps a finite mean term at the same t
+        assert math.isfinite(solve_robin(builtin_boundary("x"), 1.0, 1e-310, 3).mean_term)
+
 
 class TestNeumann:
     def test_mode_data_inverts_eigenvalue(self):
