@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -217,20 +219,70 @@ class _EdgeSpline:
         return y[i] + dx * (s[i] + dx * (c2 + dx * c3))
 
 
+# np.loadtxt opens a str path through np.lib._datasource, which decompresses by these suffixes
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _comment_follows(text: str, start: int) -> bool:
+    """Whether a line from `start` on is a comment: its first non-blank character is '#'.
+    Only lines holding a '#' are looked at, one '#' each."""
+    i = text.find("#", start)
+    while i >= 0:
+        if not text[text.rfind("\n", 0, i) + 1:i].strip():
+            return True
+        end = text.find("\n", i)
+        i = text.find("#", end) if end >= 0 else -1
+    return False
+
+
+def _scan_csv(path) -> tuple[str, str | list[str], int]:
+    """Read a boundary data file once: its header, then the data rows for np.loadtxt and
+    the number of lines it should skip.
+
+    The header is the first non-empty line that is not a comment. Lines end at \\n, \\r\\n
+    or \\r, as in numpy's text-mode open. When no comment line follows the header and
+    numpy would open the file as the same plain text, the rows are the file's absolute
+    path and the skip covers every line up to the header, so numpy parses in C chunks.
+    Otherwise they are the non-empty, non-comment lines after the header, skip 0.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    except UnicodeDecodeError as exc:
+        raise BoundaryDataError(f"{path}: not UTF-8 text ({exc})") from exc
+    header, start, skip = "", 0, 0
+    while not header or header.lstrip().startswith("#"):
+        if start > len(text):
+            raise BoundaryDataError(f"{path}: empty boundary data file")
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        header, start, skip = text[start:end], end + 1, skip + 1
+    if text.count("\n", start) >= len(text) - start:  # no non-empty line after the header
+        return header, [], 0
+    # numpy opens the file again by name: a pipe would read empty the second time, a
+    # compressed suffix would be decompressed, and a comment after the header would not parse
+    if (regular and isinstance(path, (str, bytes, os.PathLike))
+            and not os.fsdecode(path).lower().endswith(_COMPRESSED)
+            and not _comment_follows(text, start)):
+        return header, os.fsdecode(os.path.abspath(path)), skip  # absolute: never read as a URL
+    return header, [ln for ln in text.split("\n")[skip:] if ln and not ln.lstrip().startswith("#")], 0
+
+
 def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
-    """Read sampled boundary data: header ``arclength,value``, '#' comments."""
+    """Read sampled boundary data: UTF-8 text (a BOM is accepted), a header
+    ``arclength,value``, then one sample per line; a line whose first non-blank character
+    is '#' is a comment."""
     rect = Rectangle(alpha)
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise BoundaryDataError(f"{path}: empty boundary data file")
-    first = next(csv.reader(lines[:1]))
+    header, rows, skip = _scan_csv(path)
+    first = next(csv.reader([header]))
     if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
         raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
     data = np.empty((0, 2))
-    if len(lines) > 1:  # loadtxt warns on no data
+    if rows:  # loadtxt warns on no data
         try:
-            data = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 1), ndmin=2, quotechar='"', comments=None)
+            data = np.loadtxt(rows, skiprows=skip, encoding="utf-8-sig", delimiter=",", usecols=(0, 1),
+                              ndmin=2, quotechar='"', comments=None)
         except ValueError as exc:
             raise BoundaryDataError(f"{path}: bad row: {exc}") from exc
     return SampledBoundaryFunction(rect, data[:, 0], data[:, 1])

@@ -1,5 +1,6 @@
 import csv
 import math
+import urllib.request
 
 import mpmath
 import numpy as np
@@ -30,7 +31,7 @@ from steklov_rect import (
     resolve,
 )
 from steklov_rect.modes import _factor_blocks, evaluate
-from steklov_rect.boundary import _EdgeSpline, default_panels, edge_quadrature, project
+from steklov_rect.boundary import _EdgeSpline, _scan_csv, default_panels, edge_quadrature, project
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
 
@@ -344,9 +345,10 @@ class TestSampledData:
 
 
 def _csv_reader_parse(path):
-    """The loader's earlier parse (csv.reader, float per cell), kept as its oracle."""
+    """The loader's earlier parse (csv.reader, float per cell), kept as its oracle.
+    A comment is a line whose first non-blank character is '#', before any unquoting."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        rows = [r for r in csv.reader(ln for ln in fh if not ln.lstrip().startswith("#")) if r]
     assert [c.strip().lower() for c in rows[0]][:2] == ["arclength", "value"]
     try:
         return [float(r[0]) for r in rows[1:]], [float(r[1]) for r in rows[1:]]
@@ -366,6 +368,13 @@ def _layout(fmt, comment_every=0):
     return "\n".join(rows) + "\n"
 
 
+def _assert_same_data(got, want):
+    rect = Rectangle(1.0)
+    for edge in Edge:
+        t = np.linspace(*rect.edge_range(edge), 33)
+        assert np.array_equal(got.edge_values(rect, edge, t), want.edge_values(rect, edge, t))
+
+
 class TestLoadCsv:
     @pytest.mark.parametrize(
         "text",
@@ -373,27 +382,83 @@ class TestLoadCsv:
             _layout("{a},{v}"),
             _layout("{a},{v}", comment_every=3),
             "# leading comment\n\n" + _layout("{a},{v}").replace("\n", "\n\n", 4),
+            "# one\n\n  # two, indented\n\n" + _layout("{a},{v}"),
             _layout("{a},{v},extra,7"),
             _layout('"{a}","{v}"'),
             _layout(" {a} ,\t{v}  "),
             _layout("{a},{v}").replace("arclength,value", '"Arclength", VALUE ,note'),
             _layout("{a},{v}\r"),
+            _layout("{a},{v}").replace("\n", "\r"),
+            "# exported\r\n" + _layout("{a},{v}").replace("\n", "\r\n"),
+            _layout("{a},{v}").replace("value\n", "value\n# units: none\n", 1),
         ],
-        ids=["plain", "comments", "blank-lines", "extra-columns", "quoted", "whitespace",
-             "header-variants", "crlf"],
+        ids=["plain", "comments", "blank-lines", "leading-comments-only", "extra-columns", "quoted",
+             "whitespace", "header-variants", "crlf", "cr", "crlf-leading-comment",
+             "comment-after-header"],
     )
     def test_matches_csv_reader_parse(self, tmp_path, text):
         path = tmp_path / "samples.csv"
         path.write_text(text)
         want = SampledBoundaryFunction(Rectangle(1.0), *_csv_reader_parse(path))
-        got = load_boundary_csv(path, 1.0)
-        rect = Rectangle(1.0)
-        for edge in Edge:
-            t = np.linspace(*rect.edge_range(edge), 33)
-            assert np.array_equal(got.edge_values(rect, edge, t), want.edge_values(rect, edge, t))
+        _assert_same_data(load_boundary_csv(path, 1.0), want)
 
     @pytest.mark.parametrize(
-        "bad_row", ["1.0", "1.0,oops", "1.0,", "oops,1.0", "1.0,2.0 # inline comment"]
+        "text, by_name",
+        [
+            (_layout("{a},{v}"), True),
+            ("# one\n\n" + _layout("{a},{v}").replace("\n", "\r\n"), True),
+            (_layout("{a},{v},#tag # tag"), True),
+            (_layout("{a},{v}", comment_every=3), False),
+            (_layout("{a},{v}").replace("value\n", "value\n\t# units: none\n", 1), False),
+        ],
+        ids=["plain", "leading-comment", "hash-after-data", "comments", "comment-after-header"],
+    )
+    def test_numpy_reads_by_name_without_later_comments(self, tmp_path, text, by_name):
+        # numpy parses a file it opens itself in C chunks; a comment after the header
+        # would not parse there, so those files go to np.loadtxt as filtered lines
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        header, rows, skip = _scan_csv(path)
+        assert header == "arclength,value"
+        assert isinstance(rows, str) == by_name
+        assert skip == (text.count("\n", 0, text.index("arclength")) + 1 if by_name else 0)
+
+    @pytest.mark.parametrize("comment_every", [0, 3])
+    def test_byte_order_mark_accepted(self, tmp_path, comment_every):
+        text = _layout("{a},{v}", comment_every)
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        _assert_same_data(load_boundary_csv(tmp_path / "bom.csv", 1.0),
+                          load_boundary_csv(tmp_path / "plain.csv", 1.0))
+
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(_layout("{a},{v}").encode() + b"# caf\xe9\n")
+        with pytest.raises(BoundaryDataError, match="latin1.csv: not UTF-8"):
+            load_boundary_csv(path, 1.0)
+
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path):
+        # numpy would gunzip a path ending in .gz; the loader never decompresses
+        text = _layout("{a},{v}")
+        (tmp_path / "samples.csv").write_text(text)
+        (tmp_path / "samples.csv.gz").write_text(text)
+        _assert_same_data(load_boundary_csv(tmp_path / "samples.csv.gz", 1.0),
+                          load_boundary_csv(tmp_path / "samples.csv", 1.0))
+
+    def test_url_like_path_is_a_local_file(self, tmp_path, monkeypatch):
+        # numpy would fetch a path that parses as a URL; this one names a local file
+        def no_fetch(*args, **kwargs):
+            raise AssertionError(f"fetched {args}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "f.csv").write_text(_layout("{a},{v}"))
+        want = SampledBoundaryFunction(Rectangle(1.0), *zip(*_SAMPLES))
+        _assert_same_data(load_boundary_csv("http://host/f.csv", 1.0), want)
+
+    @pytest.mark.parametrize(
+        "bad_row", ["1.0", "1.0,oops", "1.0,", "oops,1.0", "1.0,2.0 # inline comment", '"#1",2.0']
     )
     def test_bad_row_names_path(self, tmp_path, bad_row):
         path = tmp_path / "bad-row.csv"

@@ -30,7 +30,7 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def run_child(*argv, timeout=30):
+def run_child(*argv, timeout=30, stdin_text=None):
     """The CLI in a child process under a time limit and a 2 GiB address-space limit.
 
     A hang then fails the test with TimeoutExpired, and a runaway allocation
@@ -42,7 +42,7 @@ def run_child(*argv, timeout=30):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "steklov_rect.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=limit_memory)
+                          text=True, timeout=timeout, preexec_fn=limit_memory, input=stdin_text)
 
 
 class TestSpectrum:
@@ -180,6 +180,21 @@ class TestCentral:
         doc = json.loads(out)
         assert abs(doc["value"]) <= doc["bound"]
 
+    def test_data_from_a_pipe(self, capsys, tmp_path):
+        # a pipe reads only once, as with `--data <(generate-samples)`
+        rect = Rectangle(1.0)
+        lines = ["# samples of x^2 - y^2", "arclength,value"]
+        for k in range(80):
+            p = rect.arclength_to_point(k / 10 + 0.05)
+            lines.append(f"{k / 10 + 0.05!r},{p.x**2 - p.y**2!r}")
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc, want, _ = run(capsys, "central", "--data", str(path), "--alpha", "1", "--m", "3")
+        assert rc == 0
+        proc = run_child("central", "--data", "/dev/stdin", "--alpha", "1", "--m", "3",
+                         stdin_text=path.read_text())
+        assert (proc.returncode, proc.stdout) == (0, want)
+
     def test_requires_exactly_one_source(self, capsys):
         assert run(capsys, "central")[0] == 2
         assert run(capsys, "central", "--builtin", "x", "--data", "f.csv")[0] == 2
@@ -256,6 +271,13 @@ class TestBadValues:
         proc = run_child("central", "--builtin", "x2-y2", "--alpha", "1e-9", "--m", "1", "--root-tol", "1e-3")
         self.assert_clean_error(proc.returncode, proc.stderr, want_rc=1)
         assert "quadrature panels" in proc.stderr
+
+    def test_non_utf8_data_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"arclength,value\n0.5,1.0\n# caf\xe9\n1.5,\xff\n")
+        rc, _, err = run(capsys, "central", "--data", str(path), "--alpha", "1", "--m", "3")
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert "latin1.csv: not UTF-8" in err
 
     def test_nan_sample_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
