@@ -235,15 +235,25 @@ def _comment_follows(text: str, start: int) -> bool:
     return False
 
 
-def _scan_csv(path) -> tuple[str, str | list[str], int]:
-    """Read a boundary data file once: its header, then the data rows for np.loadtxt and
-    the number of lines it should skip.
+def _data_lines(text: str, skip: int) -> list[str]:
+    """The lines of text after the first `skip` that are neither blank nor comments."""
+    return [ln for ln in text.split("\n")[skip:] if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def _load_rows(rows: str | list[str], skip: int) -> np.ndarray:
+    return np.loadtxt(rows, skiprows=skip, encoding="utf-8-sig", delimiter=",", usecols=(0, 1),
+                      ndmin=2, quotechar='"', comments=None)
+
+
+def _scan_csv(path) -> tuple[str, str | list[str], int, str]:
+    """Read a boundary data file once: its header, the data rows for np.loadtxt, the
+    number of lines it should skip, and the text read.
 
     The header is the first non-empty line that is not a comment. Lines end at \\n, \\r\\n
     or \\r, as in numpy's text-mode open. When no comment line follows the header and
     numpy would open the file as the same plain text, the rows are the file's absolute
     path and the skip covers every line up to the header, so numpy parses in C chunks.
-    Otherwise they are the non-empty, non-comment lines after the header, skip 0.
+    Otherwise they are the non-blank, non-comment lines after the header, skip 0.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -259,30 +269,34 @@ def _scan_csv(path) -> tuple[str, str | list[str], int]:
         end = len(text) if end < 0 else end
         header, start, skip = text[start:end], end + 1, skip + 1
     if text.count("\n", start) >= len(text) - start:  # no non-empty line after the header
-        return header, [], 0
+        return header, [], 0, text
     # numpy opens the file again by name: a pipe would read empty the second time, a
     # compressed suffix would be decompressed, and a comment after the header would not parse
     if (regular and isinstance(path, (str, bytes, os.PathLike))
             and not os.fsdecode(path).lower().endswith(_COMPRESSED)
             and not _comment_follows(text, start)):
-        return header, os.fsdecode(os.path.abspath(path)), skip  # absolute: never read as a URL
-    return header, [ln for ln in text.split("\n")[skip:] if ln and not ln.lstrip().startswith("#")], 0
+        return header, os.fsdecode(os.path.abspath(path)), skip, text  # absolute: never read as a URL
+    return header, _data_lines(text, skip), 0, text
 
 
 def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     """Read sampled boundary data: UTF-8 text (a BOM is accepted), a header
-    ``arclength,value``, then one sample per line; a line whose first non-blank character
-    is '#' is a comment."""
+    ``arclength,value``, then one sample per line; a line of only spaces or tabs is blank,
+    and a line whose first non-blank character is '#' is a comment."""
     rect = Rectangle(alpha)
-    header, rows, skip = _scan_csv(path)
+    header, rows, skip, text = _scan_csv(path)
     first = next(csv.reader([header]))
     if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
         raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
-    data = np.empty((0, 2))
-    if rows:  # loadtxt warns on no data
+    data = None
+    if isinstance(rows, str):
         try:
-            data = np.loadtxt(rows, skiprows=skip, encoding="utf-8-sig", delimiter=",", usecols=(0, 1),
-                              ndmin=2, quotechar='"', comments=None)
+            data = _load_rows(rows, skip)
+        except ValueError:  # numpy skips only empty lines: parse the text read, without blank ones
+            rows = _data_lines(text, skip)
+    if data is None:
+        try:
+            data = _load_rows(rows, 0) if rows else np.empty((0, 2))  # loadtxt warns on no data
         except ValueError as exc:
             raise BoundaryDataError(f"{path}: bad row: {exc}") from exc
     return SampledBoundaryFunction(rect, data[:, 0], data[:, 1])
@@ -295,13 +309,15 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
+    if not 2 <= order <= _MAX_ORDER:
+        raise ValueError(f"quadrature order must be in [2, {_MAX_ORDER}], got {order}")
     if order not in _GAUSS_CACHE:
         _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _GAUSS_CACHE[order]
 
 
+# leggauss solves a dense order x order eigenproblem: time grows as order^3, memory as order^2
+_MAX_ORDER = 1024
 # more panels than this would take gigabytes, for modes or data beyond any quadrature here
 _MAX_PANELS = 2**15
 

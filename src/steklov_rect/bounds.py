@@ -11,11 +11,9 @@ alpha, so records carry logarithms and strictness is asserted in log space.
 from __future__ import annotations
 
 import enum
-import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -130,50 +128,35 @@ _CENTER_COEFF = 0.41
 _CENTER_COEFF_MIN_INDEX = 3
 
 
-def square_center_tail(m: int, tol: float = DEFAULT_TOL, nus: Sequence[float] = ()) -> float:
+def square_center_tail(m: int, tol: float = DEFAULT_TOL) -> float:
     """Certified |h(0,0) - h_m(0,0)| / ||h|| on the square.
 
     The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
     that the geometric tail summed from nu_{m+1} is used, which is valid for
-    every m. nus may hold the class-I x-family roots nu_1, nu_2, ... already
-    solved; the root needed is taken from the solved stream when nus does
-    not hold it.
+    every m. The root is read from the solved class-I x-family stream, so it
+    is the expansion's own root whenever the two share tol.
     """
     j = m if m >= _CENTER_COEFF_MIN_INDEX else m + 1
-    if j <= len(nus):
-        nu = nus[j - 1]
-    else:
-        nu = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
+    nu = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
     if m >= _CENTER_COEFF_MIN_INDEX:
         return _CENTER_COEFF * math.exp(-nu)
     return _PAIR_BOUND * math.exp(-nu) / (1.0 - math.exp(-math.pi))
 
 
-@functools.lru_cache(maxsize=256)  # pure, and its loop costs as much as a small expansion's roots
 def rect_center_tail(m: int, alpha: float) -> float:
     """Certified central tail on a strict rectangle from per-term bounds.
 
-    Each omitted class-I term of family X/Y contributes at most
-    sqrt(perimeter * c_bound); the c bounds only need the analytic root
-    windows nu_j in ((j-1/2) pi/a, j pi/a), so no further root solving is
-    required and the sum collapses geometrically.
+    Each omitted class-I term j > m of family X/Y contributes at most
+    sqrt(perimeter * c_bound), with c_bound taken at the lower end of the
+    analytic root window nu_j in ((j-1/2) pi/a, j pi/a): family X gives
+    sqrt(per 2.56/alpha) exp(-(j-1/2) pi/alpha), family Y
+    sqrt(per 2.56) exp(-alpha (j-1/2) pi). Both are geometric in j, so the
+    tail is their two closed-form sums and needs no root solving.
     """
     per = Rectangle(alpha).perimeter
-    total = 0.0
-    for j in range(m + 1, m + 501):
-        nu1_lo = (j - 0.5) * math.pi / alpha
-        nu1_hi = j * math.pi / alpha
-        c1 = min(
-            2.56 / alpha * math.exp(-2.0 * nu1_lo),
-            4.0 * nu1_hi * math.exp(-2.0 * alpha * nu1_lo),
-        )
-        nu2_lo = (j - 0.5) * math.pi
-        c2 = 2.56 * math.exp(-2.0 * alpha * nu2_lo)
-        term = math.sqrt(per * c1) + math.sqrt(per * c2)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return total
+    x_step, y_step = math.pi / alpha, alpha * math.pi
+    return (math.sqrt(per * 2.56 / alpha) * math.exp(-(m + 0.5) * x_step) / -math.expm1(-x_step)
+            + math.sqrt(per * 2.56) * math.exp(-(m + 0.5) * y_step) / -math.expm1(-y_step))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +250,7 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     rows += [TableRow(3, f"c_{j}", c, TABLE3_C[j - 1], TOL_TABLE23) for j, c in enumerate(cs, start=1)]
     rows += [TableRow(3, f"c_{j}/c_{j-1}", cs[j - 1] / cs[j - 2], TABLE3_RATIO[j - 2], TOL_TABLE23)
              for j in range(2, 7)]
-    tails = [square_center_tail(m, root_tol, nus) for m in range(1, 4)]
+    tails = [square_center_tail(m, root_tol) for m in range(1, 4)]
     rows += [TableRow(4, f"relerr_m{m}", v, TABLE4_RELERR[m - 1], TOL_TABLE4)
              for m, v in enumerate(tails, start=1)]
     return TableReport(tuple(rows))

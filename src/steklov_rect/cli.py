@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_numerics(args) -> None:
     if not (math.isfinite(args.root_tol) and args.root_tol > 0.0):
         raise UsageError(f"--root-tol must be positive and finite, got {args.root_tol}")
-    if args.quad_order < 2:
-        raise UsageError(f"--quad-order must be >= 2, got {args.quad_order}")
+    if not 2 <= args.quad_order <= bd._MAX_ORDER:
+        raise UsageError(f"--quad-order must be in [2, {bd._MAX_ORDER}], got {args.quad_order}")
 
 
 def _check_alpha(alpha: float) -> None:

@@ -300,8 +300,7 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     m = min(len(fam_x), len(fam_y))
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
-    per_norm = (square_center_tail(m, tol, [t.mode.nu for t in fam_x]) if e.alpha == 1.0
-                else rect_center_tail(m, e.alpha))
+    per_norm = square_center_tail(m, tol) if e.alpha == 1.0 else rect_center_tail(m, e.alpha)
     if e.t is not None:
         eqs = [DeterminingEquation(SymmetryClass.I, fam, e.alpha) for fam in Family]
         per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)

@@ -226,7 +226,7 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     # the iterates stay between the nudged ends, where the residual is negative at lo and
     # positive at hi, so no residual below needs the pole guard
     lo, hi = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    coarse = max(tol, _POLISH_CUTOFF) if tol >= _POLISH_CUTOFF else 1e-6
+    coarse = tol if tol >= _POLISH_CUTOFF else 1e-6
     # a step halves a bracket to within an ulp, so one still wider than coarse after
     # this many steps has stalled: its midpoint rounds onto an end
     steps = math.ceil(math.log2(np.max(hi - lo, initial=coarse) / coarse)) + 3

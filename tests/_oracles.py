@@ -7,6 +7,8 @@ integrals from scipy's fixed_quad on directly-written profiles.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.optimize import brentq
@@ -64,3 +66,18 @@ def fd_normal_derivative(fn, x, y, nx, ny, h=1e-6):
     f1 = fn(x - nx * h, y - ny * h)
     f2 = fn(x - 2 * nx * h, y - 2 * ny * h)
     return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+
+
+def rect_tail_series(m, alpha):
+    """The central tail on a rectangle as its series: math.fsum of the per-term bounds
+    sqrt(per 2.56/alpha) exp(-(j-1/2) pi/alpha) and sqrt(per 2.56) exp(-alpha (j-1/2) pi)
+    over j > m, taken until the geometric remainder is below 1e-17."""
+    per = 4.0 * (1.0 + alpha)
+    terms, j = [], m + 1
+    while True:
+        x = math.sqrt(per * 2.56 / alpha) * math.exp(-(j - 0.5) * math.pi / alpha)
+        y = math.sqrt(per * 2.56) * math.exp(-alpha * (j - 0.5) * math.pi)
+        if x / (1.0 - math.exp(-math.pi / alpha)) + y / (1.0 - math.exp(-alpha * math.pi)) < 1e-17:
+            return math.fsum(terms)
+        terms += [x, y]
+        j += 1

@@ -31,7 +31,7 @@ from steklov_rect import (
     resolve,
 )
 from steklov_rect.modes import _factor_blocks, evaluate
-from steklov_rect.boundary import _EdgeSpline, _scan_csv, default_panels, edge_quadrature, project
+from steklov_rect.boundary import _MAX_ORDER, _EdgeSpline, _scan_csv, default_panels, edge_quadrature, project
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
 
@@ -66,6 +66,12 @@ class TestQuadratureRule:
             pts, wts = edge_quadrature(Rectangle(alpha), edge, order, panels)
             assert np.array_equal(pts, -pts[::-1]) and np.array_equal(wts, wts[::-1])
             assert np.all(np.diff(pts) > 0)
+
+    def test_order_above_the_cap_is_refused(self, monkeypatch):
+        # nodes at a huge order would take minutes and gigabytes: refused before leggauss runs
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail(f"nodes at order {n}"))
+        with pytest.raises(ValueError, match=str(_MAX_ORDER)):
+            edge_quadrature(Rectangle(1.0), Edge.TOP, order=_MAX_ORDER + 1, panels=1)
 
     def test_default_panels_scale_with_frequency(self):
         assert default_panels(0.0) == 4
@@ -346,9 +352,10 @@ class TestSampledData:
 
 def _csv_reader_parse(path):
     """The loader's earlier parse (csv.reader, float per cell), kept as its oracle.
-    A comment is a line whose first non-blank character is '#', before any unquoting."""
+    A line of only spaces or tabs is blank, and a comment is a line whose first non-blank
+    character is '#', before any unquoting."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(ln for ln in fh if not ln.lstrip().startswith("#")) if r]
+        rows = [r for r in csv.reader(ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))]
     assert [c.strip().lower() for c in rows[0]][:2] == ["arclength", "value"]
     try:
         return [float(r[0]) for r in rows[1:]], [float(r[1]) for r in rows[1:]]
@@ -391,10 +398,15 @@ class TestLoadCsv:
             _layout("{a},{v}").replace("\n", "\r"),
             "# exported\r\n" + _layout("{a},{v}").replace("\n", "\r\n"),
             _layout("{a},{v}").replace("value\n", "value\n# units: none\n", 1),
+            _layout("{a},{v}") + "\t",
+            _layout("{a},{v}").replace("\n2.75,", "\n \t \n2.75,"),
+            _layout("{a},{v}", comment_every=3).replace("1,2\n", "1,2\n  \n", 2),
+            "# exported\r\n" + _layout("{a},{v}").replace("\n", "\r\n") + "\t\r\n",
         ],
         ids=["plain", "comments", "blank-lines", "leading-comments-only", "extra-columns", "quoted",
              "whitespace", "header-variants", "crlf", "cr", "crlf-leading-comment",
-             "comment-after-header"],
+             "comment-after-header", "tab-last-line", "indented-blank-line", "blank-next-to-comment",
+             "crlf-tab-line"],
     )
     def test_matches_csv_reader_parse(self, tmp_path, text):
         path = tmp_path / "samples.csv"
@@ -418,7 +430,7 @@ class TestLoadCsv:
         # would not parse there, so those files go to np.loadtxt as filtered lines
         path = tmp_path / "samples.csv"
         path.write_text(text)
-        header, rows, skip = _scan_csv(path)
+        header, rows, skip, _ = _scan_csv(path)
         assert header == "arclength,value"
         assert isinstance(rows, str) == by_name
         assert skip == (text.count("\n", 0, text.index("arclength")) + 1 if by_name else 0)
@@ -468,9 +480,27 @@ class TestLoadCsv:
         with pytest.raises(BoundaryDataError, match="bad-row.csv"):
             load_boundary_csv(path, 1.0)
 
+    def test_bad_row_after_blank_line_keeps_its_row_number(self, tmp_path):
+        # a line of only spaces or tabs is skipped, and numpy counts rows without blank lines
+        messages = []
+        for name, blank in (("clean", ""), ("blank", " \t\n")):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "bad-row.csv"
+            path.write_text(_layout("{a},{v}") + blank + "1.0,oops\n")
+            with pytest.raises(BoundaryDataError, match="bad-row.csv: bad row") as info:
+                load_boundary_csv(path, 1.0)
+            messages.append(str(info.value).replace(str(tmp_path / name), ""))
+        assert messages[1] == messages[0]
+
     def test_header_only_is_coverage_error(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("arclength,value\n# nothing else\n")
+        with pytest.raises(EdgeCoverageError):
+            load_boundary_csv(path, 1.0)
+
+    def test_header_and_blank_lines_is_coverage_error(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("arclength,value\n \n\t\n")
         with pytest.raises(EdgeCoverageError):
             load_boundary_csv(path, 1.0)
 

@@ -9,6 +9,9 @@ from steklov_rect import (
     nu_orderings,
     reproduce_tables,
 )
+from steklov_rect.bounds import rect_center_tail
+
+from _oracles import rect_tail_series
 
 RECT_ALPHAS = (0.1, 0.25, 0.5, 0.75)
 
@@ -106,6 +109,14 @@ class TestRectBounds:
     def test_rejects_square(self):
         with pytest.raises(ValueError):
             check_rect_bounds(1.0, 5)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.5, 0.1, 0.02, 0.01, 0.003, 0.001])
+@pytest.mark.parametrize("m", [0, 3, 12])
+def test_rect_tail_sums_its_whole_series(alpha, m):
+    # the y-family ratio exp(-alpha pi) is near 1 at small alpha, where a
+    # series cut after a few hundred terms falls short of the bound it claims
+    assert rect_center_tail(m, alpha) == pytest.approx(rect_tail_series(m, alpha), rel=1e-13)
 
 
 class TestNuOrdering:

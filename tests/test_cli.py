@@ -19,7 +19,10 @@ from steklov_rect import (
     expand_for_central,
     solve_robin,
 )
+from steklov_rect.boundary import _MAX_ORDER
 from steklov_rect.cli import main
+
+from _oracles import rect_tail_series
 
 TABLE1_NU = (2.36502037, 5.49780392, 8.63937983, 11.7809725, 14.9225651, 18.0641578)
 
@@ -195,6 +198,27 @@ class TestCentral:
                          stdin_text=path.read_text())
         assert (proc.returncode, proc.stdout) == (0, want)
 
+    def test_small_alpha_bound_covers_the_whole_series(self, capsys):
+        # at alpha = 0.003 the y-family terms shrink only by exp(-0.003 pi) each
+        rc, out, _ = run(capsys, "central", "--builtin", "coshcos:2", "--alpha", "0.003", "--m", "1",
+                         "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["bound"] >= doc["data_norm"] * rect_tail_series(1, 0.003)
+
+    def test_lines_of_spaces_or_tabs_are_blank(self, capsys, tmp_path):
+        rect = Rectangle(1.0)
+        rows = []
+        for k in range(80):
+            p = rect.arclength_to_point(k / 10 + 0.05)
+            rows.append(f"{k / 10 + 0.05!r},{p.x**2 - p.y**2!r}\n")
+        clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+        clean.write_text("arclength,value\n" + "".join(rows))
+        blank.write_text("arclength,value\n" + "".join(rows[:40]) + " \t \n" + "".join(rows[40:]) + "\t")
+        outs = [run(capsys, "central", "--data", str(path), "--alpha", "1", "--m", "3") for path in (clean, blank)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
+
     def test_requires_exactly_one_source(self, capsys):
         assert run(capsys, "central")[0] == 2
         assert run(capsys, "central", "--builtin", "x", "--data", "f.csv")[0] == 2
@@ -225,6 +249,7 @@ class TestBadValues:
         ("central", "--builtin", "x2-y2", "--root-tol", "nan"),
         ("spectrum", "--root-tol", "inf"),
         ("solve", "--mode", "dirichlet", "--builtin", "x", "--quad-order", "1"),
+        ("solve", "--mode", "dirichlet", "--builtin", "x", "--quad-order", str(_MAX_ORDER + 1)),
         ("central", "--builtin", "const:nan"),
         ("central", "--builtin", "const:inf"),
         ("central", "--builtin", "coshcos:nan"),

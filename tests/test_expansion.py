@@ -35,7 +35,7 @@ from steklov_rect import (
     solve_robin,
 )
 from steklov_rect.bounds import rect_center_tail
-from steklov_rect.expansion import _axis
+from steklov_rect.expansion import _axis, _class_one_prefix
 from steklov_rect.geometry import DomainError
 
 from _oracles import boundary_mean
@@ -254,15 +254,27 @@ class TestCentralValue:
             assert res.bound == pytest.approx(want, rel=1e-12)
             assert abs(1.0 - res.value) <= res.bound
 
-    def test_square_tail_takes_the_expansion_root(self, monkeypatch):
-        # from m = 3 on the tail needs nu_m, which the expansion already holds
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_square_tail_reads_the_expansion_root(self, m, monkeypatch):
+        # the tail reads nu_m (from m = 3 on) or nu_{m+1} from the class-I stream the
+        # expansion was built from, so the bound is the formula on that root bit for bit
         import steklov_rect.modes as modes_module
 
-        e = expand_for_central(builtin_boundary("coshcos:1"), 1.0, 5)
-        want = central_value(e)
-        modes_module._solved.cache_clear()  # so that a root taken from the streams would be solved
-        monkeypatch.setattr(modes_module, "solve_nu", lambda *args: pytest.fail("root solved again"))
-        assert central_value(e) == want
+        h = builtin_boundary("coshcos:1")
+        for e in (expand_for_central(h, 1.0, m), expand_dirichlet(h, 1.0, 2 * m, classes=[SymmetryClass.I])):
+            res = central_value(e)
+            fam_x, fam_y = (_class_one_prefix(e, fam) for fam in Family)
+            assert res.m == m
+            if m >= 3:
+                per_norm = 0.41 * math.exp(-fam_x[m - 1].mode.nu)
+            else:
+                per_norm = 9.06 * math.exp(-class_one(m + 1).nu) / (1.0 - math.exp(-math.pi))
+            magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
+            rounding = (len(fam_x) + len(fam_y) + 2) * sys.float_info.epsilon * magnitude
+            assert res.bound == per_norm * res.data_norm + rounding
+            with monkeypatch.context() as patch:
+                patch.setattr(modes_module, "solve_nu", lambda *args: pytest.fail("root solved again"))
+                assert central_value(e) == res
 
     def test_rectangle_bound_certifies(self):
         h = builtin_boundary("coshcos:1")

@@ -32,7 +32,6 @@ from steklov_rect import (
     spectrum,
 )
 from steklov_rect import modes as md
-from steklov_rect.bounds import rect_center_tail
 from steklov_rect.modes import gradient
 from steklov_rect.roots import DEFAULT_TOL
 
@@ -489,8 +488,6 @@ class TestStreamCache:
         md._solved.cache_clear()
         for alpha in np.linspace(0.2, 1.0, 100):
             first_modes(float(alpha), 8)
-            rect_center_tail(3, float(alpha))
-        for cache in (md._solved, rect_center_tail):
-            info = cache.cache_info()
-            assert 0 < info.currsize <= info.maxsize
+        info = md._solved.cache_info()
+        assert 0 < info.currsize <= info.maxsize
         assert md._solved.cache_info().currsize == md._STREAMS
