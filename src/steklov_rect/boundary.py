@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _factor_blocks, evaluate
+from .modes import SteklovMode, _block_factors, _mode_blocks, evaluate
+from .roots import Family
 
 __all__ = [
     "BoundaryFunction",
@@ -397,13 +398,20 @@ def project(
     One composite Gauss grid per edge, with default_panels(u.freq_hint +
     largest nu) panels, carries every integral, and u is evaluated on it once.
     A mode is the product of an x and a y factor; opposite edges share their
-    nodes, so on each pair the factor along the edges is one block per
-    (class, family), multiplied by the weighted data of both edges at once.
-    That factor is even or odd and the grid symmetric, so the block covers
-    the nodes t >= 0 only, against the data's even or odd part folded there.
+    nodes, so on each pair the factor along the edges is summed against the
+    weighted data per (class, family), and the factor across them is taken
+    at one end. Both factors are even or odd and the grid symmetric, so the
+    data is folded by both parities: onto the nodes t >= 0 of one edge.
+    There, node t of panel p is c_p + d_k, with c_p the panel centre, and
+    addition formulas make the factor along the edges a sum of two products
+    of a (mode, panel) and a (mode, node) table: two matrix products a block.
     """
     panels = default_panels(u.freq_hint + max((m.nu for m in modes), default=0.0))
     total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
+    nodes = _gauss(order)[0]
+    nodes = 0.5 * (nodes - nodes[::-1])  # mirror-symmetric, an odd order's middle node exactly 0
+    q = (panels + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
+    blocks = list(_mode_blocks(modes, 2 * max(order, q)))
     pairs = (((Edge.RIGHT, Edge.LEFT), (1.0, -1.0)), ((Edge.TOP, Edge.BOTTOM), (rect.alpha, -rect.alpha)))
     for pair, ends in pairs:
         t, w = edge_quadrature(rect, pair[0], order, panels)
@@ -413,12 +421,42 @@ def project(
         square += float(np.sum(wh * hv))
         half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
         mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
-        folded = {True: wh[half:] + mirror, False: wh[half:] - mirror}  # by parity of the factor
+        # the nodes t < 0 of a middle panel hold 0, so the upper half is q whole panels
+        below = np.zeros((q * order - (t.size - half), 2))
+        folded = {}  # (along, across) parity of the factors -> data on q panels x order nodes
+        for even_t, part in ((True, wh[half:] + mirror), (False, wh[half:] - mirror)):
+            part = np.concatenate([below, part])
+            folded[even_t, True] = (part[:, 0] + part[:, 1]).reshape(q, order)
+            folded[even_t, False] = (part[:, 0] - part[:, 1]).reshape(q, order)
         vertical = pair[0] == Edge.RIGHT
-        x, y = (np.array(ends), t[half:]) if vertical else (t[half:], np.array(ends))
-        for part, fx, fy, (even_x, even_y) in _factor_blocks(modes, x, y, t.size - half):
-            along, across, even = (fy, fx, even_y) if vertical else (fx, fy, even_x)
-            coeffs[part] += np.sum((along @ folded[even]) * across, axis=1)
+        lo, hi = rect.edge_range(pair[0])
+        width = (hi - lo) / panels
+        centres = width * (np.arange(q) + 0.5 * (1 - panels % 2))
+        offsets = 0.5 * width * nodes
+        up = np.concatenate([np.zeros(below.shape[0]), t[half:]])  # nodes of the folded data
+        at = (lambda s: (ends[:1], s)) if vertical else (lambda s: (s, ends[:1]))  # (x, y) of s, first edge
+        for part, eq, nu, log_scale, (even_x, even_y) in blocks:
+            even_along, even_across = (even_y, even_x) if vertical else (even_x, even_y)
+            data = folded[even_along, even_across]
+            if eq is None:  # the constant or the xy mode: factors at the nodes
+                fx, fy = _block_factors(modes, part, eq, nu, log_scale, *at(up))
+                along, across = (fy, fx) if vertical else (fx, fy)
+                coeffs[part] += (along @ data.ravel()) * across[:, 0]
+                continue
+            fx, fy = _block_factors(modes, part, eq, nu, log_scale, *at(up[:0]))  # along: no nodes
+            across = (fx if vertical else fy)[:, 0]
+            nc, nd = nu * centres, nu * offsets
+            if (eq.family == Family.Y) == vertical:  # hyperbolic along the edges, with log_scale:
+                # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,
+                # where e^(-nu d_k) = e^(nu d_(K-1-k)) on the symmetric nodes
+                ed = np.exp(nd)
+                sums = 0.5 * (np.exp(log_scale + nc) * (ed @ data.T) + (1.0 if even_along else -1.0)
+                              * np.exp(log_scale - nc) * (ed @ data[:, ::-1].T))
+            else:  # cos nu (c + d) = cos nu c cos nu d - sin nu c sin nu d, sin likewise
+                cd, sd = np.cos(nd) @ data.T, np.sin(nd) @ data.T
+                cc, sc = np.cos(nc), np.sin(nc)
+                sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
+            coeffs[part] += np.sum(sums, axis=1) * across
     per = rect.perimeter
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 

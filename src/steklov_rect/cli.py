@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data_flags(p)
     p.add_argument("--mode", choices=("dirichlet", "robin", "neumann"), required=True)
-    p.add_argument("--t", type=float, default=1.0, help="Robin parameter in (0, 1]")
+    p.add_argument("--t", type=float, default=None, help="Robin parameter in (0, 1], default 1")
     p.add_argument("--m", type=int, default=12, help="number of non-constant modes")
     p.add_argument("--eval", default=None, dest="eval_points", help='points "x,y;x,y;..."')
     p.set_defaults(func=cmd_solve)
@@ -103,9 +103,12 @@ def _parse_classes(raw: Optional[str]) -> Optional[list[SymmetryClass]]:
     if raw is None:
         return None
     try:
-        return [SymmetryClass(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        classes = [SymmetryClass(tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"--classes must list I,II,III,IV: {exc}") from exc
+    if not classes:
+        raise UsageError(f"--classes must list at least one of I,II,III,IV, got {raw!r}")
+    return classes
 
 
 def _parse_eval(raw: Optional[str]) -> list[tuple[float, float]]:
@@ -209,12 +212,15 @@ def cmd_solve(args) -> int:
         raise UsageError(f"--m must be >= 0, got {args.m}")
     eta = _load_data(args)
     points = _parse_eval(args.eval_points)
-    if args.mode == "robin" and not (0.0 < args.t <= 1.0):
-        raise UsageError(f"--t must be in (0, 1], got {args.t}")
+    if args.mode != "robin" and args.t is not None:
+        raise UsageError(f"--t is the Robin parameter; --mode {args.mode} takes none")
+    t = 1.0 if args.t is None else args.t
+    if not (0.0 < t <= 1.0):
+        raise UsageError(f"--t must be in (0, 1], got {t}")
     if args.mode == "dirichlet":
         e = xp.expand_dirichlet(eta, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
     elif args.mode == "robin":
-        e = xp.solve_robin(eta, args.alpha, args.t, args.m, order=args.quad_order, tol=args.root_tol)
+        e = xp.solve_robin(eta, args.alpha, t, args.m, order=args.quad_order, tol=args.root_tol)
     else:
         e = xp.solve_neumann(eta, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
     xs, ys = [x for x, _ in points], [y for _, y in points]

@@ -268,13 +268,14 @@ def _mode_factors(mode: SteklovMode, x, y):
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _factor_blocks(modes: Sequence[SteklovMode], x, y, width: int) -> Iterator[tuple]:
-    """(indices, x factors, y factors, (even_x, even_y)) of slices of modes of one kind and
-    (class, family), each of at most _BLOCK_ENTRIES values over width points (or of one mode).
+def _mode_blocks(modes: Sequence[SteklovMode], width: int) -> Iterator[tuple]:
+    """(indices, equation, nu, log_scale, (even_x, even_y)) of slices of modes of one kind and
+    (class, family), each of at most _BLOCK_ENTRIES // width modes (or of one mode).
 
-    x and y are 1-d; row r of each block holds modes[indices[r]], so the traces of those modes
-    at (x[k], y[l]) are x_block[:, k] * y_block[:, l]. even_x and even_y say whether the x and
-    the y factor are even (cosh, cos, the constant) rather than odd.
+    Row r of a slice is modes[indices[r]]. For separated modes, equation is their (class,
+    family)'s and nu and log_scale are columns of their values; all three are None for the
+    constant and the xy mode. even_x and even_y say whether the x and the y factor are even
+    (cosh, cos, the constant) rather than odd.
     """
     rows = max(1, _BLOCK_ENTRIES // max(1, width))
     groups: dict[tuple, list[int]] = {}
@@ -286,12 +287,28 @@ def _factor_blocks(modes: Sequence[SteklovMode], x, y, width: int) -> Iterator[t
         even = (m0.kind == ModeKind.CONSTANT,) * 2 if cls is None else (cls.even_x, cls.even_y)
         for k in range(0, len(idx), rows):
             part = idx[k : k + rows]
-            if cls is not None:
-                nu, log_scale = np.array([[modes[i].nu, modes[i].log_scale] for i in part]).T[..., None]
-                fx, fy = _separated_factors(m0.equation, nu, log_scale, x, y)
+            if cls is None:
+                yield part, None, None, None, even
             else:
-                fx, fy = map(np.array, zip(*(_mode_factors(modes[i], x, y) for i in part)))
-            yield part, fx, fy, even
+                nu, log_scale = np.array([[modes[i].nu, modes[i].log_scale] for i in part]).T[..., None]
+                yield part, m0.equation, nu, log_scale, even
+
+
+def _block_factors(modes: Sequence[SteklovMode], part, eq, nu, log_scale, x, y):
+    """(x factors, y factors) at 1-d x and y of the modes of one slice _mode_blocks gives."""
+    if eq is not None:
+        return _separated_factors(eq, nu, log_scale, x, y)
+    return tuple(map(np.array, zip(*(_mode_factors(modes[i], x, y) for i in part))))
+
+
+def _factor_blocks(modes: Sequence[SteklovMode], x, y, width: int) -> Iterator[tuple]:
+    """(indices, x factors, y factors, (even_x, even_y)) of the slices _mode_blocks gives.
+
+    x and y are 1-d; row r of each block holds modes[indices[r]], so the traces of those modes
+    at (x[k], y[l]) are x_block[:, k] * y_block[:, l].
+    """
+    for part, eq, nu, log_scale, even in _mode_blocks(modes, width):
+        yield part, *_block_factors(modes, part, eq, nu, log_scale, x, y), even
 
 
 def evaluate(mode: SteklovMode, x, y):

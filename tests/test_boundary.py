@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import urllib.request
 
 import mpmath
@@ -24,6 +25,7 @@ from steklov_rect import (
     coefficient,
     coefficients,
     constant_function,
+    expand_for_central,
     first_modes,
     inner_product,
     load_boundary_csv,
@@ -208,7 +210,7 @@ class TestCoefficients:
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * norm
             assert [coefficient(h, m) for m in modes[::7]] == pytest.approx(want[::7], abs=1e-13 * norm)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.01])
     def test_one_grid_matches_per_mode_grids(self, alpha):
         # inner_product sizes a grid for each mode alone, as coefficients did
         # before it shared one grid; the difference is rounding only
@@ -238,10 +240,11 @@ class TestCoefficients:
             assert np.array_equal(gx, fx if even_x else -fx)
             assert np.array_equal(gy, fy if even_y else -fy)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    def test_odd_grid_matches_per_mode_quadrature(self, alpha):
-        # order 5 and an odd panel count leave a middle node t = 0 without a mirror
-        rect, order = Rectangle(alpha), 5
+    @pytest.mark.parametrize("alpha,order", [(1.0, 5), (0.5, 5), (1.0, 2), (0.5, 2)],
+                             ids=["1.0", "0.5", "1.0-order2", "0.5-order2"])
+    def test_odd_grid_matches_per_mode_quadrature(self, alpha, order):
+        # an odd panel count centres a panel on t = 0; order 5 leaves its middle node without a mirror
+        rect = Rectangle(alpha)
         spectrum = first_modes(alpha, 40)
         for h in self.data(alpha):
             panels, modes = next((p, spectrum[:k]) for k in range(20, 41)
@@ -249,6 +252,57 @@ class TestCoefficients:
             want = [inner_product(h, ModeTrace(m), order=order, panels=panels) for m in modes]
             got = project(h, rect, modes, order)[2]
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * boundary_norm(h, rect=rect)
+
+
+    # data of one parity pattern and the coefficients its parities force to 0.0
+    @pytest.mark.parametrize("name,classes,with_xy", [
+        ("x2-y2", (SymmetryClass.II, SymmetryClass.III, SymmetryClass.IV), True),
+        ("xy", (SymmetryClass.I, SymmetryClass.III, SymmetryClass.IV), False),
+        ("x3-3xy2", (SymmetryClass.II, SymmetryClass.III), True),
+    ])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_parity_forbidden_coefficients_are_exact_zeros(self, alpha, name, classes, with_xy):
+        modes = first_modes(alpha, 200)
+        got = project(builtin_boundary(name), Rectangle(alpha), modes)[2]
+        zero = [c for c, m in zip(got, modes)
+                if m.symmetry_class in classes or (with_xy and m.mode_id == ModeId.xy())]
+        assert len(zero) >= 100
+        assert zero == [0.0] * len(zero)
+
+    @pytest.mark.parametrize("cls", [SymmetryClass.I, SymmetryClass.IV])
+    def test_high_mode_trace_is_orthonormal(self, cls):
+        modes = first_modes(1.0, 1000)
+        k = max(i for i, m in enumerate(modes) if m.symmetry_class == cls)
+        assert modes[k].nu > 350
+        got = np.array(project(ModeTrace(modes[k]), Rectangle(1.0), modes)[2])
+        assert abs(got[k] - 1.0) <= 1e-12
+        assert np.max(np.abs(np.delete(got, k))) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,data,modes", [
+        (0.003, "coshcos:2", "central"),  # 918 panels per edge
+        (1.0, "coshcos:300", 50),
+        (0.5, "coshcos:300", 50),
+    ])
+    def test_no_overflow_or_invalid(self, alpha, data, modes):
+        h = builtin_boundary(data)
+        if modes == "central":
+            modes = [term.mode for term in expand_for_central(h, alpha, 3).terms]
+        else:
+            modes = first_modes(alpha, modes)
+        with np.errstate(over="raise", invalid="raise"):
+            _, norm, got = project(h, Rectangle(alpha), modes)
+        assert all(math.isfinite(c) and abs(c) <= norm for c in got)
+
+    def test_peak_memory(self):
+        rect, modes, h = Rectangle(0.1), first_modes(0.1, 400), builtin_boundary("coshcos:2")
+        project(h, rect, modes)  # Gauss rule and imports cached
+        tracemalloc.start()
+        try:
+            project(h, rect, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75e6
 
 
 class TestSampledData:

@@ -259,6 +259,12 @@ class TestBadValues:
         rc, _, err = run(capsys, *argv)
         self.assert_clean_error(rc, err, want_rc=2)
 
+    @pytest.mark.parametrize("classes", ["", ",", " , "])
+    def test_empty_class_list_is_usage_error(self, capsys, classes):
+        rc, out, err = run(capsys, "spectrum", "--classes", classes)
+        self.assert_clean_error(rc, err, want_rc=2)
+        assert "--classes" in err and out == ""
+
     def test_overflowing_data_is_data_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning that escapes raises here
@@ -350,6 +356,19 @@ class TestSolve:
     def test_t_out_of_range(self, capsys):
         assert run(capsys, "solve", "--mode", "robin", "--t", "1.5", "--builtin", "x")[0] == 2
         assert run(capsys, "solve", "--mode", "robin", "--t", "0", "--builtin", "x")[0] == 2
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
+    def test_t_without_robin_is_usage_error(self, capsys, mode):
+        rc, out, err = run(capsys, "solve", "--mode", mode, "--t", "0.5", "--builtin", "x")
+        TestBadValues.assert_clean_error(rc, err, want_rc=2)
+        assert "--t" in err and out == ""
+
+    def test_robin_t_defaults_to_one(self, capsys):
+        argv = ("solve", "--mode", "robin", "--builtin", "coshcos:1.5", "--m", "6", "--eval", "0.2,0.3")
+        rc1, out1, _ = run(capsys, *argv)
+        rc2, out2, _ = run(capsys, *argv, "--t", "1")
+        assert rc1 == rc2 == 0
+        assert out1 == out2 and "t=1" in out1
 
     def test_eval_points(self, capsys):
         rc, out, _ = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x2-y2",
