@@ -474,7 +474,8 @@ def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Built-in boundary data: exact harmonic functions, so runs are self-checking.
+# Built-in boundary data: exact harmonic functions, so runs are self-checking. Powers are
+# written as products: x * x * x is exactly odd in x on floats, numpy's x**3 is not.
 
 def _poly(fn: Callable, name: str) -> Callable[[str | None], AnalyticBoundaryFunction]:
     def make(param: Optional[str]) -> AnalyticBoundaryFunction:
@@ -522,10 +523,10 @@ _BUILTINS: dict[str, Callable[[Optional[str]], AnalyticBoundaryFunction]] = {
     "y": _poly(lambda x, y: y + 0.0 * x, "y"),
     "xy": _poly(lambda x, y: x * y, "xy"),
     "x2-y2": _poly(lambda x, y: x * x - y * y, "x2-y2"),
-    "x3-3xy2": _poly(lambda x, y: x**3 - 3 * x * y * y, "x3-3xy2"),
-    "3x2y-y3": _poly(lambda x, y: 3 * x * x * y - y**3, "3x2y-y3"),
-    "x4-6x2y2+y4": _poly(lambda x, y: x**4 - 6 * x * x * y * y + y**4, "x4-6x2y2+y4"),
-    "4x3y-4xy3": _poly(lambda x, y: 4 * x**3 * y - 4 * x * y**3, "4x3y-4xy3"),
+    "x3-3xy2": _poly(lambda x, y: x * x * x - 3 * x * y * y, "x3-3xy2"),
+    "3x2y-y3": _poly(lambda x, y: 3 * x * x * y - y * y * y, "3x2y-y3"),
+    "x4-6x2y2+y4": _poly(lambda x, y: x * x * x * x - 6 * x * x * y * y + y * y * y * y, "x4-6x2y2+y4"),
+    "4x3y-4xy3": _poly(lambda x, y: 4 * x * x * x * y - 4 * x * y * y * y, "4x3y-4xy3"),
     "coshcos": _osc("coshcos"),
     "sinhsin": _osc("sinhsin"),
     "coscosh": _osc("coscosh"),

@@ -181,6 +181,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _warn_if_vacuous(res: xp.CentralValueResult) -> None:
+    """Log a warning when the certificate rules nothing out: bound >= |value| + data_norm."""
+    if res.data_norm is not None and res.bound >= abs(res.value) + res.data_norm:
+        import logging  # here, not at the top: start-up is most of a CLI call
+
+        logging.getLogger(__name__).warning(
+            "warning: the certified bound %s is at least |value| + data_norm = %s, so it says "
+            "nothing about the value; a larger --m tightens it", _fmt(res.bound),
+            _fmt(abs(res.value) + res.data_norm))
+
+
 def cmd_central(args) -> int:
     _check_alpha(args.alpha)
     if args.m < 0:
@@ -188,6 +199,7 @@ def cmd_central(args) -> int:
     h = _load_data(args)
     e = xp.expand_for_central(h, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
     res = xp.central_value(e, tol=args.root_tol)
+    _warn_if_vacuous(res)
     if args.format == "json":
         doc = {"alpha": args.alpha, "value": res.value, "m": res.m,
                "bound": res.bound, "data_norm": res.data_norm}

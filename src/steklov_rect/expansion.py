@@ -241,8 +241,10 @@ def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Coordinates are told apart by their bits, so -0.0 and 0.0 stay distinct
     and every factor sees exactly the coordinate it would see point by point.
     """
-    keys, inv = np.unique(a.ravel().view(np.int64), return_inverse=True)
-    return keys.view(float), inv.ravel()
+    bits = a.ravel().view(np.int64)
+    s = np.sort(bits)
+    keys = np.concatenate([s[:1], s[1:][s[1:] != s[:-1]]])
+    return keys.view(float), np.searchsorted(keys, bits)
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):

@@ -14,7 +14,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +145,13 @@ class SteklovMode:
     def sort_key(self) -> tuple:
         return (self.delta,) + self.mode_id.sort_key()
 
+    @functools.cached_property
+    def _block(self) -> int:
+        """The key _mode_blocks groups by: one code per kind and (class, family)."""
+        if self.kind != ModeKind.SEPARATED:
+            return 1 if self.kind == ModeKind.XY else 0
+        return 2 + 2 * _CLASS_ORDER[self.symmetry_class] + _FAMILY_ORDER[self.family]
+
     def label(self) -> tuple[str, Optional[str], Optional[int]]:
         """(class, family, index) as written out: constant is class I, xy class II."""
         if self.kind == ModeKind.CONSTANT:
@@ -229,7 +236,7 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
         # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
         return SteklovMode(mode_id, alpha, 0.0, 1.0, math.log(math.sqrt(3.0)))
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
-    return _modes_at(eq, np.array([mode_id.index]), tol)[0]
+    return _modes_at(eq, np.array([mode_id.index]), tol)[0][0]
 
 
 def _separated_factors(
@@ -275,23 +282,25 @@ def _mode_blocks(modes: Sequence[SteklovMode], width: int) -> Iterator[tuple]:
     Row r of a slice is modes[indices[r]]. For separated modes, equation is their (class,
     family)'s and nu and log_scale are columns of their values; all three are None for the
     constant and the xy mode. even_x and even_y say whether the x and the y factor are even
-    (cosh, cos, the constant) rather than odd.
+    (cosh, cos, the constant) rather than odd. Groups come in the order of their first mode.
     """
     rows = max(1, _BLOCK_ENTRIES // max(1, width))
-    groups: dict[tuple, list[int]] = {}
-    for i, mode in enumerate(modes):
-        groups.setdefault((mode.kind, mode.symmetry_class, mode.family), []).append(i)
-    for idx in groups.values():
-        m0 = modes[idx[0]]
+    n = len(modes)
+    codes = np.fromiter((mode._block for mode in modes), int, n)
+    nus = np.fromiter((mode.nu for mode in modes), float, n)[:, None]
+    log_scales = np.fromiter((mode.log_scale for mode in modes), float, n)[:, None]
+    _, first = np.unique(codes, return_index=True)
+    for i0 in np.sort(first).tolist():
+        idx = np.flatnonzero(codes == codes[i0])
+        m0 = modes[i0]
         cls = m0.symmetry_class  # None for the constant and the xy mode
         even = (m0.kind == ModeKind.CONSTANT,) * 2 if cls is None else (cls.even_x, cls.even_y)
-        for k in range(0, len(idx), rows):
+        for k in range(0, idx.size, rows):
             part = idx[k : k + rows]
             if cls is None:
                 yield part, None, None, None, even
             else:
-                nu, log_scale = np.array([[modes[i].nu, modes[i].log_scale] for i in part]).T[..., None]
-                yield part, m0.equation, nu, log_scale, even
+                yield part, m0.equation, nus[part], log_scales[part], even
 
 
 def _block_factors(modes: Sequence[SteklovMode], part, eq, nu, log_scale, x, y):
@@ -355,39 +364,66 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
     return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
-def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
-    """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays."""
+def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> tuple[list[SteklovMode], np.ndarray]:
+    """The modes of indices js of one (class, family), and their eigenvalues as an array:
+    roots, eigenvalues and scales as arrays."""
     nu = solve_nu(eq, js, tol)
     cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
+    delta = _delta(eq, nu)
     return [
         SteklovMode(ModeId.separated(cls, fam, j), alpha, n, d, s)
-        for j, n, d, s in zip(js.tolist(), nu.tolist(), _delta(eq, nu).tolist(), _log_scale(eq, nu).tolist())
-    ]
+        for j, n, d, s in zip(js.tolist(), nu.tolist(), delta.tolist(), _log_scale(eq, nu).tolist())
+    ], delta
+
+
+class _Stream(NamedTuple):
+    """What is known of one (class, family) stream, from index 1: the modes solved so far
+    and their eigenvalues, and the eigenvalues at the ends of the root windows bounded so
+    far (_window_deltas), which may reach further than the modes."""
+
+    modes: tuple[SteklovMode, ...]
+    delta: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
 
 # (class, family) streams kept per process, the least recently used dropped first: the eight
-# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes
+# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes, a window 16
 _STREAMS = 64
 
 
 @functools.lru_cache(maxsize=_STREAMS)
-def _solved(eq: DeterminingEquation, tol: float) -> list[tuple[SteklovMode, ...]]:
-    """A one-item list holding the modes of eq's (class, family) solved so far at tol, from index 1."""
-    return [()]
+def _solved(eq: DeterminingEquation, tol: float) -> list[_Stream]:
+    """A one-item list holding what is known of eq's (class, family) stream at tol."""
+    empty = np.zeros(0)
+    return [_Stream((), empty, empty, empty)]
 
 
-def _stream_modes(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
-    """The first count modes of one (class, family), solving only those not solved before.
+def _stream(eq: DeterminingEquation, tol: float, count: int = 0, windows: int = 0) -> _Stream:
+    """eq's stream with at least its first count modes solved and its first `windows` root
+    windows bounded, extending the cached one by what it lacks; its arrays are never written.
 
     Every root runs the iteration it would run alone, so the modes are those
     a cold solve of indices 1..count gives; a solve that raises leaves the
     stream as it was.
     """
     cell = _solved(eq, tol)
-    have = cell[0]  # read once: another thread may store a shorter prefix meanwhile, never a wrong one
-    if count > len(have):
-        cell[0] = have = have + tuple(_modes_at(eq, np.arange(len(have) + 1, count + 1), tol))
-    return list(have[:count])
+    have = cell[0]  # read once: another thread may store a shorter stream meanwhile, never a wrong one
+    modes, delta, low, high = have
+    if count > len(modes):
+        new, new_delta = _modes_at(eq, np.arange(len(modes) + 1, count + 1), tol)
+        modes, delta = modes + tuple(new), np.concatenate([delta, new_delta])
+    if windows > low.size:
+        new_low, new_high = _window_deltas(eq, np.arange(low.size + 1, windows + 1))
+        low, high = np.concatenate([low, new_low]), np.concatenate([high, new_high])
+    if modes is not have.modes or low is not have.low:
+        cell[0] = have = _Stream(modes, delta, low, high)
+    return have
+
+
+def _stream_modes(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
+    """The first count modes of one (class, family), solving only those not solved before."""
+    return list(_stream(eq, tol, count).modes[:count])
 
 
 def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,28 +451,35 @@ def first_modes(
     None); the xy mode counts as class II. The eigenvalues at the upper ends
     of the root windows give a level that at least `count` modes stay
     below; only modes whose window starts below it are taken, a prefix of
-    each (class, family) stream (_stream_modes, which solves a root once per
-    process), and the candidates are sorted once. Ties (the square is full
-    of them) break by class then family order.
+    each (class, family) stream (_stream, which solves a root and bounds a
+    window once per process), and the candidates are sorted once, by one
+    lexsort of their eigenvalues and tie-breaks. Ties (the square is full of
+    them) break by class then family order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     Rectangle(alpha)  # validates alpha
-    eqs = [DeterminingEquation(cls, fam, alpha) for cls, fam in _streams(classes)]
+    eqs = [_equation(cls, fam, alpha) for cls, fam in _streams(classes)]
     if count == 0:
         return []
     if not eqs:
         raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
-    js = np.arange(1, count + 1)  # no stream holds more than count of the first count modes
-    windows = [_window_deltas(eq, js) for eq in eqs]
+    # no stream holds more than count of the first count modes
+    streams = [_stream(eq, tol, windows=count) for eq in eqs]
     with_xy = alpha == 1.0 and (classes is None or SymmetryClass.II in classes)
-    modes = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
-    uppers = np.concatenate([hi for _, hi in windows] + [[m.delta for m in modes]])
+    pool = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
+    # rows (delta, class, family, index): the sort key of each mode in the pool
+    keys = [np.array([(mode.delta, *mode.mode_id.sort_key()) for mode in pool]).reshape(-1, 4).T]
+    uppers = np.concatenate([s.high[:count] for s in streams] + [keys[0][0]])
     level = np.partition(uppers, count - 1)[count - 1]
-    for eq, (lo, _) in zip(eqs, windows):
-        modes += _stream_modes(eq, int(np.count_nonzero(lo <= level)), tol)  # lo rises with j
-    modes.sort(key=SteklovMode.sort_key)
-    return modes[:count]
+    for eq, s in zip(eqs, streams):
+        n = int(np.count_nonzero(s.low[:count] <= level))  # low rises with j
+        s = _stream(eq, tol, n)
+        pool += s.modes[:n]
+        keys.append(np.stack(np.broadcast_arrays(
+            s.delta[:n], _CLASS_ORDER[eq.symmetry_class], _FAMILY_ORDER[eq.family], np.arange(1, n + 1))))
+    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])  # lexsort sorts by its last row first
+    return [pool[i] for i in order[:count].tolist()]
 
 
 def spectrum(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 import urllib.request
@@ -226,6 +227,24 @@ class TestCoefficients:
             assert norm_h == pytest.approx(norm, rel=1e-14)
             assert got == coefficients(h, modes)
 
+    @pytest.mark.parametrize("field,shift", [("nu", lambda nu: 1.01 * nu), ("log_scale", lambda s: s + 0.5)],
+                             ids=["nu", "log_scale"])
+    def test_each_mode_reads_its_own_values(self, field, shift):
+        # a mode changed by dataclasses.replace is no longer the stream's: its coefficient is
+        # taken with its own nu and log_scale, as inner_product takes it on the same grid
+        alpha = 0.5
+        rect = Rectangle(alpha)
+        modes = first_modes(alpha, 120)
+        k = next(i for i, m in enumerate(modes) if m.index == 3)
+        modes[k] = dataclasses.replace(modes[k], **{field: shift(getattr(modes[k], field))})
+        for h in self.data(alpha):
+            panels = default_panels(h.freq_hint + max(m.nu for m in modes))
+            want = [inner_product(h, ModeTrace(m), panels=panels) for m in modes]
+            got = project(h, rect, modes)[2]
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * boundary_norm(h, rect=rect)
+        stream = inner_product(h, ModeTrace(first_modes(alpha, 120)[k]), panels=panels)
+        assert abs(got[k] - stream) > 1e-6 * boundary_norm(h, rect=rect)
+
     def test_no_modes(self):
         assert coefficients(constant_function(1.0), []) == []
 
@@ -258,9 +277,11 @@ class TestCoefficients:
     @pytest.mark.parametrize("name,classes,with_xy", [
         ("x2-y2", (SymmetryClass.II, SymmetryClass.III, SymmetryClass.IV), True),
         ("xy", (SymmetryClass.I, SymmetryClass.III, SymmetryClass.IV), False),
-        ("x3-3xy2", (SymmetryClass.II, SymmetryClass.III), True),
+        ("x3-3xy2", (SymmetryClass.I, SymmetryClass.II, SymmetryClass.III), True),
+        ("3x2y-y3", (SymmetryClass.I, SymmetryClass.II, SymmetryClass.IV), True),
+        ("4x3y-4xy3", (SymmetryClass.I, SymmetryClass.III, SymmetryClass.IV), False),
     ])
-    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
     def test_parity_forbidden_coefficients_are_exact_zeros(self, alpha, name, classes, with_xy):
         modes = first_modes(alpha, 200)
         got = project(builtin_boundary(name), Rectangle(alpha), modes)[2]

@@ -115,6 +115,26 @@ class TestCentral:
         assert doc["value"] == pytest.approx(7.0, rel=1e-13)
         assert abs(doc["value"] - 7.0) <= doc["bound"]
 
+    def test_vacuous_bound_warns_on_stderr(self, capsys, caplog):
+        # at alpha = 0.05 the m = 3 tail bound exceeds the data norm: the bound is 59.5,
+        # |value| + ||h|| only 5.4; the warning goes to stderr, stdout and exit code are as before
+        argv = ("central", "--builtin", "coshcos:3", "--alpha", "0.05", "--m", "3")
+        child = run_child(*argv)
+        rc, out, _ = run(capsys, *argv)
+        assert child.returncode == rc == 0
+        assert child.stdout == out
+        [line] = child.stderr.splitlines()
+        assert line.startswith("warning: the certified bound 59.52") and "5.3676" in line
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+
+    @pytest.mark.parametrize("argv", [("--builtin", "coshcos:2", "--alpha", "0.5", "--m", "3"),
+                                      ("--builtin", "coshcos:40", "--alpha", "0.2")])
+    def test_covered_bound_prints_nothing_to_stderr(self, argv):
+        # coshcos:40: a bound of 9.8e13 on a value of 7.8e11, but below the data norm 3.4e16
+        child = run_child("central", *argv)
+        assert child.returncode == 0
+        assert child.stdout and child.stderr == ""
+
     def test_csv_row_is_plain_numbers(self, capsys):
         rc, out, _ = run(capsys, "central", "--builtin", "coshcos:2", "--alpha", "0.2", "--m", "3",
                          "--format", "csv")

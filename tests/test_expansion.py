@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steklov_rect import (
     AnalyticBoundaryFunction,
@@ -208,6 +209,36 @@ class TestEvaluateInteriorTermByTerm:
         mode = resolve(ModeId.separated(SymmetryClass.IV, Family.Y, 1), 1.0)
         e = SteklovExpansion(1.0, "dirichlet", None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
         self.assert_within_rounding(e, np.array([-0.0, 0.0, -0.0]), 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-1.0, 1.0)), max_size=40),
+           rows=st.sampled_from([1, 2]))
+    @example(values=[], rows=1)
+    @example(values=[], rows=2)
+    @example(values=[-0.0, 0.0, -0.0, 0.0], rows=2)
+    def test_axis_matches_unique(self, values, rows):
+        a = np.array(values[: len(values) // rows * rows], dtype=float).reshape(rows, -1)
+        keys, inv = np.unique(a.ravel().view(np.int64), return_inverse=True)
+        xs, ix = _axis(a)
+        assert xs.view(np.int64).tolist() == keys.tolist()
+        assert ix.tolist() == inv.ravel().tolist()
+
+    @pytest.mark.parametrize("field,shift", [("nu", lambda nu: 1.01 * nu), ("log_scale", lambda s: s + 0.5)],
+                             ids=["nu", "log_scale"])
+    def test_each_term_reads_its_own_mode(self, field, shift):
+        # a term whose mode is not the stream's (an expansion loaded from JSON, or changed by
+        # dataclasses.replace) is evaluated with its own nu and log_scale
+        alpha = 0.5
+        e = expand_dirichlet(self.data(), alpha, 120)
+        k = max(range(len(e.terms)), key=lambda i: abs(e.terms[i].coefficient) if e.terms[i].mode.index else 0)
+        mode = e.terms[k].mode
+        shifted = dataclasses.replace(mode, **{field: shift(getattr(mode, field))})
+        terms = e.terms[:k] + (dataclasses.replace(e.terms[k], mode=shifted),) + e.terms[k + 1:]
+        e2 = dataclasses.replace(e, terms=terms)
+        for x, y in self.points(alpha):
+            self.assert_within_rounding(e2, x, y)
+        gx, gy = self.points(alpha)[0]
+        assert np.max(np.abs(evaluate_interior(e2, gx, gy) - evaluate_interior(e, gx, gy))) > 1e-6
 
     def test_point_outside_raises(self):
         e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)

@@ -366,6 +366,25 @@ class TestEnumeration:
         assert [m.mode_id for m in modes] == [m.mode_id for m in whole[:count]]
         assert [m.nu for m in modes] == [m.nu for m in whole[:count]]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(1.0), st.sampled_from([0.5, 0.37, 0.1]), st.floats(0.05, 1.0)),
+        count=st.integers(0, 600),
+        classes=st.one_of(st.none(), st.sets(st.sampled_from(list(SymmetryClass)), min_size=1)),
+    )
+    @example(alpha=1.0, count=600, classes=None)
+    @example(alpha=1.0, count=1, classes={SymmetryClass.II})
+    def test_first_modes_equals_sorted_candidates(self, alpha, count, classes):
+        # the reference: the first count modes of every stream the filter passes, and the xy
+        # mode on the square, sorted by sort_key (tol = 1e-10 as above)
+        tol = 1e-10
+        candidates = [m for cls in SymmetryClass if classes is None or cls in classes for fam in Family
+                      for m in md._stream_modes(DeterminingEquation(cls, fam, alpha), count, tol)]
+        if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
+            candidates.append(resolve(ModeId.xy(), alpha))
+        want = sorted(candidates, key=md.SteklovMode.sort_key)[:count]
+        assert first_modes(alpha, count, classes=classes, tol=tol) == want
+
     def test_first_modes_ties_on_square(self):
         # classes III and IV (and I and II at the same index) tie exactly on the square
         modes = first_modes(1.0, 60)
@@ -458,7 +477,8 @@ class TestStreamCache:
                 md._stream_modes(eq, 4, DEFAULT_TOL)
             with pytest.raises(NonConvergenceError, match="j=3 "):
                 spectrum(0.001, 3)
-        assert len(md._solved(eq, DEFAULT_TOL)[0]) == 2
+        stream = md._solved(eq, DEFAULT_TOL)[0]
+        assert len(stream.modes) == stream.delta.size == 2
         assert [j for j in calls if j[0] == 3] == [[3, 4], [3], [3, 4], [3]]
 
     def test_threads_see_only_whole_prefixes(self):
