@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import stat
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +55,47 @@ class EdgeCoverageError(BoundaryDataError):
     """A sampled function does not cover some edge with enough points."""
 
 
+class _Grid(NamedTuple):
+    """A quadrature grid on the whole boundary: nodes tv of the vertical edges and th of the
+    horizontal ones, and the points (x, y) at which project evaluates the data, pair by pair:
+    (1, t) and (-1, t) for each t in tv, then (t, alpha) and (t, -alpha) for each t in th."""
+
+    tv: np.ndarray
+    th: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _boundary_grid(rect: Rectangle, tv: np.ndarray, th: np.ndarray) -> _Grid:
+    n = 2 * tv.size
+    x, y = np.empty(n + 2 * th.size), np.empty(n + 2 * th.size)
+    x[:n:2], x[1:n:2], x[n::2], x[n + 1::2] = 1.0, -1.0, th, th
+    y[:n:2], y[1:n:2], y[n::2], y[n + 1::2] = tv, tv, rect.alpha, -rect.alpha
+    return _Grid(tv, th, x, y)
+
+
+def _rule_values(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn(x, y) as a float array of the points' shape; a scalar result is broadcast."""
+    v = np.asarray(fn(x, y), dtype=float)
+    if v.shape == x.shape:
+        return v
+    try:
+        return np.broadcast_to(v, x.shape).copy()
+    except ValueError:
+        raise BoundaryDataError(
+            f"boundary rule returned values of shape {v.shape} for points of shape {x.shape}") from None
+
+
 class BoundaryFunction:
     """Evaluation contract for data on the boundary of a rectangle.
 
     Subclasses implement edge_values(rect, edge, t) for arrays of edge
-    coordinates at non-corner points. freq_hint is the dominant oscillation
-    frequency (0 for smooth data) and drives the default panel count.
+    coordinates at non-corner points; it is the only method they must
+    implement. project asks for the data on its whole grid at once, through
+    _grid_values, which by default calls edge_values once per edge; analytic
+    data and linear combinations evaluate their rules once on all four edges.
+    freq_hint is the dominant oscillation frequency (0 for smooth data) and
+    drives the default panel count.
     """
 
     rect: Optional[Rectangle] = None
@@ -68,6 +103,13 @@ class BoundaryFunction:
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _grid_values(self, rect: Rectangle, grid: _Grid) -> np.ndarray:
+        """Values at grid.x, grid.y: on RIGHT and LEFT at each node tv, then on TOP and
+        BOTTOM at each node th."""
+        return np.concatenate([np.stack([self.edge_values(rect, edge, t) for edge in pair], axis=1).ravel()
+                               for pair, t in (((Edge.RIGHT, Edge.LEFT), grid.tv),
+                                               ((Edge.TOP, Edge.BOTTOM), grid.th))])
 
     def _check_rect(self, rect: Rectangle) -> None:
         if self.rect is not None and self.rect.alpha != rect.alpha:
@@ -85,8 +127,10 @@ class AnalyticBoundaryFunction(BoundaryFunction):
         self.name = name
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
-        x, y = rect.edge_xy(edge, t)
-        return np.asarray(self.fn(x, y), dtype=float)
+        return _rule_values(self.fn, *rect.edge_xy(edge, t))
+
+    def _grid_values(self, rect: Rectangle, grid: _Grid) -> np.ndarray:
+        return _rule_values(self.fn, grid.x, grid.y)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AnalyticBoundaryFunction({self.name or self.fn})"
@@ -123,6 +167,12 @@ class LinearCombination(BoundaryFunction):
         out = np.zeros_like(np.asarray(t, dtype=float))
         for w, f in self.terms:
             out = out + w * f.edge_values(rect, edge, t)
+        return out
+
+    def _grid_values(self, rect: Rectangle, grid: _Grid) -> np.ndarray:
+        out = np.zeros_like(grid.x)
+        for w, f in self.terms:
+            out = out + w * f._grid_values(rect, grid)
         return out
 
 
@@ -413,9 +463,11 @@ def project(
     q = (panels + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
     blocks = list(_mode_blocks(modes, 2 * max(order, q)))
     pairs = (((Edge.RIGHT, Edge.LEFT), (1.0, -1.0)), ((Edge.TOP, Edge.BOTTOM), (rect.alpha, -rect.alpha)))
-    for pair, ends in pairs:
-        t, w = edge_quadrature(rect, pair[0], order, panels)
-        hv = np.stack([u.edge_values(rect, edge, t) for edge in pair], axis=1)  # nodes x edges
+    grids = [edge_quadrature(rect, pair[0], order, panels) for pair, _ in pairs]
+    values = u._grid_values(rect, _boundary_grid(rect, grids[0][0], grids[1][0]))
+    split = 2 * grids[0][0].size
+    for (pair, ends), (t, w), hv in zip(pairs, grids, (values[:split], values[split:])):
+        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum adds it in this order
         wh = w[:, None] * hv
         total += float(np.sum(wh))
         square += float(np.sum(wh * hv))
