@@ -467,9 +467,8 @@ def project(
     values = u._grid_values(rect, _boundary_grid(rect, grids[0][0], grids[1][0]))
     split = 2 * grids[0][0].size
     for (pair, ends), (t, w), hv in zip(pairs, grids, (values[:split], values[split:])):
-        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum adds it in this order
+        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum of the squares adds it in this order
         wh = w[:, None] * hv
-        total += float(np.sum(wh))
         square += float(np.sum(wh * hv))
         half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
         mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
@@ -480,6 +479,7 @@ def project(
             part = np.concatenate([below, part])
             folded[even_t, True] = (part[:, 0] + part[:, 1]).reshape(q, order)
             folded[even_t, False] = (part[:, 0] - part[:, 1]).reshape(q, order)
+        total += float(np.sum(folded[True, True]))  # data odd along or across the pair folds to 0
         vertical = pair[0] == Edge.RIGHT
         lo, hi = rect.edge_range(pair[0])
         width = (hi - lo) / panels
