@@ -12,6 +12,7 @@ from scipy.interpolate import make_interp_spline
 from steklov_rect import (
     AnalyticBoundaryFunction,
     BoundaryDataError,
+    BoundaryFunction,
     Edge,
     EdgeCoverageError,
     Family,
@@ -23,9 +24,11 @@ from steklov_rect import (
     SymmetryClass,
     boundary_norm,
     builtin_boundary,
+    central_value,
     coefficient,
     coefficients,
     constant_function,
+    expand_dirichlet,
     expand_for_central,
     first_modes,
     inner_product,
@@ -34,7 +37,8 @@ from steklov_rect import (
     resolve,
 )
 from steklov_rect.modes import _factor_blocks, evaluate
-from steklov_rect.boundary import _MAX_ORDER, _EdgeSpline, _scan_csv, default_panels, edge_quadrature, project
+from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid, _scan_csv,
+                                   default_panels, edge_quadrature, project)
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
 
@@ -151,6 +155,14 @@ class TestMean:
     def test_x2y2_mean_zero_on_square(self):
         # edges x = +-1 contribute 1 - y^2, edges y = +-1 contribute x^2 - 1
         assert abs(mean(builtin_boundary("x2-y2"), rect=Rectangle(1.0))) < 1e-12
+
+    # data odd along or across each pair of edges: its (even, even) fold, which the mean sums, is 0.0
+    @pytest.mark.parametrize("name", ["x", "y", "xy", "x3-3xy2", "3x2y-y3", "4x3y-4xy3"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_odd_data_has_exact_zero_mean(self, alpha, name):
+        h = builtin_boundary(name)
+        assert project(h, Rectangle(alpha), [])[0] == 0.0
+        assert project(h, Rectangle(alpha), first_modes(alpha, 40))[0] == 0.0
 
 
 class TestCoefficient:
@@ -324,6 +336,80 @@ class TestCoefficients:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75e6
+
+
+class EdgesOnly(BoundaryFunction):
+    """Forwards edge_values only, so project takes the default path of _grid_values."""
+
+    def __init__(self, h):
+        self.h, self.rect, self.freq_hint = h, h.rect, h.freq_hint
+
+    def edge_values(self, rect, edge, t):
+        return self.h.edge_values(rect, edge, t)
+
+
+class TestGridValues:
+    """project evaluates the data once on its whole grid, through BoundaryFunction._grid_values."""
+
+    @staticmethod
+    def data(alpha):
+        rect = Rectangle(alpha)
+        params = {"const": ":2.5", "coshcos": ":1.7", "sinhsin": ":0.9", "coscosh": ":2.2", "sinsinh": ":1.3"}
+        builtins = [builtin_boundary(name + params.get(name, "")) for name in BUILTIN_NAMES]
+        s = np.linspace(0.0, rect.perimeter, 200, endpoint=False) + 1e-3
+        sampled = SampledBoundaryFunction(rect, s, np.cos(3.0 * s))
+        inner = LinearCombination([(0.3, builtin_boundary("x2-y2")), (-1.1, builtin_boundary("coshcos:2"))])
+        nested = LinearCombination([(0.7, builtin_boundary("xy")), (1.5, sampled),
+                                    (-0.2, ModeTrace(first_modes(alpha, 5)[4])), (0.4, inner)])
+        return builtins + [sampled, inner, nested]
+
+    @pytest.mark.parametrize("alpha,panels,order", [(1.0, 4, 8), (0.37, 5, 7)])
+    def test_equals_four_edge_calls_bit_for_bit(self, alpha, panels, order):
+        rect = Rectangle(alpha)
+        tv = edge_quadrature(rect, Edge.RIGHT, order, panels)[0]
+        th = edge_quadrature(rect, Edge.TOP, order, panels)[0]
+        grid = _boundary_grid(rect, tv, th)
+        for h in self.data(alpha):
+            want = np.concatenate([
+                np.stack([h.edge_values(rect, Edge.RIGHT, tv), h.edge_values(rect, Edge.LEFT, tv)], axis=1).ravel(),
+                np.stack([h.edge_values(rect, Edge.TOP, th), h.edge_values(rect, Edge.BOTTOM, th)], axis=1).ravel(),
+            ])
+            got = h._grid_values(rect, grid)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_project_equals_default_path(self, alpha):
+        rect = Rectangle(alpha)
+        modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 60)
+        for h in self.data(alpha):
+            assert project(h, rect, modes) == project(EdgesOnly(h), rect, modes)
+
+
+class TestRuleShape:
+    """A rule's result is broadcast to the points' shape; one that cannot broadcast is refused."""
+
+    @pytest.mark.parametrize("rule", [lambda x, y: 2.0, lambda x, y: np.float64(2.0), lambda x, y: [2.0]],
+                             ids=["float", "numpy-scalar", "length-one"])
+    def test_scalar_rule_equals_array_rule(self, rule):
+        scalar, array = AnalyticBoundaryFunction(rule), AnalyticBoundaryFunction(lambda x, y: 0.0 * x + 2.0)
+        rect = Rectangle(0.5)
+        t = np.linspace(-0.4, 0.4, 5)
+        assert scalar.edge_values(rect, Edge.TOP, t).tolist() == [2.0] * 5
+        modes = first_modes(0.5, 20)
+        assert project(scalar, rect, modes) == project(array, rect, modes)
+        e = expand_dirichlet(scalar, 0.5, 20)
+        assert e.mean_term == pytest.approx(2.0, rel=1e-15)
+        assert max(abs(term.coefficient) for term in e.terms) <= 1e-15
+        assert central_value(expand_for_central(scalar, 0.5, 3)).value == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("rule", [lambda x, y: np.ones(3), lambda x, y: x[:, None] * y],
+                             ids=["wrong-length", "outer-product"])
+    def test_misshaped_rule_is_refused(self, rule):
+        h = AnalyticBoundaryFunction(rule)
+        with pytest.raises(BoundaryDataError, match="boundary rule returned values of shape"):
+            h.edge_values(Rectangle(1.0), Edge.RIGHT, np.linspace(-0.5, 0.5, 4))
+        with pytest.raises(BoundaryDataError, match="for points of shape"):
+            expand_dirichlet(h, 1.0, 10)
 
 
 class TestSampledData:

@@ -160,6 +160,14 @@ class TestCentral:
             errors.append(abs(doc["value"] - float(c)) / doc["data_norm"])
         assert max(errors) > 1e-16
 
+    @pytest.mark.parametrize("builtin", ["3x2y-y3", "x", "4x3y-4xy3"])
+    @pytest.mark.parametrize("alpha", ["1", "0.5", "0.1"])
+    def test_odd_data_has_exact_zero_value(self, capsys, builtin, alpha):
+        # the boundary mean and the class-I coefficients of data odd in x or y are exact zeros
+        rc, out, _ = run(capsys, "central", "--builtin", builtin, "--alpha", alpha, "--m", "3", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["value"] == 0.0
+
     def test_x2y2_within_published_coefficient(self, capsys):
         rc, out, _ = run(capsys, "central", "--builtin", "x2-y2", "--m", "3",
                          "--alpha", "1", "--format", "json")
