@@ -274,38 +274,24 @@ class _EdgeSpline:
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _comment_follows(text: str, start: int) -> bool:
-    """Whether a line from `start` on is a comment: its first non-blank character is '#'.
-    Only lines holding a '#' are looked at, one '#' each."""
-    i = text.find("#", start)
-    while i >= 0:
-        if not text[text.rfind("\n", 0, i) + 1:i].strip():
-            return True
-        end = text.find("\n", i)
-        i = text.find("#", end) if end >= 0 else -1
-    return False
-
-
-def _data_lines(text: str, skip: int) -> list[str]:
-    """The lines of text after the first `skip` that are neither blank nor comments."""
-    return [ln for ln in text.split("\n")[skip:] if ln.strip() and not ln.lstrip().startswith("#")]
-
-
 def _load_rows(rows: str | list[str], skip: int) -> np.ndarray:
     return np.loadtxt(rows, skiprows=skip, encoding="utf-8-sig", delimiter=",", usecols=(0, 1),
                       ndmin=2, quotechar='"', comments=None)
 
 
-def _scan_csv(path) -> tuple[str, str | list[str], int, str]:
-    """Read a boundary data file once: its header, the data rows for np.loadtxt, the
-    number of lines it should skip, and the text read.
+def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
+    """Read sampled boundary data: UTF-8 text (a BOM is accepted), a header
+    ``arclength,value``, then one sample per line; a line of only spaces or tabs is blank,
+    and a line whose first non-blank character is '#' is a comment.
 
     The header is the first non-empty line that is not a comment. Lines end at \\n, \\r\\n
-    or \\r, as in numpy's text-mode open. When no comment line follows the header and
-    numpy would open the file as the same plain text, the rows are the file's absolute
-    path and the skip covers every line up to the header, so numpy parses in C chunks.
-    Otherwise they are the non-blank, non-comment lines after the header, skip 0.
+    or \\r, as in numpy's text-mode open. numpy parses a regular file named without a
+    compressed suffix by its absolute path, in C chunks, skipping every line up to the
+    header. A blank or comment line after the header fails that parse, as a bad row does;
+    numpy's ValueError is the one rule that sends a file to the fallback, a parse of the
+    non-blank, non-comment lines after the header, which also reports a bad row.
     """
+    rect = Rectangle(alpha)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -319,33 +305,21 @@ def _scan_csv(path) -> tuple[str, str | list[str], int, str]:
         end = text.find("\n", start)
         end = len(text) if end < 0 else end
         header, start, skip = text[start:end], end + 1, skip + 1
-    if text.count("\n", start) >= len(text) - start:  # no non-empty line after the header
-        return header, [], 0, text
-    # numpy opens the file again by name: a pipe would read empty the second time, a
-    # compressed suffix would be decompressed, and a comment after the header would not parse
-    if (regular and isinstance(path, (str, bytes, os.PathLike))
-            and not os.fsdecode(path).lower().endswith(_COMPRESSED)
-            and not _comment_follows(text, start)):
-        return header, os.fsdecode(os.path.abspath(path)), skip, text  # absolute: never read as a URL
-    return header, _data_lines(text, skip), 0, text
-
-
-def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
-    """Read sampled boundary data: UTF-8 text (a BOM is accepted), a header
-    ``arclength,value``, then one sample per line; a line of only spaces or tabs is blank,
-    and a line whose first non-blank character is '#' is a comment."""
-    rect = Rectangle(alpha)
-    header, rows, skip, text = _scan_csv(path)
     first = next(csv.reader([header]))
     if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
         raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
+    # numpy opens the file again by name: a pipe would read empty the second time, a
+    # compressed suffix would be decompressed, and a file without rows would warn
     data = None
-    if isinstance(rows, str):
-        try:
-            data = _load_rows(rows, skip)
-        except ValueError:  # numpy skips only empty lines: parse the text read, without blank ones
-            rows = _data_lines(text, skip)
-    if data is None:
+    if (regular and isinstance(path, (str, bytes, os.PathLike))
+            and not os.fsdecode(path).lower().endswith(_COMPRESSED)
+            and text.count("\n", start) < len(text) - start):
+        try:  # absolute: never read as a URL
+            data = _load_rows(os.fsdecode(os.path.abspath(path)), skip)
+        except ValueError:  # numpy skips only empty lines and reads no comments
+            pass
+    if data is None:  # the lines after the header that are neither blank nor comments
+        rows = [ln for ln in text.split("\n")[skip:] if ln.strip() and not ln.lstrip().startswith("#")]
         try:
             data = _load_rows(rows, 0) if rows else np.empty((0, 2))  # loadtxt warns on no data
         except ValueError as exc:

@@ -36,15 +36,16 @@ def _fmt_arg(x: float) -> str:  # alpha or t in a header: 9 digits only when the
     return _fmt(x) if float(_fmt(x)) == x else repr(x)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1.0, help="aspect ratio in (0, 1]")
-    p.add_argument("--quad-order", type=int, default=32, dest="quad_order")
+def _add_common(p: argparse.ArgumentParser, alpha: bool = True) -> None:
+    if alpha:
+        p.add_argument("--alpha", type=float, default=1.0, help="aspect ratio in (0, 1]")
     p.add_argument("--root-tol", type=float, default=1e-12, dest="root_tol")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--quad-order", type=int, default=32, dest="quad_order")
     p.add_argument("--builtin", default=None, help="builtin data, e.g. x2-y2 or coshcos:2.5")
     p.add_argument("--data", default=None, help="CSV file with header arclength,value")
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tables", help="recompute the reference tables and deviations")
-    _add_common(p)
+    _add_common(p, alpha=False)
     p.set_defaults(func=cmd_tables)
     return parser
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_numerics(args) -> None:
     if not (math.isfinite(args.root_tol) and args.root_tol > 0.0):
         raise UsageError(f"--root-tol must be positive and finite, got {args.root_tol}")
-    if not 2 <= args.quad_order <= bd._MAX_ORDER:
+    if "quad_order" in args and not 2 <= args.quad_order <= bd._MAX_ORDER:
         raise UsageError(f"--quad-order must be in [2, {bd._MAX_ORDER}], got {args.quad_order}")
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import os
 import tracemalloc
 import urllib.request
 
@@ -37,7 +38,7 @@ from steklov_rect import (
     resolve,
 )
 from steklov_rect.modes import _factor_blocks, evaluate
-from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid, _scan_csv,
+from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid,
                                    default_panels, edge_quadrature, project)
 
 from _oracles import boundary_integral, boundary_mean, fd_laplacian
@@ -525,13 +526,17 @@ def _csv_reader_parse(path):
 
 
 _SAMPLES = [(0.25 + 0.625 * k, math.sin(1.0 + k)) for k in range(12)]
+_MANY_SAMPLES = [(0.25 + 0.0125 * k, math.sin(1.0 + 0.05 * k)) for k in range(600)]
 
 
-def _layout(fmt, comment_every=0):
+def _layout(fmt, comment_every=0, samples=_SAMPLES, before=None):
+    """The samples as CSV text; the line `before[k]`, if given, goes just before sample k."""
     rows = ["arclength,value"]
-    for k, (a, v) in enumerate(_SAMPLES):
+    for k, (a, v) in enumerate(samples):
         if comment_every and k % comment_every == 0:
             rows.append("  # a comment between samples, 1,2")
+        if before and k in before:
+            rows.append(before[k])
         rows.append(fmt.format(a=repr(a), v=repr(v)))
     return "\n".join(rows) + "\n"
 
@@ -563,11 +568,13 @@ class TestLoadCsv:
             _layout("{a},{v}").replace("\n2.75,", "\n \t \n2.75,"),
             _layout("{a},{v}", comment_every=3).replace("1,2\n", "1,2\n  \n", 2),
             "# exported\r\n" + _layout("{a},{v}").replace("\n", "\r\n") + "\t\r\n",
+            _layout("{a},{v}", before={10: "# a late comment"}),
+            _layout("{a},{v}", samples=_MANY_SAMPLES, before={450: "  # a late comment\n \t "}),
         ],
         ids=["plain", "comments", "blank-lines", "leading-comments-only", "extra-columns", "quoted",
              "whitespace", "header-variants", "crlf", "cr", "crlf-leading-comment",
              "comment-after-header", "tab-last-line", "indented-blank-line", "blank-next-to-comment",
-             "crlf-tab-line"],
+             "crlf-tab-line", "late-comment", "late-comment-and-blank-line"],
     )
     def test_matches_csv_reader_parse(self, tmp_path, text):
         path = tmp_path / "samples.csv"
@@ -576,25 +583,43 @@ class TestLoadCsv:
         _assert_same_data(load_boundary_csv(path, 1.0), want)
 
     @pytest.mark.parametrize(
-        "text, by_name",
+        "name, text, parses",
         [
-            (_layout("{a},{v}"), True),
-            ("# one\n\n" + _layout("{a},{v}").replace("\n", "\r\n"), True),
-            (_layout("{a},{v},#tag # tag"), True),
-            (_layout("{a},{v}", comment_every=3), False),
-            (_layout("{a},{v}").replace("value\n", "value\n\t# units: none\n", 1), False),
+            ("samples.csv", _layout("{a},{v}"), [str]),
+            ("samples.csv", "# one\n\n" + _layout("{a},{v}").replace("\n", "\r\n"), [str]),
+            ("samples.csv", _layout("{a},{v},#tag # tag"), [str]),
+            ("samples.csv", _layout("{a},{v}", comment_every=3), [str, list]),
+            ("samples.csv", _layout("{a},{v}").replace("value\n", "value\n\t# units: none\n", 1), [str, list]),
+            ("samples.csv", _layout("{a},{v}").replace("\n2.75,", "\n \t \n2.75,"), [str, list]),
+            ("samples.csv.gz", _layout("{a},{v}"), [list]),
+            (None, _layout("{a},{v}"), [list]),
         ],
-        ids=["plain", "leading-comment", "hash-after-data", "comments", "comment-after-header"],
+        ids=["plain", "leading-comment", "hash-after-data", "comments", "comment-after-header",
+             "blank-line", "gz-name", "pipe"],
     )
-    def test_numpy_reads_by_name_without_later_comments(self, tmp_path, text, by_name):
-        # numpy parses a file it opens itself in C chunks; a comment after the header
-        # would not parse there, so those files go to np.loadtxt as filtered lines
-        path = tmp_path / "samples.csv"
-        path.write_text(text)
-        header, rows, skip, _ = _scan_csv(path)
-        assert header == "arclength,value"
-        assert isinstance(rows, str) == by_name
-        assert skip == (text.count("\n", 0, text.index("arclength")) + 1 if by_name else 0)
+    def test_numpy_parses_by_name_until_it_fails(self, tmp_path, monkeypatch, name, text, parses):
+        # numpy parses a file it opens itself in C chunks; a blank or comment line after the
+        # header fails there, and the filtered lines are parsed instead
+        loadtxt, seen = np.loadtxt, []
+
+        def record(rows, *args, **kwargs):
+            seen.append(type(rows))
+            return loadtxt(rows, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", record)
+        want = SampledBoundaryFunction(Rectangle(1.0), *zip(*_SAMPLES))
+        if name is None:  # a pipe, as with `--data <(generate-samples)`
+            read_end, write_end = os.pipe()
+            with os.fdopen(write_end, "w") as fh:
+                fh.write(text)
+            try:
+                _assert_same_data(load_boundary_csv(f"/dev/fd/{read_end}", 1.0), want)
+            finally:
+                os.close(read_end)
+        else:
+            (tmp_path / name).write_text(text)
+            _assert_same_data(load_boundary_csv(tmp_path / name, 1.0), want)
+        assert seen == parses
 
     @pytest.mark.parametrize("comment_every", [0, 3])
     def test_byte_order_mark_accepted(self, tmp_path, comment_every):
@@ -643,15 +668,16 @@ class TestLoadCsv:
 
     def test_bad_row_after_blank_line_keeps_its_row_number(self, tmp_path):
         # a line of only spaces or tabs is skipped, and numpy counts rows without blank lines
+        # or comments; the failed parse by name leaves no trace in the message
         messages = []
-        for name, blank in (("clean", ""), ("blank", " \t\n")):
+        for name, blank in (("clean", ""), ("blank", " \t\n"), ("comment", "  # a note\n")):
             (tmp_path / name).mkdir()
             path = tmp_path / name / "bad-row.csv"
             path.write_text(_layout("{a},{v}") + blank + "1.0,oops\n")
             with pytest.raises(BoundaryDataError, match="bad-row.csv: bad row") as info:
                 load_boundary_csv(path, 1.0)
             messages.append(str(info.value).replace(str(tmp_path / name), ""))
-        assert messages[1] == messages[0]
+        assert messages[2] == messages[1] == messages[0]
 
     def test_header_only_is_coverage_error(self, tmp_path):
         path = tmp_path / "header.csv"

@@ -287,6 +287,16 @@ class TestBadValues:
         rc, _, err = run(capsys, *argv)
         self.assert_clean_error(rc, err, want_rc=2)
 
+    @pytest.mark.parametrize("argv", [
+        ("tables", "--alpha", "0.5"),
+        ("tables", "--quad-order", "8"),
+        ("spectrum", "--quad-order", "8"),
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
     @pytest.mark.parametrize("classes", ["", ",", " , "])
     def test_empty_class_list_is_usage_error(self, capsys, classes):
         rc, out, err = run(capsys, "spectrum", "--classes", classes)
