@@ -43,14 +43,11 @@ from .boundary import (
     LinearCombination,
     ModeTrace,
     SampledBoundaryFunction,
-    boundary_norm,
     builtin_boundary,
     coefficient,
-    coefficients,
     constant_function,
     inner_product,
     load_boundary_csv,
-    mean,
 )
 from .expansion import (
     CentralValueResult,

@@ -33,10 +33,7 @@ __all__ = [
     "BoundaryDataError",
     "edge_quadrature",
     "inner_product",
-    "mean",
-    "boundary_norm",
     "coefficient",
-    "coefficients",
     "project",
     "default_panels",
     "load_boundary_csv",
@@ -124,6 +121,8 @@ class AnalyticBoundaryFunction(BoundaryFunction):
     def __init__(self, fn: Callable, freq_hint: float = 0.0, name: Optional[str] = None):
         self.fn = fn
         self.freq_hint = float(freq_hint)
+        if not 0.0 <= self.freq_hint < math.inf:  # a smaller grid than the modes need, or no grid
+            raise ValueError(f"freq_hint must be finite and >= 0, got {freq_hint!r}")
         self.name = name
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
@@ -382,7 +381,9 @@ def inner_product(
     The default panel count follows the combined frequency hint of the two
     factors (a product of two oscillations oscillates at the sum frequency).
     Deterministic for fixed order and panels: edges are accumulated in a
-    fixed order.
+    fixed order. No library code calls it: project takes every integral an
+    expansion needs on one grid, and this edge-by-edge sum is the reference
+    it is tested against.
     """
     if rect is None:
         rect = u.rect or v.rect
@@ -395,23 +396,6 @@ def inner_product(
         pts, wts = edge_quadrature(rect, edge, order, panels)
         total += float(np.dot(wts, u.edge_values(rect, edge, pts) * v.edge_values(rect, edge, pts)))
     return total / rect.perimeter
-
-
-_ONE = constant_function(1.0)
-
-
-def mean(u: BoundaryFunction, rect: Optional[Rectangle] = None, order: int = 32) -> float:
-    """Boundary mean of u, i.e. its inner product with the constant 1."""
-    return inner_product(u, _ONE, rect=rect, order=order)
-
-
-def boundary_norm(u: BoundaryFunction, rect: Optional[Rectangle] = None, order: int = 32) -> float:
-    """Mean L2 boundary norm sqrt(<u, u>); nan for data that is not finite.
-
-    The Gauss weights are positive, so <u, u> is never negative; it is nan
-    exactly when the data is, and that nan must reach the caller.
-    """
-    return math.sqrt(inner_product(u, u, rect=rect, order=order))
 
 
 def project(
@@ -487,16 +471,9 @@ def project(
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 
 
-def coefficients(u: BoundaryFunction, modes: Sequence[SteklovMode], order: int = 32) -> list[float]:
-    """Expansion coefficients <u, mode trace> against boundary-normalized modes of one rectangle."""
-    if not modes:
-        return []
-    return project(u, modes[0].rect, modes, order)[2]
-
-
 def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> float:
     """Expansion coefficient <u, mode trace> against a boundary-normalized mode."""
-    return coefficients(u, [mode], order)[0]
+    return project(u, mode.rect, [mode], order)[2][0]
 
 
 # ---------------------------------------------------------------------------

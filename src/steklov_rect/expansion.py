@@ -25,9 +25,10 @@ from .modes import (
     ModeId,
     SteklovMode,
     SymmetryClass,
+    _block_factors,
     _check_nu,
-    _factor_blocks,
     _log_scale,
+    _mode_blocks,
     _stream_modes,
     _window_deltas,
     first_modes,
@@ -68,20 +69,23 @@ class ExpansionTerm:
 class SteklovExpansion:
     """Mean term plus coefficients against modes sorted by eigenvalue.
 
-    kind is "dirichlet" or "robin"; t is the Robin interpolation parameter
-    (None for Dirichlet, 0 for Neumann). data_norm is the mean-L2 boundary
-    norm of the data the expansion was built from; it is not serialized, so
-    expansions loaded from JSON carry None and report an infinite
-    central-value bound.
+    t is the Robin interpolation parameter (None for Dirichlet, 0 for
+    Neumann), and kind is derived from it: "dirichlet" when t is None, else
+    "robin". data_norm is the mean-L2 boundary norm of the data the
+    expansion was built from; it is not serialized, so expansions loaded
+    from JSON carry None and report an infinite central-value bound.
     """
 
     alpha: float
-    kind: str
     t: Optional[float]
     mean_term: float
     terms: tuple[ExpansionTerm, ...]
     quad_order: int
     data_norm: Optional[float] = None
+
+    @property
+    def kind(self) -> str:
+        return "dirichlet" if self.t is None else "robin"
 
     @property
     def truncation_M(self) -> int:
@@ -115,7 +119,6 @@ def _build(
     alpha: float,
     modes: Sequence[SteklovMode],
     order: int,
-    kind: str,
     t: Optional[float],
 ) -> SteklovExpansion:
     """Coefficients of h against modes; with t set, each is divided by (1-t)*delta + t.
@@ -144,12 +147,9 @@ def _build(
         mean_term = raw_mean if t is None else raw_mean / t
         if not math.isfinite(mean_term):
             raise IncompatibleDataError(f"Robin mean term mean / t = {raw_mean:.3e} / {t:.3e} overflows")
-    terms = []
-    for mode, c in zip(modes, coeffs):
-        if t is not None:
-            c = c / ((1.0 - t) * mode.delta + t)
-        terms.append(ExpansionTerm(mode, c))
-    return SteklovExpansion(alpha, kind, t, mean_term, tuple(terms), order, norm)
+    if t is not None:
+        coeffs = (np.array(coeffs) / ((1.0 - t) * np.array([mode.delta for mode in modes]) + t)).tolist()
+    return SteklovExpansion(alpha, t, mean_term, tuple(map(ExpansionTerm, modes, coeffs)), order, norm)
 
 
 def expand_dirichlet(
@@ -169,7 +169,7 @@ def expand_dirichlet(
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(h, alpha, modes, order, "dirichlet", None)
+    return _build(h, alpha, modes, order, None)
 
 
 def expand_for_central(
@@ -189,7 +189,7 @@ def expand_for_central(
         raise ValueError(f"m must be >= 0, got {m}")
     eqs = [DeterminingEquation(SymmetryClass.I, fam, alpha) for fam in Family]
     modes = [mode for eq in eqs for mode in _stream_modes(eq, m, tol)]
-    return _build(h, alpha, sorted(modes, key=SteklovMode.sort_key), order, "dirichlet", None)
+    return _build(h, alpha, sorted(modes, key=SteklovMode.sort_key), order, None)
 
 
 def solve_robin(
@@ -212,7 +212,7 @@ def solve_robin(
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(eta, alpha, modes, order, "robin", t)
+    return _build(eta, alpha, modes, order, t)
 
 
 def solve_neumann(
@@ -232,7 +232,7 @@ def solve_neumann(
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(eta, alpha, modes, order, "robin", 0.0)
+    return _build(eta, alpha, modes, order, 0.0)
 
 
 def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +264,10 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     grid = xs.size * ys.size <= xa.size
     total = np.zeros((xs.size, ys.size) if grid else xa.size)
     c = np.array([term.coefficient for term in e.terms])
+    modes = [term.mode for term in e.terms]
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
-    for part, fx, fy, _ in _factor_blocks([term.mode for term in e.terms], xs, ys, width):
+    for part, eq, nu, log_scale, _ in _mode_blocks(modes, width):
+        fx, fy = _block_factors(modes, part, eq, nu, log_scale, xs, ys)
         if grid:
             total += (c[part, None] * fx).T @ fy
         else:
@@ -350,8 +352,11 @@ def expansion_to_dict(e: SteklovExpansion) -> dict:
 
 def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
     cls = SymmetryClass(d["class"])
-    if d["family"] is None:
-        return resolve(ModeId.xy(), alpha)
+    if d["family"] is None:  # as SteklovMode.label writes them: the constant is class I, xy class II
+        unseparated = {SymmetryClass.I: ModeId.constant(), SymmetryClass.II: ModeId.xy()}
+        if cls not in unseparated:
+            raise ValueError(f"a class {cls.value} term needs a family")
+        return resolve(unseparated[cls], alpha)
     # keep the stored nu/delta bit-exact; only the normalization is recomputed
     mode_id = ModeId.separated(cls, Family(d["family"]), int(d["index"]))
     nu = _check_nu(float(d["nu"]))
@@ -360,19 +365,18 @@ def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
 
 
 def expansion_from_dict(doc: dict) -> SteklovExpansion:
+    """The expansion a document describes; its kind must be the one its t gives."""
     alpha = float(doc["alpha"])
+    t = float(doc["t"]) if "t" in doc else None
+    if t is not None and not 0.0 <= t <= 1.0:
+        raise ValueError(f"Robin parameter t must lie in [0, 1], got {t}")
     terms = tuple(
         ExpansionTerm(_mode_from_dict(d, alpha), float(d["coefficient"])) for d in doc["terms"]
     )
-    return SteklovExpansion(
-        alpha,
-        str(doc["kind"]),
-        float(doc["t"]) if "t" in doc else None,
-        float(doc["mean_term"]),
-        terms,
-        int(doc["quadrature_order"]),
-        None,
-    )
+    e = SteklovExpansion(alpha, t, float(doc["mean_term"]), terms, int(doc["quadrature_order"]), None)
+    if doc["kind"] != e.kind:
+        raise ValueError(f"kind {doc['kind']!r} contradicts t = {t}: expected {e.kind!r}")
+    return e
 
 
 def save_expansion(e: SteklovExpansion, path) -> None:

@@ -310,16 +310,6 @@ def _block_factors(modes: Sequence[SteklovMode], part, eq, nu, log_scale, x, y):
     return tuple(map(np.array, zip(*(_mode_factors(modes[i], x, y) for i in part))))
 
 
-def _factor_blocks(modes: Sequence[SteklovMode], x, y, width: int) -> Iterator[tuple]:
-    """(indices, x factors, y factors, (even_x, even_y)) of the slices _mode_blocks gives.
-
-    x and y are 1-d; row r of each block holds modes[indices[r]], so the traces of those modes
-    at (x[k], y[l]) are x_block[:, k] * y_block[:, l].
-    """
-    for part, eq, nu, log_scale, even in _mode_blocks(modes, width):
-        yield part, *_block_factors(modes, part, eq, nu, log_scale, x, y), even
-
-
 def evaluate(mode: SteklovMode, x, y):
     """Boundary-normalized eigenfunction value(s) on the closed rectangle."""
     check_interior(mode.rect, x, y)

@@ -23,21 +23,18 @@ from steklov_rect import (
     Rectangle,
     SampledBoundaryFunction,
     SymmetryClass,
-    boundary_norm,
     builtin_boundary,
     central_value,
     coefficient,
-    coefficients,
     constant_function,
     expand_dirichlet,
     expand_for_central,
     first_modes,
     inner_product,
     load_boundary_csv,
-    mean,
     resolve,
 )
-from steklov_rect.modes import _factor_blocks, evaluate
+from steklov_rect.modes import _block_factors, _mode_blocks, evaluate
 from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid,
                                    default_panels, edge_quadrature, project)
 
@@ -130,7 +127,7 @@ class TestInnerProduct:
     def test_against_independent_quadrature(self):
         alpha = 0.6
         u = builtin_boundary("x2-y2")
-        got = mean(u, rect=Rectangle(alpha))
+        got = project(u, Rectangle(alpha), [])[0]
         want = boundary_mean(lambda x, y: x * x - y * y, alpha)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -142,20 +139,22 @@ class TestInnerProduct:
 
 class TestNorm:
     def test_nan_data_has_nan_norm(self):
-        assert math.isnan(boundary_norm(constant_function(math.nan), rect=Rectangle(1.0)))
+        # the Gauss weights are positive, so the norm is nan exactly when the data is
+        assert math.isnan(project(constant_function(math.nan), Rectangle(1.0), [])[1])
 
 
 class TestMean:
     def test_constant(self):
-        assert mean(constant_function(2.5), rect=Rectangle(0.4)) == pytest.approx(2.5, rel=1e-14)
+        assert project(constant_function(2.5), Rectangle(0.4), [])[0] == pytest.approx(2.5, rel=1e-14)
 
     def test_mode_trace_mean_zero(self):
         for j in (1, 3):
-            assert abs(mean(ModeTrace(class_one(j)))) < 1e-10
+            mode = class_one(j)
+            assert abs(project(ModeTrace(mode), mode.rect, [])[0]) < 1e-10
 
     def test_x2y2_mean_zero_on_square(self):
         # edges x = +-1 contribute 1 - y^2, edges y = +-1 contribute x^2 - 1
-        assert abs(mean(builtin_boundary("x2-y2"), rect=Rectangle(1.0))) < 1e-12
+        assert abs(project(builtin_boundary("x2-y2"), Rectangle(1.0), [])[0]) < 1e-12
 
     # data odd along or across each pair of edges: its (even, even) fold, which the mean sums, is 0.0
     @pytest.mark.parametrize("name", ["x", "y", "xy", "x3-3xy2", "3x2y-y3", "4x3y-4xy3"])
@@ -215,30 +214,28 @@ class TestCoefficients:
         assert len(kinds) == 8
         assert any(m.mode_id == ModeId.xy() for m in modes) == (alpha == 1.0)
         for h in self.data(alpha):
-            fn, norm = self.on_edges(h, rect), boundary_norm(h, rect=rect)
+            fn, (_, norm, got) = self.on_edges(h, rect), project(h, rect, modes)
             # one 100-node Gauss panel per edge resolves nu <= 60; scipy's
             # nodes for n >= 140 carry ~1e-13 errors of their own
             want = [boundary_integral(lambda x, y: fn(x, y) * evaluate(m, x, y), alpha, n=100) / rect.perimeter
                     for m in modes]
-            got = coefficients(h, modes)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * norm
             assert [coefficient(h, m) for m in modes[::7]] == pytest.approx(want[::7], abs=1e-13 * norm)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.01])
     def test_one_grid_matches_per_mode_grids(self, alpha):
-        # inner_product sizes a grid for each mode alone, as coefficients did
-        # before it shared one grid; the difference is rounding only
+        # inner_product sizes a grid for each integral alone, edge by edge; the
+        # difference from project's one grid is rounding only
         rect = Rectangle(alpha)
         modes = first_modes(alpha, 400)
         for h in self.data(alpha):
-            norm = boundary_norm(h, rect=rect)
+            norm = math.sqrt(inner_product(h, h, rect=rect))
             assert len({default_panels(h.freq_hint + m.nu) for m in modes}) > 40
             want = [inner_product(h, ModeTrace(m)) for m in modes]
             mean_h, norm_h, got = project(h, rect, modes)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
-            assert mean_h == pytest.approx(mean(h, rect=rect), abs=1e-14 * norm)
+            assert mean_h == pytest.approx(inner_product(h, constant_function(1.0), rect=rect), abs=1e-14 * norm)
             assert norm_h == pytest.approx(norm, rel=1e-14)
-            assert got == coefficients(h, modes)
 
     @pytest.mark.parametrize("field,shift", [("nu", lambda nu: 1.01 * nu), ("log_scale", lambda s: s + 0.5)],
                              ids=["nu", "log_scale"])
@@ -253,22 +250,23 @@ class TestCoefficients:
         for h in self.data(alpha):
             panels = default_panels(h.freq_hint + max(m.nu for m in modes))
             want = [inner_product(h, ModeTrace(m), panels=panels) for m in modes]
-            got = project(h, rect, modes)[2]
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * boundary_norm(h, rect=rect)
+            _, norm, got = project(h, rect, modes)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
         stream = inner_product(h, ModeTrace(first_modes(alpha, 120)[k]), panels=panels)
-        assert abs(got[k] - stream) > 1e-6 * boundary_norm(h, rect=rect)
+        assert abs(got[k] - stream) > 1e-6 * norm
 
     def test_no_modes(self):
-        assert coefficients(constant_function(1.0), []) == []
+        assert project(constant_function(1.0), Rectangle(1.0), [])[2] == []
 
     @pytest.mark.parametrize("alpha", [1.0, 0.37])
     def test_factor_parity(self, alpha):
-        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _factor_blocks
+        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _mode_blocks
         modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 60)
         t = np.linspace(0.05, 0.95, 7)
         for mode in modes:
-            [(_, fx, fy, (even_x, even_y))] = _factor_blocks([mode], t, alpha * t, t.size)
-            [(_, gx, gy, _)] = _factor_blocks([mode], -t, -alpha * t, t.size)
+            [(*block, (even_x, even_y))] = _mode_blocks([mode], t.size)
+            fx, fy = _block_factors([mode], *block, t, alpha * t)
+            gx, gy = _block_factors([mode], *block, -t, -alpha * t)
             assert np.array_equal(gx, fx if even_x else -fx)
             assert np.array_equal(gy, fy if even_y else -fy)
 
@@ -282,8 +280,8 @@ class TestCoefficients:
             panels, modes = next((p, spectrum[:k]) for k in range(20, 41)
                                  if (p := default_panels(h.freq_hint + max(m.nu for m in spectrum[:k]))) % 2)
             want = [inner_product(h, ModeTrace(m), order=order, panels=panels) for m in modes]
-            got = project(h, rect, modes, order)[2]
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * boundary_norm(h, rect=rect)
+            _, norm, got = project(h, rect, modes, order)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
 
 
     # data of one parity pattern and the coefficients its parities force to 0.0
@@ -413,6 +411,24 @@ class TestRuleShape:
             expand_dirichlet(h, 1.0, 10)
 
 
+
+class TestFreqHint:
+    """freq_hint sizes project's grid: a negative one would shrink it below what the modes need."""
+
+    @pytest.mark.parametrize("hint", [-300.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_hint_is_refused(self, hint):
+        with pytest.raises(ValueError, match="freq_hint must be finite and >= 0"):
+            AnalyticBoundaryFunction(lambda x, y: x * y, freq_hint=hint)
+
+    @pytest.mark.parametrize("hint", [0.0, 2.5, 300.0])
+    def test_zero_and_positive_hints_work(self, hint):
+        h = AnalyticBoundaryFunction(lambda x, y: np.cosh(2.0 * x) * np.cos(2.0 * y), freq_hint=hint)
+        assert h.freq_hint == hint
+        rect, modes = Rectangle(0.3), first_modes(0.3, 60)
+        _, norm, got = project(h, rect, modes)
+        want = project(builtin_boundary("coshcos:2"), rect, modes)[2]
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
+
 class TestSampledData:
     def make_csv(self, tmp_path, alpha, fn, n_per_edge=80, name="bdry.csv"):
         rect = Rectangle(alpha)
@@ -447,7 +463,7 @@ class TestSampledData:
                 vs.append(lvl)
         order = np.argsort(ss)
         sampled = SampledBoundaryFunction(rect, np.array(ss)[order], np.array(vs)[order])
-        assert mean(sampled, rect=rect) == pytest.approx(2.5, rel=1e-12)
+        assert project(sampled, rect, [])[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_sample_at_corner_arclength(self):
         # 5.6 == fl(4 alpha + 2): the sum rounds onto the corner (-1, -alpha),

@@ -207,7 +207,7 @@ class TestEvaluateInteriorTermByTerm:
         assert xs.size == 2
         assert np.signbit(xs[ix]).tolist() == [True, False, True]
         mode = resolve(ModeId.separated(SymmetryClass.IV, Family.Y, 1), 1.0)
-        e = SteklovExpansion(1.0, "dirichlet", None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
+        e = SteklovExpansion(1.0, None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
         self.assert_within_rounding(e, np.array([-0.0, 0.0, -0.0]), 0.1)
 
     @settings(max_examples=60, deadline=None)
@@ -559,6 +559,44 @@ class TestSerialization:
         assert e2.kind == "dirichlet" and e2.t is None
         assert e2.quad_order == e.quad_order
         assert evaluate_interior(e2, 0.4, -0.3) == evaluate_interior(e, 0.4, -0.3)
+
+    @pytest.mark.parametrize("solve,kind,t", [
+        (lambda h: expand_dirichlet(h, 0.5, 12), "dirichlet", None),
+        (lambda h: solve_robin(h, 0.5, 0.25, 12), "robin", 0.25),
+        (lambda h: solve_neumann(h, 0.5, 12), "robin", 0.0),
+    ], ids=["dirichlet", "robin", "neumann"])
+    def test_kind_follows_t(self, solve, kind, t):
+        e = solve(builtin_boundary("x3-3xy2"))
+        assert (e.kind, e.t) == (kind, t)
+        doc = expansion_to_dict(e)
+        assert doc["kind"] == kind and doc.get("t") == t
+        assert expansion_to_dict(expansion_from_dict(json.loads(json.dumps(doc)))) == doc
+
+    @pytest.mark.parametrize("kind,t", [("dirichlet", 0.5), ("neumann", None), ("robin", None), ("dirichlet", 0.0),
+                                        ("robin", 1.5), ("robin", -0.25), ("robin", math.nan)])
+    def test_kind_contradicting_t_is_refused(self, kind, t):
+        doc = {"alpha": 1.0, "kind": kind, "mean_term": 0.0, "terms": [], "quadrature_order": 32}
+        if t is not None:
+            doc["t"] = t
+        with pytest.raises(ValueError):
+            expansion_from_dict(doc)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_constant_term_roundtrip(self, alpha):
+        # the constant mode is written as class I without a family, the xy mode as class II
+        mode = resolve(ModeId.constant(), alpha)
+        e = SteklovExpansion(alpha, None, 0.0, (ExpansionTerm(mode, 2.0),), 32)
+        doc = expansion_to_dict(e)
+        e2 = expansion_from_dict(json.loads(json.dumps(doc)))
+        assert e2.terms[0].mode == mode
+        assert evaluate_interior(e2, 0.5, 0.5 * alpha) == 2.0
+        assert expansion_to_dict(e2) == doc
+
+    def test_family_less_term_of_another_class_is_refused(self):
+        doc = expansion_to_dict(expand_dirichlet(builtin_boundary("xy"), 1.0, 5))
+        next(row for row in doc["terms"] if row["family"] is None)["class"] = "III"
+        with pytest.raises(ValueError, match="class III term needs a family"):
+            expansion_from_dict(doc)
 
     def test_xy_term_roundtrip(self):
         e = expand_dirichlet(builtin_boundary("xy"), 1.0, 5)
