@@ -120,9 +120,7 @@ class AnalyticBoundaryFunction(BoundaryFunction):
 
     def __init__(self, fn: Callable, freq_hint: float = 0.0, name: Optional[str] = None):
         self.fn = fn
-        self.freq_hint = float(freq_hint)
-        if not 0.0 <= self.freq_hint < math.inf:  # a smaller grid than the modes need, or no grid
-            raise ValueError(f"freq_hint must be finite and >= 0, got {freq_hint!r}")
+        self.freq_hint = _check_freq_hint(float(freq_hint))
         self.name = name
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
@@ -346,6 +344,14 @@ _MAX_ORDER = 1024
 _MAX_PANELS = 2**15
 
 
+def _check_freq_hint(hint: float) -> float:
+    """A freq_hint, which sizes the grid: a negative one would shrink it below what the modes
+    need, and nan or inf leave no panel count."""
+    if not 0.0 <= hint < math.inf:
+        raise BoundaryDataError(f"freq_hint must be finite and >= 0, got {hint!r}")
+    return hint
+
+
 def default_panels(freq: float) -> int:
     """Panels per edge for integrands oscillating like cos(freq * t)."""
     panels = max(4, math.ceil(freq / math.pi))
@@ -390,7 +396,7 @@ def inner_product(
         if rect is None:
             raise ValueError("rect must be given when neither function carries one")
     if panels is None:
-        panels = default_panels(u.freq_hint + v.freq_hint)
+        panels = default_panels(_check_freq_hint(u.freq_hint) + _check_freq_hint(v.freq_hint))
     total = 0.0
     for edge in _EDGE_ORDER:
         pts, wts = edge_quadrature(rect, edge, order, panels)
@@ -414,7 +420,7 @@ def project(
     addition formulas make the factor along the edges a sum of two products
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
     """
-    panels = default_panels(u.freq_hint + max((m.nu for m in modes), default=0.0))
+    panels = default_panels(_check_freq_hint(u.freq_hint) + max((m.nu for m in modes), default=0.0))
     total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
     nodes = _gauss(order)[0]
     nodes = 0.5 * (nodes - nodes[::-1])  # mirror-symmetric, an odd order's middle node exactly 0

@@ -11,7 +11,6 @@ alpha, so records carry logarithms and strictness is asserted in log space.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -206,24 +205,6 @@ class TableReport:
     @property
     def failures(self) -> list[TableRow]:
         return [r for r in self.rows if not r.ok]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("name,computed,published,rel_dev\n")
-        for r in self.rows:
-            buf.write(f"{r.label},{r.computed!r},{r.published!r},{r.rel_dev!r}\n")
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"{'name':<22}{'computed':>16}{'published':>16}{'rel_dev':>12}  ok\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.label:<22}{r.computed:>16.9g}{r.published:>16.9g}{r.rel_dev:>12.2e}  "
-                f"{'yes' if r.ok else 'NO'}\n"
-            )
-        buf.write(f"\n{len(self.rows)} rows, {'all within tolerance' if self.ok else 'FAILURES PRESENT'}\n")
-        return buf.getvalue()
 
 
 def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import bounds as bnd
 from . import boundary as bd
@@ -139,7 +139,8 @@ def _load_data(args) -> bd.BoundaryFunction:
     return bd.load_boundary_csv(args.data, args.alpha)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, lines: list[str]) -> None:
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -147,9 +148,27 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _mode_row(mode: md.SteklovMode) -> dict:
-    return {**dict(zip(("class", "family", "index"), mode.label())),
-            "nu": mode.nu, "delta": mode.delta, "scale": mode.scale}
+def _csv(header: Sequence[str], rows: Sequence[dict], none: str) -> list[str]:
+    """The header line, then one line a row of row.get(name) for each name: a float as its
+    repr (str of a float is its repr), and None or a name the row lacks as none."""
+    def cell(v) -> str:
+        return none if v is None else str(v)
+
+    return [",".join(header)] + [",".join(cell(r.get(name)) for name in header) for r in rows]
+
+
+def _text(columns: Sequence[tuple[str, str]], rows: Sequence[dict]) -> list[str]:
+    """The header line, then one line a row in fixed-width columns: each (name, layout) pair,
+    e.g. ("nu", "{:>15}"), lays out the name, then row[name], a float with _fmt and None as -."""
+    def cell(v) -> str:
+        return "-" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+
+    return ["".join(layout.format(name) for name, layout in columns)] + [
+        "".join(layout.format(cell(r[name])) for name, layout in columns) for r in rows]
+
+
+_MODE_COLUMNS = (("class", "{:<6}"), ("family", "{:<8}"), ("index", "{:<7}"),
+                 ("nu", "{:>15}"), ("delta", "{:>15}"))
 
 
 def cmd_spectrum(args) -> int:
@@ -158,27 +177,14 @@ def cmd_spectrum(args) -> int:
         raise UsageError(f"--jmax must be >= 0, got {args.jmax}")
     classes = _parse_classes(args.classes)
     modes = md.spectrum(args.alpha, args.jmax, classes=classes, tol=args.root_tol)
-    rows = [_mode_row(m) for m in modes]
+    rows = [{**m._row(), "scale": m.scale} for m in modes]
     if args.format == "json":
-        _emit(args, json.dumps({"alpha": args.alpha, "modes": rows}, indent=2) + "\n")
+        _emit(args, [json.dumps({"alpha": args.alpha, "modes": rows}, indent=2)])
     elif args.format == "csv":
-        lines = ["class,family,index,nu,delta,scale"]
-        for r in rows:
-            lines.append(
-                f"{r['class']},{r['family'] or '-'},{'-' if r['index'] is None else r['index']},"
-                f"{r['nu']!r},{r['delta']!r},{r['scale']!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _csv(("class", "family", "index", "nu", "delta", "scale"), rows, "-"))
     else:
-        lines = [f"spectrum  alpha={_fmt_arg(args.alpha)}  jmax={args.jmax}",
-                 f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'scale':>15}"]
-        for r in rows:
-            lines.append(
-                f"{r['class']:<6}{r['family'] or '-':<8}"
-                f"{'-' if r['index'] is None else r['index']:<7}"
-                f"{_fmt(r['nu']):>15}{_fmt(r['delta']):>15}{_fmt(r['scale']):>15}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, [f"spectrum  alpha={_fmt_arg(args.alpha)}  jmax={args.jmax}",
+                     *_text(_MODE_COLUMNS + (("scale", "{:>15}"),), rows)])
     return 0
 
 
@@ -201,21 +207,17 @@ def cmd_central(args) -> int:
     e = xp.expand_for_central(h, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
     res = xp.central_value(e, tol=args.root_tol)
     _warn_if_vacuous(res)
+    doc = {"alpha": args.alpha, "value": res.value, "m": res.m,
+           "bound": res.bound, "data_norm": res.data_norm}
     if args.format == "json":
-        doc = {"alpha": args.alpha, "value": res.value, "m": res.m,
-               "bound": res.bound, "data_norm": res.data_norm}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, [json.dumps(doc, indent=2)])
     elif args.format == "csv":
-        _emit(args, "value,m,bound,data_norm\n"
-              f"{res.value!r},{res.m},{res.bound!r},{res.data_norm!r}\n")
+        _emit(args, _csv(("value", "m", "bound", "data_norm"), [doc], ""))
     else:
-        _emit(
-            args,
-            f"central value  alpha={_fmt_arg(args.alpha)}  m={res.m}\n"
-            f"value     = {_fmt(res.value)}\n"
-            f"bound     = {_fmt(res.bound)}  (certified |error| <= bound)\n"
-            f"data_norm = {_fmt(res.data_norm)}\n",
-        )
+        _emit(args, [f"central value  alpha={_fmt_arg(args.alpha)}  m={res.m}",
+                     f"value     = {_fmt(res.value)}",
+                     f"bound     = {_fmt(res.bound)}  (certified |error| <= bound)",
+                     f"data_norm = {_fmt(res.data_norm)}"])
     return 0
 
 
@@ -237,55 +239,42 @@ def cmd_solve(args) -> int:
     else:
         e = xp.solve_neumann(eta, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    values = list(zip(xs, ys, xp.evaluate_interior(e, xs, ys).tolist()))
+    values = [{"x": x, "y": y, "value": v}
+              for x, y, v in zip(xs, ys, xp.evaluate_interior(e, xs, ys).tolist())]
     doc = xp.expansion_to_dict(e)
     if args.format == "json":
-        out = {"expansion": doc, "values": [{"x": x, "y": y, "value": v} for x, y, v in values]}
-        _emit(args, json.dumps(out, indent=2) + "\n")
+        _emit(args, [json.dumps({"expansion": doc, "values": values}, indent=2)])
     elif args.format == "csv":
-        lines = ["record,class,family,index,nu,delta,coefficient,x,y,value",
-                 f"mean,,,,,,{e.mean_term!r},,,"]
-        for t in doc["terms"]:
-            lines.append(
-                f"term,{t['class']},{t['family'] or ''},"
-                f"{'' if t['index'] is None else t['index']},"
-                f"{t['nu']!r},{t['delta']!r},{t['coefficient']!r},,,"
-            )
-        for x, y, v in values:
-            lines.append(f"value,,,,,,,{x!r},{y!r},{v!r}")
-        _emit(args, "\n".join(lines) + "\n")
+        rows = [{"record": "mean", "coefficient": e.mean_term},
+                *({"record": "term", **r} for r in doc["terms"]),
+                *({"record": "value", **v} for v in values)]
+        header = ("record", "class", "family", "index", "nu", "delta", "coefficient", "x", "y", "value")
+        _emit(args, _csv(header, rows, ""))
     else:
-        lines = [
-            f"{args.mode} solution  alpha={_fmt_arg(args.alpha)}  M={e.truncation_M}"
-            + (f"  t={_fmt_arg(e.t)}" if e.t is not None else ""),
-            f"mean term = {_fmt(e.mean_term)}",
-            f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'coefficient':>16}",
-        ]
-        for t in doc["terms"]:
-            lines.append(
-                f"{t['class']:<6}{t['family'] or '-':<8}"
-                f"{'-' if t['index'] is None else t['index']:<7}"
-                f"{_fmt(t['nu']):>15}{_fmt(t['delta']):>15}{_fmt(t['coefficient']):>16}"
-            )
-        for x, y, v in values:
-            lines.append(f"value at ({_fmt(x)}, {_fmt(y)}) = {_fmt(v)}")
-        _emit(args, "\n".join(lines) + "\n")
+        title = f"{args.mode} solution  alpha={_fmt_arg(args.alpha)}  M={e.truncation_M}"
+        if e.t is not None:
+            title += f"  t={_fmt_arg(e.t)}"
+        _emit(args, [title, f"mean term = {_fmt(e.mean_term)}",
+                     *_text(_MODE_COLUMNS + (("coefficient", "{:>16}"),), doc["terms"]),
+                     *(f"value at ({_fmt(v['x'])}, {_fmt(v['y'])}) = {_fmt(v['value'])}" for v in values)])
     return 0
 
 
 def cmd_tables(args) -> int:
     report = bnd.reproduce_tables(root_tol=args.root_tol)
-    if args.format == "json":
-        doc = [
-            {"name": r.label, "computed": r.computed, "published": r.published,
+    rows = [{"name": r.label, "computed": r.computed, "published": r.published,
              "rel_dev": r.rel_dev, "ok": r.ok}
-            for r in report.rows
-        ]
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+            for r in report.rows]
+    if args.format == "json":
+        _emit(args, [json.dumps(rows, indent=2)])
     elif args.format == "csv":
-        _emit(args, report.to_csv())
+        _emit(args, _csv(("name", "computed", "published", "rel_dev"), rows, ""))
     else:
-        _emit(args, report.to_text())
+        columns = (("name", "{:<22}"), ("computed", "{:>16}"), ("published", "{:>16}"),
+                   ("rel_dev", "{:>12}"), ("ok", "  {}"))
+        cells = [{**r, "rel_dev": f"{r['rel_dev']:.2e}", "ok": "yes" if r["ok"] else "NO"} for r in rows]
+        _emit(args, [*_text(columns, cells), "",
+                     f"{len(rows)} rows, {'all within tolerance' if report.ok else 'FAILURES PRESENT'}"])
     if not report.ok:
         for r in report.failures:
             print(

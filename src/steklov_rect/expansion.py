@@ -69,8 +69,8 @@ class ExpansionTerm:
 class SteklovExpansion:
     """Mean term plus coefficients against modes sorted by eigenvalue.
 
-    t is the Robin interpolation parameter (None for Dirichlet, 0 for
-    Neumann), and kind is derived from it: "dirichlet" when t is None, else
+    t is the Robin interpolation parameter in [0, 1] (None for Dirichlet, 0
+    for Neumann), and kind is derived from it: "dirichlet" when t is None, else
     "robin". data_norm is the mean-L2 boundary norm of the data the
     expansion was built from; it is not serialized, so expansions loaded
     from JSON carry None and report an infinite central-value bound.
@@ -82,6 +82,10 @@ class SteklovExpansion:
     terms: tuple[ExpansionTerm, ...]
     quad_order: int
     data_norm: Optional[float] = None
+
+    def __post_init__(self):
+        if self.t is not None and not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"Robin parameter t must lie in [0, 1], got {self.t}")
 
     @property
     def kind(self) -> str:
@@ -334,25 +338,19 @@ def energy_tail(e: SteklovExpansion) -> EnergyTail:
 # (17 significant digits suffice for any double).
 
 
-def _term_dict(term: ExpansionTerm) -> dict:
-    mode = term.mode
-    return {**dict(zip(("class", "family", "index"), mode.label())),
-            "nu": mode.nu, "delta": mode.delta, "coefficient": term.coefficient}
-
-
 def expansion_to_dict(e: SteklovExpansion) -> dict:
     doc = {"alpha": e.alpha, "kind": e.kind}
     if e.t is not None:
         doc["t"] = e.t
     doc["mean_term"] = e.mean_term
-    doc["terms"] = [_term_dict(t) for t in e.terms]
+    doc["terms"] = [{**t.mode._row(), "coefficient": t.coefficient} for t in e.terms]
     doc["quadrature_order"] = e.quad_order
     return doc
 
 
 def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
     cls = SymmetryClass(d["class"])
-    if d["family"] is None:  # as SteklovMode.label writes them: the constant is class I, xy class II
+    if d["family"] is None:  # as SteklovMode._row writes them: the constant is class I, xy class II
         unseparated = {SymmetryClass.I: ModeId.constant(), SymmetryClass.II: ModeId.xy()}
         if cls not in unseparated:
             raise ValueError(f"a class {cls.value} term needs a family")
@@ -368,8 +366,6 @@ def expansion_from_dict(doc: dict) -> SteklovExpansion:
     """The expansion a document describes; its kind must be the one its t gives."""
     alpha = float(doc["alpha"])
     t = float(doc["t"]) if "t" in doc else None
-    if t is not None and not 0.0 <= t <= 1.0:
-        raise ValueError(f"Robin parameter t must lie in [0, 1], got {t}")
     terms = tuple(
         ExpansionTerm(_mode_from_dict(d, alpha), float(d["coefficient"])) for d in doc["terms"]
     )

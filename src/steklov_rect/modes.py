@@ -152,13 +152,14 @@ class SteklovMode:
             return 1 if self.kind == ModeKind.XY else 0
         return 2 + 2 * _CLASS_ORDER[self.symmetry_class] + _FAMILY_ORDER[self.family]
 
-    def label(self) -> tuple[str, Optional[str], Optional[int]]:
-        """(class, family, index) as written out: constant is class I, xy class II."""
-        if self.kind == ModeKind.CONSTANT:
-            return SymmetryClass.I.value, None, None
-        if self.kind == ModeKind.XY:
-            return SymmetryClass.II.value, None, None
-        return self.symmetry_class.value, self.family.value, self.index
+    def _row(self) -> dict:
+        """class, family, index, nu and delta as written out: the constant is class I, xy class II,
+        both with no family or index."""
+        if self.kind == ModeKind.SEPARATED:
+            cls, family, index = self.symmetry_class.value, self.family.value, self.index
+        else:
+            cls, family, index = "I" if self.kind == ModeKind.CONSTANT else "II", None, None
+        return {"class": cls, "family": family, "index": index, "nu": self.nu, "delta": self.delta}
 
 
 def _delta(eq: DeterminingEquation, nu):

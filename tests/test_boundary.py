@@ -429,6 +429,36 @@ class TestFreqHint:
         want = project(builtin_boundary("coshcos:2"), rect, modes)[2]
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
 
+    @staticmethod
+    def subclass(hint):
+        """cosh(2x) cos(2y) through edge_values, with freq_hint a class attribute no constructor checks."""
+        class Hinted(BoundaryFunction):
+            freq_hint = hint
+
+            def edge_values(self, rect, edge, t):
+                x, y = rect.edge_xy(edge, t)
+                return np.cosh(2.0 * x) * np.cos(2.0 * y)
+
+        return Hinted()
+
+    @pytest.mark.parametrize("hint", [-300.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_subclass_hint_is_checked_where_it_is_read(self, hint):
+        h, rect = self.subclass(hint), Rectangle(0.3)
+        with pytest.raises(BoundaryDataError, match="freq_hint must be finite and >= 0"):
+            project(h, rect, first_modes(0.3, 400))
+        with pytest.raises(BoundaryDataError, match="freq_hint must be finite and >= 0"):
+            inner_product(h, constant_function(1.0), rect)
+        with pytest.raises(BoundaryDataError, match="freq_hint must be finite and >= 0"):
+            expand_dirichlet(h, 0.3, 10)
+
+    @pytest.mark.parametrize("hint", [0.0, 2.5, 300.0])
+    def test_subclass_zero_and_positive_hints_work(self, hint):
+        h, rect, modes = self.subclass(hint), Rectangle(0.3), first_modes(0.3, 60)
+        _, norm, got = project(h, rect, modes)
+        want = project(builtin_boundary("coshcos:2"), rect, modes)[2]
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
+        assert inner_product(h, constant_function(1.0), rect) == pytest.approx(project(h, rect, [])[0], abs=1e-14)
+
 class TestSampledData:
     def make_csv(self, tmp_path, alpha, fn, n_per_edge=80, name="bdry.csv"):
         rect = Rectangle(alpha)

@@ -154,11 +154,3 @@ class TestTables:
         report = reproduce_tables(root_tol=1e-4)
         assert not report.ok
         assert any(r.label.startswith("nu_") for r in report.failures)
-
-    def test_csv_and_text_render(self):
-        report = reproduce_tables()
-        csv = report.to_csv()
-        assert csv.splitlines()[0] == "name,computed,published,rel_dev"
-        assert len(csv.splitlines()) == 38
-        text = report.to_text()
-        assert "all within tolerance" in text

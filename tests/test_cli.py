@@ -483,6 +483,90 @@ class TestTables:
         assert len(rows) == 37 and all(r["ok"] for r in rows)
 
 
+def csv_cell(v, none):
+    return none if v is None else repr(v) if isinstance(v, float) else str(v)
+
+
+def text_cell(v):
+    return "-" if v is None else f"{v:.9g}" if isinstance(v, float) else str(v)
+
+
+def mode_text(r, last, width):
+    return (f"{r['class']:<6}{text_cell(r['family']):<8}{text_cell(r['index']):<7}"
+            f"{text_cell(r['nu']):>15}{text_cell(r['delta']):>15}{text_cell(r[last]):>{width}}")
+
+
+class TestLayouts:
+    """The csv and text tables, line by line, rebuilt from the json of the same call: csv floats
+    as repr, text floats with 9 significant digits, nulls as - (text, spectrum csv) or empty."""
+
+    def outputs(self, capsys, *argv):
+        got = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("json", "csv", "text")}
+        assert len({(rc, err) for rc, _, err in got.values()}) == 1
+        return json.loads(got["json"][1]), got["csv"][1], got["text"][1]
+
+    @pytest.mark.parametrize("argv,title", [
+        (("--alpha", "1"), "spectrum  alpha=1  jmax=6"),
+        (("--alpha", "0.5", "--classes", "II,III", "--jmax", "4"), "spectrum  alpha=0.5  jmax=4"),
+    ], ids=["square", "classes"])
+    def test_spectrum(self, capsys, argv, title):
+        doc, csv, text = self.outputs(capsys, "spectrum", *argv)
+        rows = doc["modes"]
+        if argv[1] == "1":
+            assert {(r["class"], r["family"], r["index"]) for r in rows if r["family"] is None} == {
+                ("I", None, None), ("II", None, None)}
+        else:
+            assert {r["class"] for r in rows} == {"II", "III"}
+        want_csv = ["class,family,index,nu,delta,scale"] + [
+            ",".join(csv_cell(r[k], "-") for k in ("class", "family", "index", "nu", "delta", "scale"))
+            for r in rows]
+        assert csv == "\n".join(want_csv) + "\n"
+        want_text = [title, f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'scale':>15}"]
+        want_text += [mode_text(r, "scale", 15) for r in rows]
+        assert text == "\n".join(want_text) + "\n"
+
+    @pytest.mark.parametrize("argv,title", [
+        (("--mode", "dirichlet", "--builtin", "x2-y2", "--m", "12", "--eval", "0,0;0.25,0.1;-0.3,0.2"),
+         "dirichlet solution  alpha=1  M=12"),
+        (("--mode", "robin", "--t", "0.3", "--builtin", "coshcos:2", "--alpha", "0.5", "--m", "8"),
+         "robin solution  alpha=0.5  M=8  t=0.3"),
+    ], ids=["dirichlet-eval", "robin"])
+    def test_solve(self, capsys, argv, title):
+        doc, csv, text = self.outputs(capsys, "solve", *argv)
+        e, values = doc["expansion"], doc["values"]
+        assert len(values) == (3 if "--eval" in argv else 0)
+        if e["alpha"] == 1.0:
+            assert any(r["family"] is None for r in e["terms"])  # the xy mode
+        want_csv = ["record,class,family,index,nu,delta,coefficient,x,y,value",
+                    f"mean,,,,,,{e['mean_term']!r},,,"]
+        want_csv += [",".join(["term"] + [csv_cell(r[k], "") for k in ("class", "family", "index", "nu", "delta",
+                                                                        "coefficient")] + ["", "", ""])
+                     for r in e["terms"]]
+        want_csv += [f"value,,,,,,,{v['x']!r},{v['y']!r},{v['value']!r}" for v in values]
+        assert csv == "\n".join(want_csv) + "\n"
+        want_text = [title, f"mean term = {e['mean_term']:.9g}",
+                     f"{'class':<6}{'family':<8}{'index':<7}{'nu':>15}{'delta':>15}{'coefficient':>16}"]
+        want_text += [mode_text(r, "coefficient", 16) for r in e["terms"]]
+        want_text += [f"value at ({v['x']:.9g}, {v['y']:.9g}) = {v['value']:.9g}" for v in values]
+        assert text == "\n".join(want_text) + "\n"
+
+    @pytest.mark.parametrize("argv,rc,summary", [
+        ((), 0, "37 rows, all within tolerance"),
+        (("--root-tol", "1e-4"), 1, "37 rows, FAILURES PRESENT"),
+    ], ids=["default", "coarse"])
+    def test_tables(self, capsys, argv, rc, summary):
+        assert run(capsys, "tables", *argv)[0] == rc
+        rows, csv, text = self.outputs(capsys, "tables", *argv)
+        assert any(not r["ok"] for r in rows) == (rc == 1)
+        want_csv = ["name,computed,published,rel_dev"]
+        want_csv += [f"{r['name']},{r['computed']!r},{r['published']!r},{r['rel_dev']!r}" for r in rows]
+        assert csv == "\n".join(want_csv) + "\n"
+        want_text = [f"{'name':<22}{'computed':>16}{'published':>16}{'rel_dev':>12}  ok"]
+        want_text += [f"{r['name']:<22}{r['computed']:>16.9g}{r['published']:>16.9g}{r['rel_dev']:>12.2e}  "
+                      f"{'yes' if r['ok'] else 'NO'}" for r in rows]
+        assert text == "\n".join(want_text + ["", summary]) + "\n"
+
+
 _NO_SCIPY = """
 import sys
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]

@@ -581,6 +581,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             expansion_from_dict(doc)
 
+    @pytest.mark.parametrize("t", [1.5, -0.1, math.nan, math.inf])
+    def test_t_outside_unit_interval_is_refused_on_construction(self, t):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            SteklovExpansion(1.0, t, 0.0, (), 32)
+
+    @pytest.mark.parametrize("t,kind", [(None, "dirichlet"), (0.0, "robin"), (0.25, "robin"), (1.0, "robin")])
+    def test_t_in_unit_interval_or_none_builds(self, t, kind):
+        assert SteklovExpansion(1.0, t, 0.0, (), 32).kind == kind
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_constant_term_roundtrip(self, alpha):
         # the constant mode is written as class I without a family, the xy mode as class II
