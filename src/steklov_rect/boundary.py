@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import SteklovMode, _block_factors, _mode_blocks, evaluate
+from .modes import InvalidModeError, SteklovMode, _block_factors, _mode_blocks, evaluate
 from .roots import Family
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "builtin_boundary",
     "BUILTIN_NAMES",
 ]
-
-_EDGE_ORDER = (Edge.RIGHT, Edge.TOP, Edge.LEFT, Edge.BOTTOM)
-
 
 class BoundaryDataError(ValueError):
     """Sampled boundary data violates the documented format."""
@@ -116,7 +113,7 @@ class BoundaryFunction:
 
 
 class AnalyticBoundaryFunction(BoundaryFunction):
-    """Boundary data given by a rule (x, y) -> value, vectorized over numpy arrays."""
+    """Boundary data given by a rule (x, y) -> value over numpy arrays, refused off its rect if it has one."""
 
     def __init__(self, fn: Callable, freq_hint: float = 0.0, name: Optional[str] = None):
         self.fn = fn
@@ -124,9 +121,11 @@ class AnalyticBoundaryFunction(BoundaryFunction):
         self.name = name
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
+        self._check_rect(rect)
         return _rule_values(self.fn, *rect.edge_xy(edge, t))
 
     def _grid_values(self, rect: Rectangle, grid: _Grid) -> np.ndarray:
+        self._check_rect(rect)
         return _rule_values(self.fn, grid.x, grid.y)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -138,17 +137,13 @@ def constant_function(c: float) -> AnalyticBoundaryFunction:
     return AnalyticBoundaryFunction(lambda x, y: np.full_like(np.asarray(x, float), c), name=f"const:{c}")
 
 
-class ModeTrace(BoundaryFunction):
-    """The boundary trace of a resolved mode, kept on the edge parameterization."""
+class ModeTrace(AnalyticBoundaryFunction):
+    """The boundary trace of a resolved mode: the rule evaluate(mode, x, y) on mode.rect."""
 
     def __init__(self, mode: SteklovMode):
+        super().__init__(lambda x, y: evaluate(mode, x, y), mode.nu)
         self.mode = mode
         self.rect = mode.rect
-        self.freq_hint = mode.nu
-
-    def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
-        self._check_rect(rect)
-        return np.asarray(evaluate(self.mode, *rect.edge_xy(edge, t)), dtype=float)
 
 
 class LinearCombination(BoundaryFunction):
@@ -198,7 +193,7 @@ class SampledBoundaryFunction(BoundaryFunction):
         self.rect = rect
         self._splines: dict[Edge, _EdgeSpline] = {}
         edges, t = rect.arclength_to_edge(s)
-        for edge in _EDGE_ORDER:
+        for edge in Edge:
             ts, vs = t[edges == edge], v[edges == edge]
             if ts.size < 2:
                 raise EdgeCoverageError(
@@ -398,7 +393,7 @@ def inner_product(
     if panels is None:
         panels = default_panels(_check_freq_hint(u.freq_hint) + _check_freq_hint(v.freq_hint))
     total = 0.0
-    for edge in _EDGE_ORDER:
+    for edge in Edge:
         pts, wts = edge_quadrature(rect, edge, order, panels)
         total += float(np.dot(wts, u.edge_values(rect, edge, pts) * v.edge_values(rect, edge, pts)))
     return total / rect.perimeter
@@ -420,6 +415,8 @@ def project(
     addition formulas make the factor along the edges a sum of two products
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
     """
+    if any(m.alpha != rect.alpha for m in modes):
+        raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
     panels = default_panels(_check_freq_hint(u.freq_hint) + max((m.nu for m in modes), default=0.0))
     total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
     nodes = _gauss(order)[0]
@@ -486,72 +483,47 @@ def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> floa
 # Built-in boundary data: exact harmonic functions, so runs are self-checking. Powers are
 # written as products: x * x * x is exactly odd in x on floats, numpy's x**3 is not.
 
-def _poly(fn: Callable, name: str) -> Callable[[str | None], AnalyticBoundaryFunction]:
-    def make(param: Optional[str]) -> AnalyticBoundaryFunction:
-        if param is not None:
-            raise ValueError(f"builtin '{name}' takes no parameter")
-        return AnalyticBoundaryFunction(fn, name=name)
-
-    return make
-
-
-def _finite(name: str, param: str) -> float:
-    value = float(param)
-    if not math.isfinite(value):
-        raise ValueError(f"builtin '{name}' needs a finite parameter, got {param!r}")
-    return value
-
-
-def _const(param: Optional[str]) -> AnalyticBoundaryFunction:
-    if param is None:
-        raise ValueError("builtin 'const' needs a value, e.g. const:7")
-    return constant_function(_finite("const", param))
-
-
-def _osc(kind: str):
-    def make(param: Optional[str]) -> AnalyticBoundaryFunction:
-        if param is None:
-            raise ValueError(f"builtin '{kind}' needs a frequency, e.g. {kind}:2.5")
-        nu = _finite(kind, param)
-        if kind == "coshcos":
-            fn = lambda x, y: np.cosh(nu * x) * np.cos(nu * y)
-        elif kind == "sinhsin":
-            fn = lambda x, y: np.sinh(nu * x) * np.sin(nu * y)
-        elif kind == "coscosh":
-            fn = lambda x, y: np.cos(nu * x) * np.cosh(nu * y)
-        else:  # sinsinh
-            fn = lambda x, y: np.sin(nu * x) * np.sinh(nu * y)
-        return AnalyticBoundaryFunction(fn, freq_hint=abs(nu), name=f"{kind}:{param}")
-
-    return make
-
-
-_BUILTINS: dict[str, Callable[[Optional[str]], AnalyticBoundaryFunction]] = {
-    "const": _const,
-    "x": _poly(lambda x, y: x + 0.0 * y, "x"),
-    "y": _poly(lambda x, y: y + 0.0 * x, "y"),
-    "xy": _poly(lambda x, y: x * y, "xy"),
-    "x2-y2": _poly(lambda x, y: x * x - y * y, "x2-y2"),
-    "x3-3xy2": _poly(lambda x, y: x * x * x - 3 * x * y * y, "x3-3xy2"),
-    "3x2y-y3": _poly(lambda x, y: 3 * x * x * y - y * y * y, "3x2y-y3"),
-    "x4-6x2y2+y4": _poly(lambda x, y: x * x * x * x - 6 * x * x * y * y + y * y * y * y, "x4-6x2y2+y4"),
-    "4x3y-4xy3": _poly(lambda x, y: 4 * x * x * x * y - 4 * x * y * y * y, "4x3y-4xy3"),
-    "coshcos": _osc("coshcos"),
-    "sinhsin": _osc("sinhsin"),
-    "coscosh": _osc("coscosh"),
-    "sinsinh": _osc("sinsinh"),
+_POLYNOMIALS: dict[str, Callable] = {
+    "x": lambda x, y: x + 0.0 * y,
+    "y": lambda x, y: y + 0.0 * x,
+    "xy": lambda x, y: x * y,
+    "x2-y2": lambda x, y: x * x - y * y,
+    "x3-3xy2": lambda x, y: x * x * x - 3 * x * y * y,
+    "3x2y-y3": lambda x, y: 3 * x * x * y - y * y * y,
+    "x4-6x2y2+y4": lambda x, y: x * x * x * x - 6 * x * x * y * y + y * y * y * y,
+    "4x3y-4xy3": lambda x, y: 4 * x * x * x * y - 4 * x * y * y * y,
 }
 
-BUILTIN_NAMES = tuple(sorted(_BUILTINS))
+_WAVES: dict[str, tuple[Callable, Callable]] = {
+    "coshcos": (np.cosh, np.cos),
+    "sinhsin": (np.sinh, np.sin),
+    "coscosh": (np.cos, np.cosh),
+    "sinsinh": (np.sin, np.sinh),
+}
+
+BUILTIN_NAMES = tuple(sorted(["const", *_POLYNOMIALS, *_WAVES]))
 
 
 def builtin_boundary(ident: str) -> AnalyticBoundaryFunction:
-    """Resolve a builtin name like 'x2-y2' or 'coshcos:2.365'.
+    """Resolve a builtin name like 'x2-y2', 'const:7' or 'coshcos:2.365'.
 
     Every entry is harmonic on the whole plane, so its interior values are
     known exactly through the attached .fn callable.
     """
     name, _, param = ident.partition(":")
-    if name not in _BUILTINS:
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin '{name}'; choices: {', '.join(BUILTIN_NAMES)}")
-    return _BUILTINS[name](param if param else None)
+    if name in _POLYNOMIALS:
+        if param:
+            raise ValueError(f"builtin '{name}' takes no parameter")
+        return AnalyticBoundaryFunction(_POLYNOMIALS[name], name=name)
+    if not param:
+        raise ValueError("builtin 'const' needs a value, e.g. const:7" if name == "const"
+                         else f"builtin '{name}' needs a frequency, e.g. {name}:2.5")
+    value = float(param)
+    if not math.isfinite(value):
+        raise ValueError(f"builtin '{name}' needs a finite parameter, got {param!r}")
+    if name == "const":
+        return constant_function(value)
+    f, g = _WAVES[name]
+    return AnalyticBoundaryFunction(lambda x, y: f(value * x) * g(value * y), abs(value), f"{name}:{param}")

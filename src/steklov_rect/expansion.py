@@ -22,6 +22,7 @@ from .bounds import rect_center_tail, square_center_tail
 from .geometry import Rectangle, check_interior
 from .modes import (
     Family,
+    InvalidModeError,
     ModeId,
     SteklovMode,
     SymmetryClass,
@@ -86,6 +87,8 @@ class SteklovExpansion:
     def __post_init__(self):
         if self.t is not None and not 0.0 <= self.t <= 1.0:
             raise ValueError(f"Robin parameter t must lie in [0, 1], got {self.t}")
+        if any(term.mode.alpha != self.alpha for term in self.terms):
+            raise InvalidModeError(f"a term's mode is of another rectangle than alpha={self.alpha}")
 
     @property
     def kind(self) -> str:

@@ -17,6 +17,7 @@ from steklov_rect import (
     Edge,
     EdgeCoverageError,
     Family,
+    InvalidModeError,
     LinearCombination,
     ModeId,
     ModeTrace,
@@ -135,6 +136,22 @@ class TestInnerProduct:
         tr = ModeTrace(class_one(1, alpha=0.5))
         with pytest.raises(BoundaryDataError):
             inner_product(tr, constant_function(1.0), rect=Rectangle(1.0))
+
+    def test_trace_on_another_rectangle_is_refused_on_the_grid(self):
+        with pytest.raises(BoundaryDataError, match="defined on alpha=0.5, used with alpha=1.0"):
+            project(ModeTrace(class_one(1, alpha=0.5)), Rectangle(1.0), [])
+
+    def test_modes_of_another_rectangle_are_refused(self):
+        # their coefficients on the square's grid would be wrong, with no error
+        modes = first_modes(0.5, 12, classes=[SymmetryClass.I])
+        with pytest.raises(InvalidModeError, match="another rectangle"):
+            project(builtin_boundary("coshcos:2"), Rectangle(1.0), modes)
+        with pytest.raises(InvalidModeError):
+            project(builtin_boundary("coshcos:2"), Rectangle(0.5), [class_one(1, alpha=0.5), class_one(1)])
+
+    def test_rect_needed_when_neither_function_carries_one(self):
+        with pytest.raises(ValueError, match="rect must be given"):
+            inner_product(builtin_boundary("x"), builtin_boundary("y"))
 
 
 class TestNorm:
@@ -526,6 +543,10 @@ class TestSampledData:
         with pytest.raises(EdgeCoverageError):
             SampledBoundaryFunction(rect, s, np.ones_like(s))
 
+    def test_values_of_another_length_rejected(self):
+        with pytest.raises(BoundaryDataError, match="equal length"):
+            SampledBoundaryFunction(Rectangle(1.0), [0.1, 0.2], [1.0])
+
     def test_nonmonotone_rejected(self):
         rect = Rectangle(1.0)
         with pytest.raises(BoundaryDataError):
@@ -845,6 +866,61 @@ class TestBuiltins:
             builtin_boundary("const")  # missing parameter
         with pytest.raises(ValueError):
             builtin_boundary("x:3")  # spurious parameter
+
+    # ident -> the rule as written, freq_hint and name
+    FORMULAS = {
+        "const:7": (lambda x, y: np.full_like(x, 7.0), 0.0, "const:7.0"),
+        "const:-2.5e-3": (lambda x, y: np.full_like(x, -2.5e-3), 0.0, "const:-0.0025"),
+        "x": (lambda x, y: x + 0.0 * y, 0.0, "x"),
+        "y": (lambda x, y: y + 0.0 * x, 0.0, "y"),
+        "xy": (lambda x, y: x * y, 0.0, "xy"),
+        "x2-y2": (lambda x, y: x * x - y * y, 0.0, "x2-y2"),
+        "x3-3xy2": (lambda x, y: x * x * x - 3 * x * y * y, 0.0, "x3-3xy2"),
+        "3x2y-y3": (lambda x, y: 3 * x * x * y - y * y * y, 0.0, "3x2y-y3"),
+        "x4-6x2y2+y4": (lambda x, y: x * x * x * x - 6 * x * x * y * y + y * y * y * y, 0.0, "x4-6x2y2+y4"),
+        "4x3y-4xy3": (lambda x, y: 4 * x * x * x * y - 4 * x * y * y * y, 0.0, "4x3y-4xy3"),
+        "coshcos:1.5": (lambda x, y: np.cosh(1.5 * x) * np.cos(1.5 * y), 1.5, "coshcos:1.5"),
+        "coshcos:-2.5": (lambda x, y: np.cosh(-2.5 * x) * np.cos(-2.5 * y), 2.5, "coshcos:-2.5"),
+        "sinhsin:1.5": (lambda x, y: np.sinh(1.5 * x) * np.sin(1.5 * y), 1.5, "sinhsin:1.5"),
+        "sinhsin:-0.9": (lambda x, y: np.sinh(-0.9 * x) * np.sin(-0.9 * y), 0.9, "sinhsin:-0.9"),
+        "coscosh:1.5": (lambda x, y: np.cos(1.5 * x) * np.cosh(1.5 * y), 1.5, "coscosh:1.5"),
+        "coscosh:-2.2": (lambda x, y: np.cos(-2.2 * x) * np.cosh(-2.2 * y), 2.2, "coscosh:-2.2"),
+        "sinsinh:1.5": (lambda x, y: np.sin(1.5 * x) * np.sinh(1.5 * y), 1.5, "sinsinh:1.5"),
+        "sinsinh:-1.1": (lambda x, y: np.sin(-1.1 * x) * np.sinh(-1.1 * y), 1.1, "sinsinh:-1.1"),
+    }
+
+    def test_formulas_cover_every_builtin(self):
+        assert {ident.partition(":")[0] for ident in self.FORMULAS} == set(BUILTIN_NAMES)
+        assert BUILTIN_NAMES == ("3x2y-y3", "4x3y-4xy3", "const", "coscosh", "coshcos", "sinhsin", "sinsinh",
+                                 "x", "x2-y2", "x3-3xy2", "x4-6x2y2+y4", "xy", "y")
+
+    @pytest.mark.parametrize("ident", list(FORMULAS))
+    def test_rule_is_the_written_formula(self, ident):
+        rule, hint, name = self.FORMULAS[ident]
+        f = builtin_boundary(ident)
+        rng = np.random.default_rng(11)
+        # signed zeros on either axis: odd data must give exact zeros of the same sign
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 257), [0.0, -0.0, 0.0, -0.0, 0.5]])
+        y = np.concatenate([rng.uniform(-1.0, 1.0, 257), [0.0, 0.0, -0.0, -0.0, -0.0]])
+        assert f.fn(x, y).tobytes() == rule(x, y).tobytes()
+        assert (f.freq_hint, f.name) == (hint, name)
+
+    @pytest.mark.parametrize("ident,message", [
+        ("nope", "unknown builtin 'nope'; choices: 3x2y-y3, 4x3y-4xy3, const, coscosh, coshcos, sinhsin, "
+                 "sinsinh, x, x2-y2, x3-3xy2, x4-6x2y2+y4, xy, y"),
+        ("x:1", "builtin 'x' takes no parameter"),
+        ("const", "builtin 'const' needs a value, e.g. const:7"),
+        ("const:", "builtin 'const' needs a value, e.g. const:7"),
+        ("const:abc", "could not convert string to float: 'abc'"),
+        ("const:inf", "builtin 'const' needs a finite parameter, got 'inf'"),
+        ("coshcos", "builtin 'coshcos' needs a frequency, e.g. coshcos:2.5"),
+        ("coshcos:nan", "builtin 'coshcos' needs a finite parameter, got 'nan'"),
+        ("sinsinh:1e400", "builtin 'sinsinh' needs a finite parameter, got '1e400'"),
+    ])
+    def test_malformed_ident_message(self, ident, message):
+        with pytest.raises(ValueError) as info:
+            builtin_boundary(ident)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "name",

@@ -111,6 +111,13 @@ class TestRectBounds:
             check_rect_bounds(1.0, 5)
 
 
+@pytest.mark.parametrize("check", [check_square_bounds, lambda j_max: check_rect_bounds(0.5, j_max)],
+                         ids=["square", "rect"])
+def test_no_index_is_refused(check):
+    with pytest.raises(ValueError, match="j_max must be >= 1, got 0"):
+        check(0)
+
+
 @pytest.mark.parametrize("alpha", [0.9, 0.5, 0.1, 0.02, 0.01, 0.003, 0.001])
 @pytest.mark.parametrize("m", [0, 3, 12])
 def test_rect_tail_sums_its_whole_series(alpha, m):

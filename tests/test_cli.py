@@ -257,6 +257,14 @@ class TestCentral:
     def test_missing_file_is_data_error(self, capsys):
         assert run(capsys, "central", "--data", "/nonexistent/b.csv")[0] == 1
 
+    @pytest.mark.parametrize("text", ["", "\n\n# a comment\n  # another\n\n"], ids=["empty", "blank-and-comments"])
+    def test_file_without_header_is_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        rc, out, err = run(capsys, "central", "--data", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {path}: empty boundary data file\n"
+
     def test_malformed_file_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("arclength,value\n0.0,1.0\n0.0,2.0\n")
@@ -282,6 +290,11 @@ class TestBadValues:
         ("central", "--builtin", "const:inf"),
         ("central", "--builtin", "coshcos:nan"),
         ("solve", "--mode", "neumann", "--builtin", "const:nan"),
+        ("central", "--builtin", "coshcos"),
+        ("central", "--builtin", "x2-y2", "--m", "-1"),
+        ("solve", "--mode", "dirichlet", "--builtin", "x", "--m", "-1"),
+        ("spectrum", "--jmax", "-1"),
+        ("spectrum", "--classes", "V"),
     ])
     def test_usage_error(self, capsys, argv):
         rc, _, err = run(capsys, *argv)
@@ -328,6 +341,11 @@ class TestBadValues:
         rows = {(r["class"], r["family"]): r for r in json.loads(out)["modes"]}
         assert abs(rows["III", "y"]["nu"] - math.pi / 2) <= 1e-3
         assert abs(rows["IV", "y"]["nu"] - math.pi / 2) <= 1e-3
+
+    def test_tiny_alpha_stalled_bisection_is_clean_error(self, capsys):
+        rc, out, err = run(capsys, "spectrum", "--alpha", "1e-300", "--jmax", "1")
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert "stalled above width 1e-06" in err and out == ""
 
     def test_stalled_bisection_is_clean_error(self):
         # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the bisection width 1e-9
@@ -431,6 +449,12 @@ class TestSolve:
             parts = [e.mean_term] + [t.coefficient * evaluate(t.mode, x, y) for t in e.terms]
             bound = len(parts) * sys.float_info.epsilon * sum(abs(p) for p in parts)
             assert abs(evaluate_interior(e, x, y) - v[2]) <= bound
+
+    def test_empty_eval_chunk_is_skipped(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x2-y2", "--m", "8",
+                         "--eval", "0,0;;0.1,0.1", "--format", "json")
+        assert rc == 0
+        assert [(v["x"], v["y"]) for v in json.loads(out)["values"]] == [(0.0, 0.0), (0.1, 0.1)]
 
     def test_eval_outside_domain(self, capsys):
         rc, _, err = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x",

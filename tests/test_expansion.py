@@ -13,6 +13,7 @@ from steklov_rect import (
     ExpansionTerm,
     Family,
     IncompatibleDataError,
+    InvalidModeError,
     LinearCombination,
     ModeId,
     ModeKind,
@@ -90,6 +91,17 @@ class TestExpandDirichlet:
         e = expand_dirichlet(builtin_boundary("xy"), 1.0, 15)
         deltas = [t.mode.delta for t in e.terms]
         assert deltas == sorted(deltas)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda h: expand_dirichlet(h, 1.0, -1), "M must be >= 0, got -1"),
+    (lambda h: solve_robin(h, 1.0, 0.5, -1), "M must be >= 0, got -1"),
+    (lambda h: solve_neumann(h, 1.0, -1), "M must be >= 0, got -1"),
+    (lambda h: expand_for_central(h, 1.0, -1), "m must be >= 0, got -1"),
+], ids=["dirichlet", "robin", "neumann", "central"])
+def test_negative_truncation_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(builtin_boundary("x"))
 
 
 class TestEvaluateInterior:
@@ -585,6 +597,16 @@ class TestSerialization:
     def test_t_outside_unit_interval_is_refused_on_construction(self, t):
         with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             SteklovExpansion(1.0, t, 0.0, (), 32)
+
+    def test_term_of_another_rectangle_is_refused(self):
+        # the modes would be evaluated outside their rectangle, and central_value take the square's tail
+        e = expand_dirichlet(builtin_boundary("coshcos:2"), 0.5, 40)
+        with pytest.raises(InvalidModeError, match="another rectangle than alpha=1.0"):
+            dataclasses.replace(e, alpha=1.0)
+        with pytest.raises(InvalidModeError):
+            SteklovExpansion(0.5, None, 0.0, (ExpansionTerm(class_one(1, alpha=0.5), 1.0),
+                                              ExpansionTerm(class_one(1), 1.0)), 32)
+        assert dataclasses.replace(e, alpha=0.5) == e
 
     @pytest.mark.parametrize("t,kind", [(None, "dirichlet"), (0.0, "robin"), (0.25, "robin"), (1.0, "robin")])
     def test_t_in_unit_interval_or_none_builds(self, t, kind):

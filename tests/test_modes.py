@@ -61,6 +61,11 @@ class TestEigenvalue:
             18.0641578, abs=5e-7
         )
 
+    @pytest.mark.parametrize("nu", [0.0, -1.5])
+    def test_non_positive_nu_is_refused(self, nu):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            eigenvalue(SymmetryClass.I, Family.X, nu, 1.0)
+
     def test_constant_mode_delta_zero(self):
         assert resolve(ModeId.constant(), 0.7).delta == 0.0
 
@@ -153,6 +158,10 @@ class TestResolve:
         a = resolve(ModeId.separated(SymmetryClass.III, Family.Y, 4), 0.62)
         b = resolve(ModeId.separated(SymmetryClass.III, Family.Y, 4), 0.62)
         assert (a.nu, a.delta, a.scale) == (b.nu, b.delta, b.scale)
+
+    def test_separated_mode_id_needs_class_family_and_index(self):
+        with pytest.raises(InvalidModeError, match="need class, family and index"):
+            ModeId(ModeKind.SEPARATED)
 
     def test_mode_id_validation(self):
         with pytest.raises(InvalidModeError):
@@ -390,6 +399,11 @@ class TestEnumeration:
         modes = first_modes(1.0, 60)
         assert len({m.delta for m in modes}) < len(modes)
         assert modes == [m for m in spectrum(1.0, 60) if m.kind != ModeKind.CONSTANT][:60]
+
+    @pytest.mark.parametrize("listing,message", [(first_modes, "count must be >= 0"), (spectrum, "j_max must be >= 0")])
+    def test_negative_count_is_refused(self, listing, message):
+        with pytest.raises(ValueError, match=message):
+            listing(0.5, -1)
 
     def test_first_modes_empty_filter(self):
         assert first_modes(0.5, 0, classes=[]) == []
