@@ -4,8 +4,9 @@ Integrals use composite Gauss-Legendre panels per edge. Gauss nodes are
 interior to panels, so corner values of the data are never touched and
 traces may be discontinuous at corners. The panel count scales with the
 highest oscillation frequency in play (an integrand cos(nu t) needs panels
-proportional to nu); an expansion takes its mean, norm and coefficients from
-one grid sized for its largest nu.
+proportional to nu times the edge's length); an expansion takes its mean,
+norm and coefficients from one grid, each pair of opposite edges sized for
+its largest nu.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import stat
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -264,6 +266,8 @@ class _EdgeSpline:
 
 # np.loadtxt opens a str path through np.lib._datasource, which decompresses by these suffixes
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# a row may follow the header only if some character after it is not a line end
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
 def _load_rows(rows: str | list[str], skip: int) -> np.ndarray:
@@ -276,7 +280,7 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     ``arclength,value``, then one sample per line; a line of only spaces or tabs is blank,
     and a line whose first non-blank character is '#' is a comment.
 
-    The header is the first non-empty line that is not a comment. Lines end at \\n, \\r\\n
+    The header is the first line that is neither blank nor a comment. Lines end at \\n, \\r\\n
     or \\r, as in numpy's text-mode open. numpy parses a regular file named without a
     compressed suffix by its absolute path, in C chunks, skipping every line up to the
     header. A blank or comment line after the header fails that parse, as a bad row does;
@@ -291,7 +295,7 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     except UnicodeDecodeError as exc:
         raise BoundaryDataError(f"{path}: not UTF-8 text ({exc})") from exc
     header, start, skip = "", 0, 0
-    while not header or header.lstrip().startswith("#"):
+    while not header.strip() or header.lstrip().startswith("#"):
         if start > len(text):
             raise BoundaryDataError(f"{path}: empty boundary data file")
         end = text.find("\n", start)
@@ -305,7 +309,7 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     data = None
     if (regular and isinstance(path, (str, bytes, os.PathLike))
             and not os.fsdecode(path).lower().endswith(_COMPRESSED)
-            and text.count("\n", start) < len(text) - start):
+            and _NOT_NEWLINE.search(text, start)):
         try:  # absolute: never read as a URL
             data = _load_rows(os.fsdecode(os.path.abspath(path)), skip)
         except ValueError:  # numpy skips only empty lines and reads no comments
@@ -326,10 +330,14 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (-1, 1), each averaged with its mirror image (a
+    rounding apart), so the nodes are odd and the weights even bit for bit; an odd order's
+    middle node is exactly 0."""
     if not 2 <= order <= _MAX_ORDER:
         raise ValueError(f"quadrature order must be in [2, {_MAX_ORDER}], got {order}")
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        _GAUSS_CACHE[order] = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
     return _GAUSS_CACHE[order]
 
 
@@ -356,18 +364,22 @@ def default_panels(freq: float) -> int:
     return panels
 
 
+def _panel_grid(half: float, order: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composite Gauss rule of `panels` equal panels on (-half, half): the panel centres
+    c_p, the node offsets d_k about a centre and the weights of those nodes. Node k of panel
+    p is c_p + d_k; c and d are odd bit for bit, so the nodes are mirror-symmetric about 0."""
+    nodes, weights = _gauss(order)
+    width = 2.0 * half / panels
+    return width * (np.arange(panels) - 0.5 * (panels - 1)), 0.5 * width * nodes, 0.5 * width * weights
+
+
 def edge_quadrature(
     rect: Rectangle, edge: Edge, order: int, panels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights in the edge coordinate, mirror-symmetric about
-    0 bit for bit: each node and weight is averaged with its mirror image (a rounding apart)."""
-    nodes, weights = _gauss(order)
-    lo, hi = rect.edge_range(edge)
-    width = (hi - lo) / panels
-    starts = lo + width * np.arange(panels)
-    pts = (starts[:, None] + 0.5 * width * (nodes[None, :] + 1.0)).ravel()
-    wts = np.tile(0.5 * width * weights, panels)
-    return 0.5 * (pts - pts[::-1]), 0.5 * (wts + wts[::-1])
+    0 bit for bit: the nodes c_p + d_k of _panel_grid, panel by panel."""
+    centres, offsets, weights = _panel_grid(rect.edge_range(edge)[1], order, panels)
+    return (centres[:, None] + offsets).ravel(), np.tile(weights, panels)
 
 
 def inner_product(
@@ -404,8 +416,10 @@ def project(
 ) -> tuple[float, float, list[float]]:
     """Boundary mean, mean L2 norm and coefficients <u, mode trace> of u, from one grid.
 
-    One composite Gauss grid per edge, with default_panels(u.freq_hint +
-    largest nu) panels, carries every integral, and u is evaluated on it once.
+    One composite Gauss grid per pair of opposite edges carries every integral,
+    and u is evaluated on it once. A pair of half-length L (1 for top and
+    bottom, alpha for left and right) gets default_panels(L * (u.freq_hint +
+    largest nu)) panels, the same resolution per period on both pairs.
     A mode is the product of an x and a y factor; opposite edges share their
     nodes, so on each pair the factor along the edges is summed against the
     weighted data per (class, family), and the factor across them is taken
@@ -417,19 +431,18 @@ def project(
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
-    panels = default_panels(_check_freq_hint(u.freq_hint) + max((m.nu for m in modes), default=0.0))
+    freq = _check_freq_hint(u.freq_hint) + max((m.nu for m in modes), default=0.0)
+    grids = [_panel_grid(half, order, default_panels(half * freq)) for half in (rect.alpha, 1.0)]
+    tv, th = ((centres[:, None] + offsets).ravel() for centres, offsets, _ in grids)
+    values = u._grid_values(rect, _boundary_grid(rect, tv, th))
     total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
-    nodes = _gauss(order)[0]
-    nodes = 0.5 * (nodes - nodes[::-1])  # mirror-symmetric, an odd order's middle node exactly 0
-    q = (panels + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
-    blocks = list(_mode_blocks(modes, 2 * max(order, q)))
-    pairs = (((Edge.RIGHT, Edge.LEFT), (1.0, -1.0)), ((Edge.TOP, Edge.BOTTOM), (rect.alpha, -rect.alpha)))
-    grids = [edge_quadrature(rect, pair[0], order, panels) for pair, _ in pairs]
-    values = u._grid_values(rect, _boundary_grid(rect, grids[0][0], grids[1][0]))
-    split = 2 * grids[0][0].size
-    for (pair, ends), (t, w), hv in zip(pairs, grids, (values[:split], values[split:])):
+    pairs, ups = [], []  # vertical pair first: (vertical, folded data, centres at t >= 0, offsets)
+    for vertical, (centres, offsets, weights), t, hv in zip(
+            (True, False), grids, (tv, th), np.split(values, [2 * tv.size])):
+        panels = centres.size
+        q = (panels + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
         hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum of the squares adds it in this order
-        wh = w[:, None] * hv
+        wh = (hv.reshape(panels, order, 2) * weights[:, None]).reshape(t.size, 2)
         square += float(np.sum(wh * hv))
         half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
         mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
@@ -441,23 +454,23 @@ def project(
             folded[even_t, True] = (part[:, 0] + part[:, 1]).reshape(q, order)
             folded[even_t, False] = (part[:, 0] - part[:, 1]).reshape(q, order)
         total += float(np.sum(folded[True, True]))  # data odd along or across the pair folds to 0
-        vertical = pair[0] == Edge.RIGHT
-        lo, hi = rect.edge_range(pair[0])
-        width = (hi - lo) / panels
-        centres = width * (np.arange(q) + 0.5 * (1 - panels % 2))
-        offsets = 0.5 * width * nodes
-        up = np.concatenate([np.zeros(below.shape[0]), t[half:]])  # nodes of the folded data
-        at = (lambda s: (ends[:1], s)) if vertical else (lambda s: (s, ends[:1]))  # (x, y) of s, first edge
-        for part, eq, nu, log_scale, (even_x, even_y) in blocks:
+        pairs.append((vertical, folded, centres[panels - q:], offsets))
+        ups.append(np.concatenate([np.zeros(below.shape[0]), t[half:]]))  # nodes of the folded data
+    # x factors at x = 1 (across the vertical pair), then at the folded nodes of the horizontal
+    # pair; y factors at y = alpha, then at those of the vertical pair
+    x, y = np.concatenate([[1.0], ups[1]]), np.concatenate([[rect.alpha], ups[0]])
+    width = 2 * max(order, *(centres.size for _, _, centres, _ in pairs))  # of the widest table
+    for part, eq, nu, log_scale, (even_x, even_y) in _mode_blocks(modes, width):
+        # the constant and the xy mode keep their factors at the nodes; a separated mode's
+        # factor along the edges comes from the tables below
+        fx, fy = _block_factors(modes, part, eq, nu, log_scale, *((x, y) if eq is None else (x[:1], y[:1])))
+        for vertical, folded, centres, offsets in pairs:
+            along, across = (fy, fx[:, 0]) if vertical else (fx, fy[:, 0])
             even_along, even_across = (even_y, even_x) if vertical else (even_x, even_y)
             data = folded[even_along, even_across]
-            if eq is None:  # the constant or the xy mode: factors at the nodes
-                fx, fy = _block_factors(modes, part, eq, nu, log_scale, *at(up))
-                along, across = (fy, fx) if vertical else (fx, fy)
-                coeffs[part] += (along @ data.ravel()) * across[:, 0]
+            if eq is None:
+                coeffs[part] += (along[:, 1:] @ data.ravel()) * across
                 continue
-            fx, fy = _block_factors(modes, part, eq, nu, log_scale, *at(up[:0]))  # along: no nodes
-            across = (fx if vertical else fy)[:, 0]
             nc, nd = nu * centres, nu * offsets
             if (eq.family == Family.Y) == vertical:  # hyperbolic along the edges, with log_scale:
                 # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,

@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 roots come from scipy's brentq on directly-written residuals, boundary
-integrals from scipy's fixed_quad on directly-written profiles.
+integrals from scipy's fixed_quad on directly-written profiles. The one
+exception, paired_inner_product, sums on the library's own edge grid, so that
+a quadrature on that grid is compared with a plain per-edge sum on the same
+nodes.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import math
 import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.optimize import brentq
+
+from steklov_rect import Edge
+from steklov_rect.boundary import edge_quadrature
 
 
 def root_in(fn, lo, hi):
@@ -36,6 +42,18 @@ def boundary_integral(fn_xy, alpha, n=160):
 
 def boundary_mean(fn_xy, alpha, n=160):
     return boundary_integral(fn_xy, alpha, n=n) / (4.0 * (1.0 + alpha))
+
+
+def paired_inner_product(u, v, rect, order, panels_v, panels_h):
+    """boundary.inner_product's edge-by-edge sum of u*v over the perimeter, on the grid of
+    edge_quadrature with panels_v panels on the vertical edges and panels_h on the horizontal
+    ones: the reference for a grid whose two pairs of edges differ in panel count."""
+    total = 0.0
+    for edge in Edge:
+        panels = panels_v if edge in (Edge.RIGHT, Edge.LEFT) else panels_h
+        pts, wts = edge_quadrature(rect, edge, order, panels)
+        total += float(np.dot(wts, u.edge_values(rect, edge, pts) * v.edge_values(rect, edge, pts)))
+    return total / rect.perimeter
 
 
 def raw_profile(even_x: bool, even_y: bool, hyp_in_x: bool, nu: float):
