@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import Edge, Rectangle
-from .modes import InvalidModeError, SteklovMode, _block_factors, _mode_blocks, evaluate
+from .modes import InvalidModeError, SteklovMode, _block_factors, _mode_table, _ModeTable, evaluate
 from .roots import Family
 
 __all__ = [
@@ -229,7 +229,9 @@ def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarra
 
 class _EdgeSpline:
     """Interpolant of samples (t, y) on one edge, t increasing, in cubic Hermite form: not-a-knot
-    cubic from 4 samples, parabola for 3, line for 2, end pieces extended past the ends."""
+    cubic from 4 samples, parabola for 3, line for 2, end pieces extended past the ends. The
+    interior slopes solve the spline's tridiagonal rows; each end slope comes from its end
+    piece's x^3 coefficient."""
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
         secant = np.diff(y) / (h := np.diff(t))
@@ -238,16 +240,27 @@ class _EdgeSpline:
             # CubicSpline's not-a-knot rows: h_1 s_0 + w0 s_1 = r0, w1 s_{n-2} + h_{n-3} s_{n-1} = r1
             # and h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = r_i for i = 1..n-2
             w0, w1 = t[2] - t[0], t[-1] - t[-3]
-            r0 = ((h[0] + 2.0 * w0) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / w0
-            r1 = (h[-1] ** 2 * secant[-2] + (2.0 * w1 + h[-1]) * h[-2] * secant[-1]) / w1
+            d2 = np.diff(secant) / (t[2:] - t[:-2])  # second divided differences
             s = (h[1] * secant[:1] + h[0] * secant[1:2]) / w0  # the parabola's middle slope
+            ends = np.zeros(2)  # the x^3 coefficients of the end pieces: a parabola's are 0
             if t.size > 3:  # rows 1 and n-2 less the end rows, with nothing left to cancel
                 r = 3.0 * (h[1:] * secant[:-1] + h[:-1] * secant[1:])
                 r[0] = (h[1] ** 2 * secant[0] + h[0] * (2.0 * h[0] + 3.0 * h[1]) * secant[1]) / w0
                 r[-1] = (h[-2] ** 2 * secant[-1] + h[-1] * (3.0 * h[-2] + 2.0 * h[-1]) * secant[-2]) / w1
                 diag = np.concatenate(([w0], 2.0 * (h[1:-2] + h[2:-1]), [w1]))
                 s = _solve_tridiagonal(np.append(0.0, h[2:]), diag, np.append(h[:-2], 0.0), r)
-            s = np.concatenate(([(r0 - w0 * s[0]) / h[1]], s, [(r1 - w1 * s[-1]) / h[-2]]))
+                ends[:] = (d2[1] - d2[0]) / (t[3] - t[0])  # 4 samples: one cubic
+            if t.size > 4:
+                # the second derivative at t_2 and t_{n-3}, the mean of its two sides weighted by
+                # their gaps, matched by the end pieces q + D (x - t_0)(x - t_1)(x - t_2), q the
+                # parabola through their samples
+                m = (2.0 * (s[[0, -3]] - s[[2, -1]]) + 6.0 * (secant[[2, -2]] - secant[[1, -3]])) / (
+                    h[[1, -3]] + h[[2, -2]])
+                ends = (0.5 * m - d2[[0, -1]]) / np.array([w0 + h[1], -(w1 + h[-2])])
+            # s_0 = q'(t_0) + D h_0 w0, and its mirror: the end rows solved without dividing by h_1,
+            # which would amplify the rounding of s_1 by w0 / h_1 where the second gap is short
+            s = np.concatenate(([secant[0] - h[0] * (d2[0] - w0 * ends[0])], s,
+                                [secant[-1] + h[-1] * (d2[-1] + w1 * ends[1])]))
         self.t, self.y, self.s = t, y, s
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -428,14 +441,22 @@ def project(
     There, node t of panel p is c_p + d_k, with c_p the panel centre, and
     addition formulas make the factor along the edges a sum of two products
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
+    The modes are gathered and grouped by (class, family) into one table
+    first; the expansions hand over the table of their mode set instead.
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
-    freq = _check_freq_hint(u.freq_hint) + max((m.nu for m in modes), default=0.0)
+    return _project(u, rect, _mode_table(modes), order)
+
+
+def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> tuple[float, float, list[float]]:
+    """project against the modes of a table, all of them of rect."""
+    # the constant and the xy mode have nu = 0
+    freq = _check_freq_hint(u.freq_hint) + max((float(g.nu.max()) for g in table.groups), default=0.0)
     grids = [_panel_grid(half, order, default_panels(half * freq)) for half in (rect.alpha, 1.0)]
     tv, th = ((centres[:, None] + offsets).ravel() for centres, offsets, _ in grids)
     values = u._grid_values(rect, _boundary_grid(rect, tv, th))
-    total, square, coeffs = 0.0, 0.0, np.zeros(len(modes))
+    total, square, coeffs = 0.0, 0.0, np.zeros(len(table.modes))
     pairs, ups = [], []  # vertical pair first: (vertical, folded data, centres at t >= 0, offsets)
     for vertical, (centres, offsets, weights), t, hv in zip(
             (True, False), grids, (tv, th), np.split(values, [2 * tv.size])):
@@ -460,10 +481,10 @@ def project(
     # pair; y factors at y = alpha, then at those of the vertical pair
     x, y = np.concatenate([[1.0], ups[1]]), np.concatenate([[rect.alpha], ups[0]])
     width = 2 * max(order, *(centres.size for _, _, centres, _ in pairs))  # of the widest table
-    for part, eq, nu, log_scale, (even_x, even_y) in _mode_blocks(modes, width):
+    for part, eq, nu, log_scale, (even_x, even_y) in table.blocks(width):
         # the constant and the xy mode keep their factors at the nodes; a separated mode's
         # factor along the edges comes from the tables below
-        fx, fy = _block_factors(modes, part, eq, nu, log_scale, *((x, y) if eq is None else (x[:1], y[:1])))
+        fx, fy = _block_factors(table.modes, part, eq, nu, log_scale, *((x, y) if eq is None else (x[:1], y[:1])))
         for vertical, folded, centres, offsets in pairs:
             along, across = (fy, fx[:, 0]) if vertical else (fx, fy[:, 0])
             even_along, even_across = (even_y, even_x) if vertical else (even_x, even_y)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +28,12 @@ from .modes import (
     SymmetryClass,
     _block_factors,
     _check_nu,
+    _first_modes_table,
     _log_scale,
-    _mode_blocks,
+    _mode_table,
+    _ModeTable,
     _stream_modes,
     _window_deltas,
-    first_modes,
     resolve,
 )
 from .roots import DEFAULT_TOL, DeterminingEquation
@@ -83,6 +84,9 @@ class SteklovExpansion:
     terms: tuple[ExpansionTerm, ...]
     quad_order: int
     data_norm: Optional[float] = None
+    # the terms' modes grouped as _build found them; every other construction leaves None and
+    # evaluate_interior groups the terms itself
+    _table: Optional[_ModeTable] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t is not None and not 0.0 <= self.t <= 1.0:
@@ -124,13 +128,15 @@ class EnergyTail:
 def _build(
     h: bd.BoundaryFunction,
     alpha: float,
-    modes: Sequence[SteklovMode],
+    table: _ModeTable,
     order: int,
     t: Optional[float],
 ) -> SteklovExpansion:
-    """Coefficients of h against modes; with t set, each is divided by (1-t)*delta + t.
+    """Coefficients of h against the modes of a table; with t set, each is divided by
+    (1-t)*delta + t, with delta the table's eigenvalue array.
 
-    The mean, the norm and the coefficients come from one quadrature grid.
+    The mean, the norm and the coefficients come from one quadrature grid. The
+    expansion keeps the table, so evaluate_interior reuses its grouping.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
@@ -138,7 +144,7 @@ def _build(
     """
     rect = Rectangle(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
-        raw_mean, norm, coeffs = bd.project(h, rect, modes, order)
+        raw_mean, norm, coeffs = bd._project(h, rect, table, order)
     if not (math.isfinite(raw_mean) and math.isfinite(norm)):
         raise bd.BoundaryDataError(
             f"boundary data is not finite: mean = {raw_mean!r}, norm = {norm!r}"
@@ -155,8 +161,10 @@ def _build(
         if not math.isfinite(mean_term):
             raise IncompatibleDataError(f"Robin mean term mean / t = {raw_mean:.3e} / {t:.3e} overflows")
     if t is not None:
-        coeffs = (np.array(coeffs) / ((1.0 - t) * np.array([mode.delta for mode in modes]) + t)).tolist()
-    return SteklovExpansion(alpha, t, mean_term, tuple(map(ExpansionTerm, modes, coeffs)), order, norm)
+        coeffs = (np.array(coeffs) / ((1.0 - t) * table.delta + t)).tolist()
+    e = SteklovExpansion(alpha, t, mean_term, tuple(map(ExpansionTerm, table.modes, coeffs)), order, norm)
+    object.__setattr__(e, "_table", table)
+    return e
 
 
 def expand_dirichlet(
@@ -175,8 +183,7 @@ def expand_dirichlet(
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(h, alpha, modes, order, None)
+    return _build(h, alpha, _first_modes_table(alpha, M, classes, tol), order, None)
 
 
 def expand_for_central(
@@ -196,7 +203,7 @@ def expand_for_central(
         raise ValueError(f"m must be >= 0, got {m}")
     eqs = [DeterminingEquation(SymmetryClass.I, fam, alpha) for fam in Family]
     modes = [mode for eq in eqs for mode in _stream_modes(eq, m, tol)]
-    return _build(h, alpha, sorted(modes, key=SteklovMode.sort_key), order, None)
+    return _build(h, alpha, _mode_table(sorted(modes, key=SteklovMode.sort_key)), order, None)
 
 
 def solve_robin(
@@ -218,8 +225,7 @@ def solve_robin(
         raise ValueError(f"Robin parameter must satisfy 0 < t <= 1, got {t}")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(eta, alpha, modes, order, t)
+    return _build(eta, alpha, _first_modes_table(alpha, M, classes, tol), order, t)
 
 
 def solve_neumann(
@@ -238,8 +244,7 @@ def solve_neumann(
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    modes = first_modes(alpha, M, classes=classes, tol=tol)
-    return _build(eta, alpha, modes, order, 0.0)
+    return _build(eta, alpha, _first_modes_table(alpha, M, classes, tol), order, 0.0)
 
 
 def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +276,10 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     grid = xs.size * ys.size <= xa.size
     total = np.zeros((xs.size, ys.size) if grid else xa.size)
     c = np.array([term.coefficient for term in e.terms])
-    modes = [term.mode for term in e.terms]
+    table = _mode_table([term.mode for term in e.terms]) if e._table is None else e._table
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
-    for part, eq, nu, log_scale, _ in _mode_blocks(modes, width):
-        fx, fy = _block_factors(modes, part, eq, nu, log_scale, xs, ys)
+    for part, eq, nu, log_scale, _ in table.blocks(width):
+        fx, fy = _block_factors(table.modes, part, eq, nu, log_scale, xs, ys)
         if grid:
             total += (c[part, None] * fx).T @ fy
         else:

@@ -147,7 +147,7 @@ class SteklovMode:
 
     @functools.cached_property
     def _block(self) -> int:
-        """The key _mode_blocks groups by: one code per kind and (class, family)."""
+        """The key _mode_table groups by: one code per kind and (class, family)."""
         if self.kind != ModeKind.SEPARATED:
             return 1 if self.kind == ModeKind.XY else 0
         return 2 + 2 * _CLASS_ORDER[self.symmetry_class] + _FAMILY_ORDER[self.family]
@@ -276,36 +276,57 @@ def _mode_factors(mode: SteklovMode, x, y):
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _mode_blocks(modes: Sequence[SteklovMode], width: int) -> Iterator[tuple]:
-    """(indices, equation, nu, log_scale, (even_x, even_y)) of slices of modes of one kind and
-    (class, family), each of at most _BLOCK_ENTRIES // width modes (or of one mode).
+class _Group(NamedTuple):
+    """The modes of one kind and (class, family) in a _ModeTable: their rows, the equation of
+    their (class, family) (None for the constant and the xy mode), their nu and log_scale as
+    columns, and whether their x and y factors are even (cosh, cos, the constant) rather than odd."""
 
-    Row r of a slice is modes[indices[r]]. For separated modes, equation is their (class,
-    family)'s and nu and log_scale are columns of their values; all three are None for the
-    constant and the xy mode. even_x and even_y say whether the x and the y factor are even
-    (cosh, cos, the constant) rather than odd. Groups come in the order of their first mode.
-    """
-    rows = max(1, _BLOCK_ENTRIES // max(1, width))
+    rows: np.ndarray
+    eq: Optional[DeterminingEquation]
+    nu: np.ndarray
+    log_scale: np.ndarray
+    even: tuple[bool, bool]
+
+
+class _ModeTable(NamedTuple):
+    """Modes in order, their eigenvalues as an array, and their groups by kind and (class,
+    family) in the order of each group's first mode; its arrays are never written."""
+
+    modes: tuple[SteklovMode, ...]
+    delta: np.ndarray
+    groups: tuple[_Group, ...]
+
+    def blocks(self, width: int) -> Iterator[tuple]:
+        """(rows, equation, nu, log_scale, (even_x, even_y)) of slices of the groups, each of at
+        most _BLOCK_ENTRIES // width modes (or of one mode)."""
+        step = max(1, _BLOCK_ENTRIES // max(1, width))
+        for g in self.groups:
+            for k in range(0, g.rows.size, step):
+                part = slice(k, k + step)
+                yield g.rows[part], g.eq, g.nu[part], g.log_scale[part], g.even
+
+
+def _mode_table(modes: Sequence[SteklovMode]) -> _ModeTable:
+    """The table of modes, gathered and grouped in one pass."""
     n = len(modes)
     codes = np.fromiter((mode._block for mode in modes), int, n)
+    delta = np.fromiter((mode.delta for mode in modes), float, n)
     nus = np.fromiter((mode.nu for mode in modes), float, n)[:, None]
     log_scales = np.fromiter((mode.log_scale for mode in modes), float, n)[:, None]
     _, first = np.unique(codes, return_index=True)
+    groups = []
     for i0 in np.sort(first).tolist():
-        idx = np.flatnonzero(codes == codes[i0])
+        rows = np.flatnonzero(codes == codes[i0])
         m0 = modes[i0]
         cls = m0.symmetry_class  # None for the constant and the xy mode
         even = (m0.kind == ModeKind.CONSTANT,) * 2 if cls is None else (cls.even_x, cls.even_y)
-        for k in range(0, idx.size, rows):
-            part = idx[k : k + rows]
-            if cls is None:
-                yield part, None, None, None, even
-            else:
-                yield part, m0.equation, nus[part], log_scales[part], even
+        groups.append(_Group(rows, None if cls is None else m0.equation, nus[rows], log_scales[rows], even))
+    return _ModeTable(tuple(modes), delta, tuple(groups))
 
 
 def _block_factors(modes: Sequence[SteklovMode], part, eq, nu, log_scale, x, y):
-    """(x factors, y factors) at 1-d x and y of the modes of one slice _mode_blocks gives."""
+    """(x factors, y factors) at 1-d x and y of the modes of one slice _ModeTable.blocks gives;
+    nu and log_scale are read for separated modes only."""
     if eq is not None:
         return _separated_factors(eq, nu, log_scale, x, y)
     return tuple(map(np.array, zip(*(_mode_factors(modes[i], x, y) for i in part))))
@@ -430,6 +451,46 @@ def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray,
     return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
 
 
+# mode sets kept per process, the least recently used dropped first; one of M = 400 modes
+# takes about 17 KB beside its modes, which it shares with the streams
+_MODE_SETS = 32
+
+
+@functools.lru_cache(maxsize=_MODE_SETS)
+def _first_table(alpha: float, count: int, classes: tuple[SymmetryClass, ...], tol: float) -> _ModeTable:
+    """The table of the first count modes of the given classes; see first_modes."""
+    eqs = [_equation(cls, fam, alpha) for cls, fam in _streams(classes)]
+    if count == 0:
+        return _mode_table([])
+    if not eqs:
+        raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
+    # no stream holds more than count of the first count modes
+    streams = [_stream(eq, tol, windows=count) for eq in eqs]
+    with_xy = alpha == 1.0 and SymmetryClass.II in classes
+    pool = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
+    # rows (delta, class, family, index): the sort key of each mode in the pool
+    keys = [np.array([(mode.delta, *mode.mode_id.sort_key()) for mode in pool]).reshape(-1, 4).T]
+    uppers = np.concatenate([s.high[:count] for s in streams] + [keys[0][0]])
+    level = np.partition(uppers, count - 1)[count - 1]
+    for eq, s in zip(eqs, streams):
+        n = int(np.count_nonzero(s.low[:count] <= level))  # low rises with j
+        s = _stream(eq, tol, n)
+        pool += s.modes[:n]
+        keys.append(np.stack(np.broadcast_arrays(
+            s.delta[:n], _CLASS_ORDER[eq.symmetry_class], _FAMILY_ORDER[eq.family], np.arange(1, n + 1))))
+    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])  # lexsort sorts by its last row first
+    return _mode_table([pool[i] for i in order[:count].tolist()])
+
+
+def _first_modes_table(alpha: float, count: int, classes: Optional[Sequence[SymmetryClass]], tol: float) -> _ModeTable:
+    """first_modes' modes as a table, built once per process for each (alpha, count, classes,
+    tol); classes given in any order or with repeats share one entry."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    Rectangle(alpha)  # validates alpha
+    return _first_table(alpha, count, tuple(c for c in SymmetryClass if classes is None or c in classes), tol)
+
+
 def first_modes(
     alpha: float,
     count: int,
@@ -445,32 +506,10 @@ def first_modes(
     each (class, family) stream (_stream, which solves a root and bounds a
     window once per process), and the candidates are sorted once, by one
     lexsort of their eigenvalues and tie-breaks. Ties (the square is full of
-    them) break by class then family order.
+    them) break by class then family order. The merged set is kept per
+    process (_first_table), so a repeated request only copies it into a new list.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    Rectangle(alpha)  # validates alpha
-    eqs = [_equation(cls, fam, alpha) for cls, fam in _streams(classes)]
-    if count == 0:
-        return []
-    if not eqs:
-        raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
-    # no stream holds more than count of the first count modes
-    streams = [_stream(eq, tol, windows=count) for eq in eqs]
-    with_xy = alpha == 1.0 and (classes is None or SymmetryClass.II in classes)
-    pool = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
-    # rows (delta, class, family, index): the sort key of each mode in the pool
-    keys = [np.array([(mode.delta, *mode.mode_id.sort_key()) for mode in pool]).reshape(-1, 4).T]
-    uppers = np.concatenate([s.high[:count] for s in streams] + [keys[0][0]])
-    level = np.partition(uppers, count - 1)[count - 1]
-    for eq, s in zip(eqs, streams):
-        n = int(np.count_nonzero(s.low[:count] <= level))  # low rises with j
-        s = _stream(eq, tol, n)
-        pool += s.modes[:n]
-        keys.append(np.stack(np.broadcast_arrays(
-            s.delta[:n], _CLASS_ORDER[eq.symmetry_class], _FAMILY_ORDER[eq.family], np.arange(1, n + 1))))
-    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])  # lexsort sorts by its last row first
-    return [pool[i] for i in order[:count].tolist()]
+    return list(_first_modes_table(alpha, count, classes, tol).modes)
 
 
 def spectrum(

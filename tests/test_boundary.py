@@ -35,7 +35,7 @@ from steklov_rect import (
     load_boundary_csv,
     resolve,
 )
-from steklov_rect.modes import _block_factors, _mode_blocks, evaluate
+from steklov_rect.modes import _block_factors, _mode_table, evaluate
 from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid,
                                    default_panels, edge_quadrature, project)
 
@@ -278,11 +278,11 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("alpha", [1.0, 0.37])
     def test_factor_parity(self, alpha):
-        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _mode_blocks
+        # the fold in project trusts these parities: s(-x, y) and s(x, -y) by _mode_table
         modes = [resolve(ModeId.constant(), alpha)] + first_modes(alpha, 60)
         t = np.linspace(0.05, 0.95, 7)
         for mode in modes:
-            [(*block, (even_x, even_y))] = _mode_blocks([mode], t.size)
+            [(*block, (even_x, even_y))] = _mode_table([mode]).blocks(t.size)
             fx, fy = _block_factors([mode], *block, t, alpha * t)
             gx, gy = _block_factors([mode], *block, -t, -alpha * t)
             assert np.array_equal(gx, fx if even_x else -fx)
@@ -876,6 +876,18 @@ class TestEdgeSpline:
             err_scipy = np.abs(make_interp_spline(t, y, k=min(3, n - 1))(x) - exact).max()
             # at the rounding floor either side may be the closer one
             assert err <= max(err_scipy, 4 * np.finfo(float).eps * np.abs(exact).max())
+
+    def test_uneven_positions_within_a_few_eps(self):
+        # sorted uniform positions leave some second gaps far shorter than the first; an end
+        # slope taken by dividing by that gap was up to 7.6e4 eps of max |y| off
+        eps = np.finfo(float).eps
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(4, 41))))
+            y = 100.0 * (np.cos(3.0 * t) + t**3)
+            x = np.linspace(t[0], t[-1], 101)
+            err = np.abs(_EdgeSpline(t, y)(x) - _mp_spline(t, y, x)).max()
+            assert err <= 10 * eps * np.abs(y).max(), (seed, err / (eps * np.abs(y).max()))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_far_extrapolation_closer_than_scipy(self, seed):

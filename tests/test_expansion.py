@@ -252,6 +252,22 @@ class TestEvaluateInteriorTermByTerm:
         gx, gy = self.points(alpha)[0]
         assert np.max(np.abs(evaluate_interior(e2, gx, gy) - evaluate_interior(e, gx, gy))) > 1e-6
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_kept_grouping_changes_no_value(self, alpha):
+        # the solvers keep their mode set's grouping on the expansion; every other construction
+        # has none, and evaluate_interior groups the terms itself, to the same bits
+        h = builtin_boundary("coshcos:2")
+        gx, gy = self.points(alpha)[0]
+        px, py = np.array([0.0, 0.3, -0.7]), np.array([0.0, -0.2 * alpha, 0.5 * alpha])
+        for e in (expand_dirichlet(h, alpha, 400), solve_robin(h, alpha, 0.3, 400),
+                  solve_neumann(builtin_boundary("x3-3xy2"), alpha, 400)):
+            assert e._table is not None and e._table.modes == tuple(t.mode for t in e.terms)
+            for bare in (dataclasses.replace(e, terms=e.terms), expansion_from_dict(expansion_to_dict(e))):
+                assert bare._table is None and bare == dataclasses.replace(e, data_norm=bare.data_norm)
+                for x, y in ((gx, gy), (px, py)):
+                    assert evaluate_interior(bare, x, y).tobytes() == evaluate_interior(e, x, y).tobytes()
+        assert expand_for_central(h, alpha, 5)._table is not None
+
     def test_point_outside_raises(self):
         e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)
         with pytest.raises(DomainError):

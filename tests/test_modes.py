@@ -421,8 +421,14 @@ class TestStreamCache:
         return [(m.mode_id, m.alpha, m.nu.hex(), m.delta.hex(), m.log_scale.hex()) for m in modes]
 
     @staticmethod
-    def cold(fn):
+    def clear():
+        # the mode sets hold modes of the streams: with either left, a request is not cold
         md._solved.cache_clear()
+        md._first_table.cache_clear()
+
+    @classmethod
+    def cold(cls, fn):
+        cls.clear()
         return fn()
 
     @staticmethod
@@ -452,13 +458,13 @@ class TestStreamCache:
         want = [self.cold(request) for request in requests]
         # smaller prefixes after larger ones, then larger after smaller
         for order in (range(len(requests)), reversed(range(len(requests)))):
-            md._solved.cache_clear()
+            self.clear()
             for i in order:
                 assert requests[i]() == want[i]
 
     def test_second_call_solves_nothing(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
-        md._solved.cache_clear()
+        self.clear()
         h = builtin_boundary("x2-y2")
         run = lambda: (spectrum(0.6, 12), first_modes(0.6, 80), expand_for_central(h, 0.6, 5))
         run()
@@ -470,7 +476,7 @@ class TestStreamCache:
         assert calls == []
 
     def test_returned_lists_are_fresh(self):
-        md._solved.cache_clear()
+        self.clear()
         first = first_modes(0.7, 20)
         want = list(first)
         first.clear()
@@ -519,9 +525,80 @@ class TestStreamCache:
         assert all(modes == want[:count] for count, modes in seen)
 
     def test_caches_stay_bounded(self):
-        md._solved.cache_clear()
+        self.clear()
         for alpha in np.linspace(0.2, 1.0, 100):
             first_modes(float(alpha), 8)
         info = md._solved.cache_info()
         assert 0 < info.currsize <= info.maxsize
         assert md._solved.cache_info().currsize == md._STREAMS
+
+
+class TestModeSets:
+    """first_modes' merged mode set is built once per process for each (alpha, count, classes, tol)."""
+
+    clear = staticmethod(TestStreamCache.clear)
+    bits = staticmethod(TestStreamCache.bits)
+
+    @staticmethod
+    def table_bits(table):
+        groups = [(g.rows.tolist(), g.eq, [v.hex() for v in g.nu.ravel()], [v.hex() for v in g.log_scale.ravel()],
+                   g.even) for g in table.groups]
+        return TestModeSets.bits(table.modes), [v.hex() for v in table.delta], groups
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.37, 0.1])
+    def test_warm_equals_cold(self, alpha):
+        requests = [(400, None), (25, None), (60, (SymmetryClass.III, SymmetryClass.I)), (0, None)]
+        want = []
+        for count, classes in requests:
+            self.clear()
+            modes = first_modes(alpha, count, classes=classes)
+            # the kept table is the one a fresh gather of the returned list gives
+            assert self.table_bits(md._first_table(alpha, count, classes or tuple(SymmetryClass), DEFAULT_TOL)) == \
+                self.table_bits(md._mode_table(modes))
+            want.append(self.bits(modes))
+        for order in (range(len(requests)), reversed(range(len(requests)))):
+            self.clear()
+            for _ in range(2):
+                for i in order:
+                    assert self.bits(first_modes(alpha, requests[i][0], classes=requests[i][1])) == want[i]
+
+    def test_class_filters_share_one_entry(self):
+        self.clear()
+        want = first_modes(0.5, 50, classes=[SymmetryClass.I, SymmetryClass.III])
+        for classes in ([SymmetryClass.III, SymmetryClass.I], (SymmetryClass.I, SymmetryClass.III, SymmetryClass.I),
+                        [SymmetryClass.III, SymmetryClass.III, SymmetryClass.I]):
+            assert first_modes(0.5, 50, classes=classes) == want
+        assert first_modes(0.5, 50, classes=list(SymmetryClass)) == first_modes(0.5, 50)
+        info = md._first_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+    def test_returned_lists_are_fresh(self):
+        self.clear()
+        first = first_modes(0.6, 30)
+        want = list(first)
+        first[0] = None
+        first.append(None)
+        second = first_modes(0.6, 30)
+        assert second == want and second is not first
+        assert md._first_table.cache_info().hits == 1
+
+    def test_memo_stays_bounded(self):
+        self.clear()
+        for count in range(1, 2 * md._MODE_SETS + 1):
+            first_modes(0.45, count)
+        info = md._first_table.cache_info()
+        assert info.currsize == info.maxsize == md._MODE_SETS
+        # the least recently used went first: the last _MODE_SETS counts are still kept
+        first_modes(0.45, 2 * md._MODE_SETS)
+        assert md._first_table.cache_info().hits == 1
+
+    def test_raising_solve_caches_nothing(self, monkeypatch):
+        # the class I x root j = 3 at alpha = 0.001 cannot reach the default tolerance
+        self.clear()
+        calls = TestStreamCache.count_solves(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError, match="j=3 "):
+                first_modes(0.001, 3000, classes=[SymmetryClass.I])
+        # nothing is kept: the second attempt solves the failing roots again
+        assert md._first_table.cache_info().currsize == 0
+        assert calls == [[1, 2, 3]] * 2
