@@ -10,6 +10,7 @@ certified error bound for the central value.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -252,11 +253,57 @@ def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Coordinates are told apart by their bits, so -0.0 and 0.0 stay distinct
     and every factor sees exactly the coordinate it would see point by point.
+    A 2-d array whose rows all equal its first row, or whose columns all equal
+    its first column (a meshgrid's coordinates), sorts that one line only.
     """
-    bits = a.ravel().view(np.int64)
+    bits = a.view(np.int64)
+    if bits.ndim == 2 and bits.size:
+        if (bits == bits[0]).all():
+            keys, ix = _axis(a[0])
+            return keys, np.tile(ix, bits.shape[0])
+        if (bits == bits[:, :1]).all():
+            keys, ix = _axis(a[:, 0])
+            return keys, np.repeat(ix, bits.shape[1])
+    bits = bits.ravel()
     s = np.sort(bits)
     keys = np.concatenate([s[:1], s[1:][s[1:] != s[:-1]]])
     return keys.view(float), np.searchsorted(keys, bits)
+
+
+# factor sets kept per process, the least recently used dropped first: the blocks of one mode table
+# at one set of distinct coordinates, of at most _FACTOR_VALUES values (1 MB) each; M = 400 modes
+# on a 100x100 grid take about 0.64 MB
+_FACTOR_SETS = 4
+_FACTOR_VALUES = 1 << 17
+
+
+@functools.lru_cache(maxsize=_FACTOR_SETS)
+def _kept_factors(key: tuple) -> list:
+    """A one-item list holding (table, blocks) for key once they are built, else None."""
+    return [None]
+
+
+def _factors(e: SteklovExpansion, width: int, xs: np.ndarray, ys: np.ndarray) -> list[tuple]:
+    """(rows, x factors, y factors) at xs and ys of each slice blocks(width) gives of e's modes.
+
+    The table a solver handed over (e._table) keeps them per process, keyed by
+    its identity, width and the bits of xs and ys, unless they exceed
+    _FACTOR_VALUES values; an entry holds its table, so no other table takes its
+    id. Any other expansion groups its own terms' modes at each call.
+    """
+    table = _mode_table([term.mode for term in e.terms]) if e._table is None else e._table
+
+    def build() -> list[tuple]:
+        return [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
+                for rows, eq, nu, log_scale, _ in table.blocks(width)]
+
+    if e._table is None or len(table.modes) * (xs.size + ys.size) > _FACTOR_VALUES:
+        return build()
+    cell = _kept_factors((id(table), width, xs.tobytes(), ys.tobytes()))
+    kept = cell[0]  # read once and stored whole: a concurrent caller stores the same blocks
+    if kept is None:
+        kept = cell[0] = (table, build())
+    return kept[1]
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):
@@ -265,10 +312,13 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     Accuracy is guaranteed on compact interior subsets; on the boundary the
     finite sum is still well defined but only converges in the mean. Each
     term is the product of an x and a y factor, evaluated once per distinct
-    coordinate, in blocks of terms of one (class, family). When the distinct
-    coordinates span no more pairs than there are points (a grid, a line, a
-    point), each block sums on all pairs as one matrix product, else point by
-    point; the values equal the term-by-term sum to rounding, not bit for bit.
+    coordinate (_axis sorts the bits of one line of a tensor grid, else of
+    every coordinate), in blocks of terms of one (class, family); a solver's
+    expansion keeps its factors per mode set and coordinates (_factors), to
+    the same bits. When the distinct coordinates span no more pairs than
+    there are points (a grid, a line, a point), each block sums on all pairs
+    as one matrix product, else point by point; the values equal the
+    term-by-term sum to rounding, not bit for bit.
     """
     check_interior(e.rect, x, y)
     xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -276,14 +326,12 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     grid = xs.size * ys.size <= xa.size
     total = np.zeros((xs.size, ys.size) if grid else xa.size)
     c = np.array([term.coefficient for term in e.terms])
-    table = _mode_table([term.mode for term in e.terms]) if e._table is None else e._table
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
-    for part, eq, nu, log_scale, _ in table.blocks(width):
-        fx, fy = _block_factors(table.modes, part, eq, nu, log_scale, xs, ys)
+    for rows, fx, fy in _factors(e, width, xs, ys):
         if grid:
-            total += (c[part, None] * fx).T @ fy
+            total += (c[rows, None] * fx).T @ fy
         else:
-            total += np.einsum("k,kn,kn->n", c[part], fx.take(ix, 1), fy.take(iy, 1))
+            total += np.einsum("k,kn,kn->n", c[rows], fx.take(ix, 1), fy.take(iy, 1))
     out = (e.mean_term + (total[ix, iy] if grid else total)).reshape(xa.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -356,6 +404,14 @@ def expansion_to_dict(e: SteklovExpansion) -> dict:
     return doc
 
 
+def _finite(d: dict, key: str) -> float:
+    """d[key] as a float; a NaN or an infinity is refused."""
+    value = float(d[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
     cls = SymmetryClass(d["class"])
     if d["family"] is None:  # as SteklovMode._row writes them: the constant is class I, xy class II
@@ -367,17 +423,18 @@ def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
     mode_id = ModeId.separated(cls, Family(d["family"]), int(d["index"]))
     nu = _check_nu(float(d["nu"]))
     log_scale = float(_log_scale(DeterminingEquation(cls, mode_id.family, alpha), nu))
-    return SteklovMode(mode_id, alpha, nu, float(d["delta"]), log_scale)
+    return SteklovMode(mode_id, alpha, nu, _finite(d, "delta"), log_scale)
 
 
 def expansion_from_dict(doc: dict) -> SteklovExpansion:
-    """The expansion a document describes; its kind must be the one its t gives."""
+    """The expansion a document describes; its kind must be the one its t gives, and its
+    numbers (nu, delta, coefficients, mean term) must be finite."""
     alpha = float(doc["alpha"])
     t = float(doc["t"]) if "t" in doc else None
     terms = tuple(
-        ExpansionTerm(_mode_from_dict(d, alpha), float(d["coefficient"])) for d in doc["terms"]
+        ExpansionTerm(_mode_from_dict(d, alpha), _finite(d, "coefficient")) for d in doc["terms"]
     )
-    e = SteklovExpansion(alpha, t, float(doc["mean_term"]), terms, int(doc["quadrature_order"]), None)
+    e = SteklovExpansion(alpha, t, _finite(doc, "mean_term"), terms, int(doc["quadrature_order"]), None)
     if doc["kind"] != e.kind:
         raise ValueError(f"kind {doc['kind']!r} contradicts t = {t}: expected {e.kind!r}")
     return e

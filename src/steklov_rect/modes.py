@@ -193,9 +193,9 @@ def _log_scale(eq: DeterminingEquation, nu):
 
 
 def _check_nu(nu: float) -> float:
-    """nu itself, for a positive nu; the closed forms below hold only there."""
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    """nu itself, for a positive finite nu; the closed forms below hold only there."""
+    if not 0.0 < nu < math.inf:  # also False for NaN
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     return nu
 
 

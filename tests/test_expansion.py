@@ -37,12 +37,14 @@ from steklov_rect import (
     solve_robin,
 )
 from steklov_rect.bounds import rect_center_tail
-from steklov_rect.expansion import _axis, _class_one_prefix
+from steklov_rect.expansion import _FACTOR_SETS, _FACTOR_VALUES, _axis, _class_one_prefix, _kept_factors
 from steklov_rect.geometry import DomainError
+from steklov_rect.modes import _first_table
 
 from _oracles import boundary_mean
 
 
+AXIS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-1.0, 1.0))
 POLYNOMIALS = ("x", "y", "xy", "x2-y2", "x3-3xy2", "3x2y-y3", "x4-6x2y2+y4", "4x3y-4xy3")
 WAVES = ("coshcos", "sinhsin", "coscosh", "sinsinh")
 
@@ -222,18 +224,41 @@ class TestEvaluateInteriorTermByTerm:
         e = SteklovExpansion(1.0, None, -0.0, (ExpansionTerm(mode, 0.5),), 32)
         self.assert_within_rounding(e, np.array([-0.0, 0.0, -0.0]), 0.1)
 
-    @settings(max_examples=60, deadline=None)
-    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-1.0, 1.0)), max_size=40),
-           rows=st.sampled_from([1, 2]))
-    @example(values=[], rows=1)
-    @example(values=[], rows=2)
-    @example(values=[-0.0, 0.0, -0.0, 0.0], rows=2)
-    def test_axis_matches_unique(self, values, rows):
-        a = np.array(values[: len(values) // rows * rows], dtype=float).reshape(rows, -1)
+    @staticmethod
+    def assert_axis_matches_unique(a):
         keys, inv = np.unique(a.ravel().view(np.int64), return_inverse=True)
         xs, ix = _axis(a)
         assert xs.view(np.int64).tolist() == keys.tolist()
         assert ix.tolist() == inv.ravel().tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(AXIS_VALUES, max_size=40), rows=st.sampled_from([1, 2]), copies=st.integers(1, 4),
+           transpose=st.booleans(), edit=st.none() | st.tuples(st.integers(0, 10**3), AXIS_VALUES))
+    @example(values=[], rows=1, copies=1, transpose=False, edit=None)
+    @example(values=[], rows=2, copies=3, transpose=True, edit=None)
+    @example(values=[-0.0, 0.0, -0.0, 0.0], rows=2, copies=1, transpose=False, edit=None)
+    @example(values=[0.5, -0.0, 0.0, 0.5], rows=1, copies=3, transpose=False, edit=None)
+    @example(values=[0.5, -0.0, 0.0, 0.5], rows=1, copies=3, transpose=True, edit=None)
+    @example(values=[0.5, -0.0, 0.0, 0.5], rows=1, copies=3, transpose=False, edit=(9, 0.25))
+    @example(values=[0.5, -0.0, 0.0, 0.5], rows=1, copies=3, transpose=True, edit=(5, 0.0))
+    @example(values=[0.5, -0.0, 0.0, 0.5], rows=1, copies=1, transpose=True, edit=None)
+    def test_axis_matches_unique(self, values, rows, copies, transpose, edit):
+        # `rows` rows of values stacked `copies` times, or their transpose: with one row, every
+        # row (or column) is the first, as in a meshgrid; an edit changes one element
+        a = np.tile(np.array(values[: len(values) // rows * rows], dtype=float).reshape(rows, -1), (copies, 1))
+        a = a.T.copy() if transpose else a
+        if edit is not None and a.size:
+            a.flat[edit[0] % a.size] = edit[1]
+        self.assert_axis_matches_unique(a)
+
+    @pytest.mark.parametrize("indexing", ["xy", "ij"])
+    def test_axis_of_a_tensor_grid_matches_unique(self, indexing):
+        xs, ys = np.array([0.3, -0.0, 0.0, -0.5, 0.3, 1.0]), np.array([0.1, 0.0, -0.0, 0.1])
+        for a in (*np.meshgrid(xs, ys, indexing=indexing), *np.broadcast_arrays(xs[:, None], ys[None, :])):
+            self.assert_axis_matches_unique(a)
+            for copy in (a.copy(), a.T.copy()):
+                copy[-1, -1] = 0.7  # one element off the line: the full sort
+                self.assert_axis_matches_unique(copy)
 
     @pytest.mark.parametrize("field,shift", [("nu", lambda nu: 1.01 * nu), ("log_scale", lambda s: s + 0.5)],
                              ids=["nu", "log_scale"])
@@ -242,6 +267,8 @@ class TestEvaluateInteriorTermByTerm:
         # dataclasses.replace) is evaluated with its own nu and log_scale
         alpha = 0.5
         e = expand_dirichlet(self.data(), alpha, 120)
+        for x, y in self.points(alpha):  # e's factors at these points are kept from here on
+            evaluate_interior(e, x, y)
         k = max(range(len(e.terms)), key=lambda i: abs(e.terms[i].coefficient) if e.terms[i].mode.index else 0)
         mode = e.terms[k].mode
         shifted = dataclasses.replace(mode, **{field: shift(getattr(mode, field))})
@@ -262,16 +289,76 @@ class TestEvaluateInteriorTermByTerm:
         for e in (expand_dirichlet(h, alpha, 400), solve_robin(h, alpha, 0.3, 400),
                   solve_neumann(builtin_boundary("x3-3xy2"), alpha, 400)):
             assert e._table is not None and e._table.modes == tuple(t.mode for t in e.terms)
+            points = ((gx, gy), (px, py))
+            kept = [evaluate_interior(e, x, y).tobytes() for x, y in points]  # e's factors are kept from here on
             for bare in (dataclasses.replace(e, terms=e.terms), expansion_from_dict(expansion_to_dict(e))):
                 assert bare._table is None and bare == dataclasses.replace(e, data_norm=bare.data_norm)
-                for x, y in ((gx, gy), (px, py)):
-                    assert evaluate_interior(bare, x, y).tobytes() == evaluate_interior(e, x, y).tobytes()
+                for (x, y), want in zip(points, kept):
+                    assert evaluate_interior(bare, x, y).tobytes() == want == evaluate_interior(e, x, y).tobytes()
         assert expand_for_central(h, alpha, 5)._table is not None
 
     def test_point_outside_raises(self):
         e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)
         with pytest.raises(DomainError):
             evaluate_interior(e, np.array([0.0, 0.2]), np.array([0.1, 0.6]))
+
+
+class TestKeptFactors:
+    """A solver's expansion keeps its factors per (mode table, block width, distinct coordinates)."""
+
+    @staticmethod
+    def grid(alpha, n=40):
+        return np.meshgrid(np.linspace(-0.6, 0.6, n), alpha * np.linspace(-0.6, 0.6, n - 3))
+
+    @staticmethod
+    def expansion(alpha):
+        return expand_dirichlet(TestEvaluateInteriorTermByTerm.data(), alpha, 400)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_warm_equals_cold(self, alpha):
+        e = self.expansion(alpha)
+        bare = dataclasses.replace(e, terms=e.terms)
+        rng = np.random.default_rng(11)
+        scattered = rng.uniform(-0.9, 0.9, 150), alpha * rng.uniform(-0.9, 0.9, 150)
+        for x, y in (self.grid(alpha), scattered):
+            _kept_factors.cache_clear()
+            cold = evaluate_interior(e, x, y).tobytes()
+            assert _kept_factors.cache_info()[:2] == (0, 1)  # (hits, misses)
+            warm = evaluate_interior(e, x, y).tobytes()
+            assert _kept_factors.cache_info()[:2] == (1, 1)
+            assert cold == warm == evaluate_interior(bare, x, y).tobytes()
+
+    def test_other_grid_or_table_misses(self):
+        e = self.expansion(0.5)
+        gx, gy = self.grid(0.5)
+        _kept_factors.cache_clear()
+        want = evaluate_interior(e, gx, gy).tobytes()
+        assert evaluate_interior(e, gx.copy(), gy + 0.0).tobytes() == want  # the same bits: a hit
+        assert _kept_factors.cache_info()[:2] == (1, 1)
+        assert np.any(gy == 0.0)
+        evaluate_interior(e, gx, np.where(gy == 0.0, -0.0, gy))  # equal values, but not equal bits
+        _first_table.cache_clear()
+        e2 = self.expansion(0.5)
+        assert e2._table is not e._table and e2._table.modes == e._table.modes
+        assert evaluate_interior(e2, gx, gy).tobytes() == want
+        sx, sy = np.linspace(-0.6, 0.6, 150), 0.5 * np.linspace(0.6, -0.6, 150)
+        evaluate_interior(e, sx, sy)
+        # the same distinct coordinates at more points: narrower blocks
+        sx, sy = np.r_[sx, sx[:10]], np.r_[sy, sy[:10]]
+        assert evaluate_interior(e, sx, sy).tobytes() == evaluate_interior(dataclasses.replace(e), sx, sy).tobytes()
+        assert _kept_factors.cache_info()[:2] == (1, 5)
+
+    def test_kept_sets_are_bounded(self):
+        e = self.expansion(0.5)
+        bare = dataclasses.replace(e, terms=e.terms)
+        n = _FACTOR_VALUES // (2 * len(e.terms)) + 1  # the smallest n x n grid past the bound
+        big = np.meshgrid(np.linspace(-0.6, 0.6, n), 0.5 * np.linspace(-0.6, 0.6, n))
+        _kept_factors.cache_clear()
+        assert evaluate_interior(e, *big).tobytes() == evaluate_interior(bare, *big).tobytes()
+        assert _kept_factors.cache_info()[1:] == (0, _FACTOR_SETS, 0)  # (misses, maxsize, currsize)
+        for n in range(10, 10 + 2 * _FACTOR_SETS):
+            evaluate_interior(e, *self.grid(0.5, n))
+            assert _kept_factors.cache_info().currsize == min(n - 9, _FACTOR_SETS)
 
 
 class TestCentralValue:
@@ -608,6 +695,17 @@ class TestSerialization:
             doc["t"] = t
         with pytest.raises(ValueError):
             expansion_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [("nu", math.nan), ("nu", math.inf), ("delta", math.nan),
+                                           ("delta", -math.inf), ("coefficient", math.nan),
+                                           ("coefficient", math.inf), ("mean_term", math.nan),
+                                           ("mean_term", -math.inf)])
+    def test_non_finite_number_is_refused(self, key, value):
+        doc = expansion_to_dict(expand_dirichlet(builtin_boundary("coshcos:2"), 0.5, 12))
+        row = next(row for row in doc["terms"] if row["family"] is not None)
+        (doc if key == "mean_term" else row)[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be (positive and )?finite"):
+            expansion_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("t", [1.5, -0.1, math.nan, math.inf])
     def test_t_outside_unit_interval_is_refused_on_construction(self, t):

@@ -61,10 +61,11 @@ class TestEigenvalue:
             18.0641578, abs=5e-7
         )
 
-    @pytest.mark.parametrize("nu", [0.0, -1.5])
+    @pytest.mark.parametrize("nu", [0.0, -1.5, math.nan, math.inf, -math.inf])
     def test_non_positive_nu_is_refused(self, nu):
-        with pytest.raises(ValueError, match="nu must be positive"):
-            eigenvalue(SymmetryClass.I, Family.X, nu, 1.0)
+        for fn in (eigenvalue, log_normalization_integral):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                fn(SymmetryClass.I, Family.X, nu, 1.0)
 
     def test_constant_mode_delta_zero(self):
         assert resolve(ModeId.constant(), 0.7).delta == 0.0
