@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rectangle
-from .modes import Family, SymmetryClass, _log_norm, _stream_modes
+from .modes import Family, SymmetryClass, _log_norm, _stream
 from .roots import DEFAULT_TOL, DeterminingEquation
 from . import stable
 
@@ -70,7 +70,7 @@ class DecayBound:
 def _class_one(alpha: float, family: Family, j_max: int, tol: float) -> tuple[list[float], list[float]]:
     """Class-I roots nu_1..nu_jmax of one family and the logs of their normalization integrals."""
     eq = DeterminingEquation(SymmetryClass.I, family, alpha)
-    nu = np.array([mode.nu for mode in _stream_modes(eq, j_max, tol)])
+    nu = np.array([mode.nu for mode in _stream(eq, j_max, tol)])
     return nu.tolist(), _log_norm(eq, nu).tolist()
 
 
@@ -136,7 +136,7 @@ def square_center_tail(m: int, tol: float = DEFAULT_TOL) -> float:
     is the expansion's own root whenever the two share tol.
     """
     j = m if m >= _CENTER_COEFF_MIN_INDEX else m + 1
-    nu = _stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
+    nu = _stream(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
     if m >= _CENTER_COEFF_MIN_INDEX:
         return _CENTER_COEFF * math.exp(-nu)
     return _PAIR_BOUND * math.exp(-nu) / (1.0 - math.exp(-math.pi))
@@ -216,7 +216,7 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     (square_center_tail for m = 1, 2, 3).
     """
     eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
-    modes = _stream_modes(eq, 6, root_tol)
+    modes = _stream(eq, 6, root_tol)
     nus = [mode.nu for mode in modes]
     cs = [math.exp(-log_i) for log_i in _log_norm(eq, np.array(nus)).tolist()]
 

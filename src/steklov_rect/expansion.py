@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,9 +31,9 @@ from .modes import (
     _check_nu,
     _first_modes_table,
     _log_scale,
+    _merged,
     _mode_table,
     _ModeTable,
-    _stream_modes,
     _window_deltas,
     resolve,
 )
@@ -76,7 +76,8 @@ class SteklovExpansion:
     for Neumann), and kind is derived from it: "dirichlet" when t is None, else
     "robin". data_norm is the mean-L2 boundary norm of the data the
     expansion was built from; it is not serialized, so expansions loaded
-    from JSON carry None and report an infinite central-value bound.
+    from JSON carry None and report an infinite central-value bound. The
+    mean term must be finite, and data_norm finite and >= 0.
     """
 
     alpha: float
@@ -85,13 +86,14 @@ class SteklovExpansion:
     terms: tuple[ExpansionTerm, ...]
     quad_order: int
     data_norm: Optional[float] = None
-    # the terms' modes grouped as _build found them; every other construction leaves None and
-    # evaluate_interior groups the terms itself
-    _table: Optional[_ModeTable] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t is not None and not 0.0 <= self.t <= 1.0:
             raise ValueError(f"Robin parameter t must lie in [0, 1], got {self.t}")
+        if not math.isfinite(self.mean_term):
+            raise ValueError(f"mean_term must be finite, got {self.mean_term}")
+        if self.data_norm is not None and not 0.0 <= self.data_norm < math.inf:  # also False for NaN
+            raise ValueError(f"data_norm must be finite and >= 0, got {self.data_norm}")
         if any(term.mode.alpha != self.alpha for term in self.terms):
             raise InvalidModeError(f"a term's mode is of another rectangle than alpha={self.alpha}")
 
@@ -106,6 +108,11 @@ class SteklovExpansion:
     @property
     def rect(self) -> Rectangle:
         return Rectangle(self.alpha)
+
+    @functools.cached_property
+    def _table(self) -> _ModeTable:
+        """The terms' modes as a table, grouped once per expansion; _build stores its mode set's."""
+        return _mode_table([term.mode for term in self.terms])
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ def _build(
     (1-t)*delta + t, with delta the table's eigenvalue array.
 
     The mean, the norm and the coefficients come from one quadrature grid. The
-    expansion keeps the table, so evaluate_interior reuses its grouping.
+    expansion keeps the table, so evaluate_interior reuses its grouping and factors.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
@@ -164,7 +171,7 @@ def _build(
     if t is not None:
         coeffs = (np.array(coeffs) / ((1.0 - t) * table.delta + t)).tolist()
     e = SteklovExpansion(alpha, t, mean_term, tuple(map(ExpansionTerm, table.modes, coeffs)), order, norm)
-    object.__setattr__(e, "_table", table)
+    e.__dict__["_table"] = table  # in place of the one _table would build from the same modes
     return e
 
 
@@ -202,9 +209,8 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    eqs = [DeterminingEquation(SymmetryClass.I, fam, alpha) for fam in Family]
-    modes = [mode for eq in eqs for mode in _stream_modes(eq, m, tol)]
-    return _build(h, alpha, _mode_table(sorted(modes, key=SteklovMode.sort_key)), order, None)
+    prefixes = [(DeterminingEquation(SymmetryClass.I, fam, alpha), m) for fam in Family]
+    return _build(h, alpha, _merged(prefixes, (), tol), order, None)
 
 
 def solve_robin(
@@ -278,32 +284,20 @@ _FACTOR_VALUES = 1 << 17
 
 
 @functools.lru_cache(maxsize=_FACTOR_SETS)
-def _kept_factors(key: tuple) -> list:
-    """A one-item list holding (table, blocks) for key once they are built, else None."""
-    return [None]
+def _kept_factors(table: _ModeTable, width: int, xs: bytes, ys: bytes) -> list[tuple]:
+    """(rows, x factors, y factors) at the coordinates whose bits are xs and ys of each slice
+    table.blocks(width) gives; the key holds the table, which hashes by identity, so no other
+    table can take its entry."""
+    xs, ys = np.frombuffer(xs), np.frombuffer(ys)
+    return [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
+            for rows, eq, nu, log_scale, _ in table.blocks(width)]
 
 
 def _factors(e: SteklovExpansion, width: int, xs: np.ndarray, ys: np.ndarray) -> list[tuple]:
-    """(rows, x factors, y factors) at xs and ys of each slice blocks(width) gives of e's modes.
-
-    The table a solver handed over (e._table) keeps them per process, keyed by
-    its identity, width and the bits of xs and ys, unless they exceed
-    _FACTOR_VALUES values; an entry holds its table, so no other table takes its
-    id. Any other expansion groups its own terms' modes at each call.
-    """
-    table = _mode_table([term.mode for term in e.terms]) if e._table is None else e._table
-
-    def build() -> list[tuple]:
-        return [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
-                for rows, eq, nu, log_scale, _ in table.blocks(width)]
-
-    if e._table is None or len(table.modes) * (xs.size + ys.size) > _FACTOR_VALUES:
-        return build()
-    cell = _kept_factors((id(table), width, xs.tobytes(), ys.tobytes()))
-    kept = cell[0]  # read once and stored whole: a concurrent caller stores the same blocks
-    if kept is None:
-        kept = cell[0] = (table, build())
-    return kept[1]
+    """e's factors at xs and ys, kept per process (_kept_factors) unless they exceed _FACTOR_VALUES
+    values, then built without the cache."""
+    kept = len(e._table.modes) * (xs.size + ys.size) <= _FACTOR_VALUES
+    return (_kept_factors if kept else _kept_factors.__wrapped__)(e._table, width, xs.tobytes(), ys.tobytes())
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):
@@ -313,9 +307,9 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     finite sum is still well defined but only converges in the mean. Each
     term is the product of an x and a y factor, evaluated once per distinct
     coordinate (_axis sorts the bits of one line of a tensor grid, else of
-    every coordinate), in blocks of terms of one (class, family); a solver's
-    expansion keeps its factors per mode set and coordinates (_factors), to
-    the same bits. When the distinct coordinates span no more pairs than
+    every coordinate), in blocks of terms of one (class, family); the
+    factors are kept per mode table and coordinates (_factors), to the same
+    bits. When the distinct coordinates span no more pairs than
     there are points (a grid, a line, a point), each block sums on all pairs
     as one matrix product, else point by point; the values equal the
     term-by-term sum to rounding, not bit for bit.
@@ -434,7 +428,7 @@ def expansion_from_dict(doc: dict) -> SteklovExpansion:
     terms = tuple(
         ExpansionTerm(_mode_from_dict(d, alpha), _finite(d, "coefficient")) for d in doc["terms"]
     )
-    e = SteklovExpansion(alpha, t, _finite(doc, "mean_term"), terms, int(doc["quadrature_order"]), None)
+    e = SteklovExpansion(alpha, t, float(doc["mean_term"]), terms, int(doc["quadrature_order"]), None)
     if doc["kind"] != e.kind:
         raise ValueError(f"kind {doc['kind']!r} contradicts t = {t}: expected {e.kind!r}")
     return e

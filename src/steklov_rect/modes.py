@@ -237,7 +237,7 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
         # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
         return SteklovMode(mode_id, alpha, 0.0, 1.0, math.log(math.sqrt(3.0)))
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
-    return _modes_at(eq, np.array([mode_id.index]), tol)[0][0]
+    return _modes_at(eq, np.array([mode_id.index]), tol)[0]
 
 
 def _separated_factors(
@@ -288,9 +288,11 @@ class _Group(NamedTuple):
     even: tuple[bool, bool]
 
 
-class _ModeTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _ModeTable:
     """Modes in order, their eigenvalues as an array, and their groups by kind and (class,
-    family) in the order of each group's first mode; its arrays are never written."""
+    family) in the order of each group's first mode; its arrays are never written. A table
+    equals and hashes as itself only, so caches can key on it."""
 
     modes: tuple[SteklovMode, ...]
     delta: np.ndarray
@@ -376,66 +378,40 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
     return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
-def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> tuple[list[SteklovMode], np.ndarray]:
-    """The modes of indices js of one (class, family), and their eigenvalues as an array:
-    roots, eigenvalues and scales as arrays."""
+def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
+    """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays."""
     nu = solve_nu(eq, js, tol)
     cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
-    delta = _delta(eq, nu)
     return [
         SteklovMode(ModeId.separated(cls, fam, j), alpha, n, d, s)
-        for j, n, d, s in zip(js.tolist(), nu.tolist(), delta.tolist(), _log_scale(eq, nu).tolist())
-    ], delta
-
-
-class _Stream(NamedTuple):
-    """What is known of one (class, family) stream, from index 1: the modes solved so far
-    and their eigenvalues, and the eigenvalues at the ends of the root windows bounded so
-    far (_window_deltas), which may reach further than the modes."""
-
-    modes: tuple[SteklovMode, ...]
-    delta: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
+        for j, n, d, s in zip(js.tolist(), nu.tolist(), _delta(eq, nu).tolist(), _log_scale(eq, nu).tolist())
+    ]
 
 
 # (class, family) streams kept per process, the least recently used dropped first: the eight
-# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes, a window 16
+# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes
 _STREAMS = 64
 
 
 @functools.lru_cache(maxsize=_STREAMS)
-def _solved(eq: DeterminingEquation, tol: float) -> list[_Stream]:
-    """A one-item list holding what is known of eq's (class, family) stream at tol."""
-    empty = np.zeros(0)
-    return [_Stream((), empty, empty, empty)]
+def _solved(eq: DeterminingEquation, tol: float) -> list[tuple[SteklovMode, ...]]:
+    """A one-item list holding the modes of eq's stream at tol solved so far, from index 1."""
+    return [()]
 
 
-def _stream(eq: DeterminingEquation, tol: float, count: int = 0, windows: int = 0) -> _Stream:
-    """eq's stream with at least its first count modes solved and its first `windows` root
-    windows bounded, extending the cached one by what it lacks; its arrays are never written.
+def _stream(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
+    """The first count modes of eq's (class, family) stream, as a new list.
 
-    Every root runs the iteration it would run alone, so the modes are those
-    a cold solve of indices 1..count gives; a solve that raises leaves the
-    stream as it was.
+    The stream is kept per process (_solved) and extended by the indices it
+    lacks, in one solve, and stored whole. Every root runs the iteration it
+    would run alone, so the modes are those a cold solve of indices
+    1..count gives; a solve that raises leaves the stream as it was.
     """
     cell = _solved(eq, tol)
-    have = cell[0]  # read once: another thread may store a shorter stream meanwhile, never a wrong one
-    modes, delta, low, high = have
+    modes = cell[0]  # read once: another thread may store a shorter stream meanwhile, never a wrong one
     if count > len(modes):
-        new, new_delta = _modes_at(eq, np.arange(len(modes) + 1, count + 1), tol)
-        modes, delta = modes + tuple(new), np.concatenate([delta, new_delta])
-    if windows > low.size:
-        new_low, new_high = _window_deltas(eq, np.arange(low.size + 1, windows + 1))
-        low, high = np.concatenate([low, new_low]), np.concatenate([high, new_high])
-    if modes is not have.modes or low is not have.low:
-        cell[0] = have = _Stream(modes, delta, low, high)
-    return have
-
-
-def _stream_modes(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
-    """The first count modes of one (class, family), solving only those not solved before."""
-    return list(_stream(eq, tol, count).modes[:count])
+        modes = cell[0] = modes + tuple(_modes_at(eq, np.arange(len(modes) + 1, count + 1), tol))
+    return list(modes[:count])
 
 
 def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,6 +427,18 @@ def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray,
     return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
 
 
+def _merged(prefixes: Sequence[tuple[DeterminingEquation, int]], extra: Sequence[SteklovMode], tol: float,
+            count: Optional[int] = None) -> _ModeTable:
+    """The table of the extra modes and the first n modes of each (eq, n) stream of prefixes,
+    sorted by sort_key (eigenvalue, then class, family and index); of the first count only
+    when count is given."""
+    modes = list(extra)
+    for eq, n in prefixes:
+        modes += _stream(eq, n, tol)
+    modes.sort(key=SteklovMode.sort_key)
+    return _mode_table(modes[:count])
+
+
 # mode sets kept per process, the least recently used dropped first; one of M = 400 modes
 # takes about 17 KB beside its modes, which it shares with the streams
 _MODE_SETS = 32
@@ -464,22 +452,14 @@ def _first_table(alpha: float, count: int, classes: tuple[SymmetryClass, ...], t
         return _mode_table([])
     if not eqs:
         raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
+    extra = [resolve(ModeId.xy(), alpha, tol)] if alpha == 1.0 and SymmetryClass.II in classes else []
     # no stream holds more than count of the first count modes
-    streams = [_stream(eq, tol, windows=count) for eq in eqs]
-    with_xy = alpha == 1.0 and SymmetryClass.II in classes
-    pool = [resolve(ModeId.xy(), alpha, tol)] if with_xy else []
-    # rows (delta, class, family, index): the sort key of each mode in the pool
-    keys = [np.array([(mode.delta, *mode.mode_id.sort_key()) for mode in pool]).reshape(-1, 4).T]
-    uppers = np.concatenate([s.high[:count] for s in streams] + [keys[0][0]])
+    windows = [_window_deltas(eq, np.arange(1, count + 1)) for eq in eqs]
+    uppers = np.concatenate([high for _, high in windows] + [[mode.delta for mode in extra]])
     level = np.partition(uppers, count - 1)[count - 1]
-    for eq, s in zip(eqs, streams):
-        n = int(np.count_nonzero(s.low[:count] <= level))  # low rises with j
-        s = _stream(eq, tol, n)
-        pool += s.modes[:n]
-        keys.append(np.stack(np.broadcast_arrays(
-            s.delta[:n], _CLASS_ORDER[eq.symmetry_class], _FAMILY_ORDER[eq.family], np.arange(1, n + 1))))
-    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])  # lexsort sorts by its last row first
-    return _mode_table([pool[i] for i in order[:count].tolist()])
+    # low rises with j, so the modes whose window starts below level are a prefix of each stream
+    return _merged([(eq, int(np.count_nonzero(low <= level))) for eq, (low, _) in zip(eqs, windows)],
+                   extra, tol, count)
 
 
 def _first_modes_table(alpha: float, count: int, classes: Optional[Sequence[SymmetryClass]], tol: float) -> _ModeTable:
@@ -503,11 +483,11 @@ def first_modes(
     None); the xy mode counts as class II. The eigenvalues at the upper ends
     of the root windows give a level that at least `count` modes stay
     below; only modes whose window starts below it are taken, a prefix of
-    each (class, family) stream (_stream, which solves a root and bounds a
-    window once per process), and the candidates are sorted once, by one
-    lexsort of their eigenvalues and tie-breaks. Ties (the square is full of
-    them) break by class then family order. The merged set is kept per
-    process (_first_table), so a repeated request only copies it into a new list.
+    each (class, family) stream (_stream, which solves a root once per
+    process), and the candidates are sorted once by sort_key (_merged, as
+    spectrum's are). Ties (the square is full of them) break by class then
+    family order. The merged set is kept per process (_first_table), so a
+    repeated request only copies it into a new list.
     """
     return list(_first_modes_table(alpha, count, classes, tol).modes)
 
@@ -526,11 +506,10 @@ def spectrum(
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
-    modes: list[SteklovMode] = []
+    extra: list[SteklovMode] = []
     if classes is None or SymmetryClass.I in classes:
-        modes.append(resolve(ModeId.constant(), alpha))
+        extra.append(resolve(ModeId.constant(), alpha))
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
-        modes.append(resolve(ModeId.xy(), alpha))
-    for cls, fam in _streams(classes):
-        modes += _stream_modes(DeterminingEquation(cls, fam, alpha), j_max, tol)
-    return sorted(modes, key=SteklovMode.sort_key)
+        extra.append(resolve(ModeId.xy(), alpha))
+    prefixes = [(DeterminingEquation(cls, fam, alpha), j_max) for cls, fam in _streams(classes)]
+    return list(_merged(prefixes, extra, tol).modes)

@@ -278,24 +278,33 @@ class TestEvaluateInteriorTermByTerm:
             self.assert_within_rounding(e2, x, y)
         gx, gy = self.points(alpha)[0]
         assert np.max(np.abs(evaluate_interior(e2, gx, gy) - evaluate_interior(e, gx, gy))) > 1e-6
+        # both expansions keep factors at the same points: each warm call reads its own entry
+        for x, y in self.points(alpha):
+            _kept_factors.cache_clear()
+            bits = lambda f: np.asarray(evaluate_interior(f, x, y)).tobytes()
+            cold = [bits(e), bits(e2)]
+            assert [bits(e2), bits(e2), bits(e)] == [cold[1], cold[1], cold[0]]
+            assert _kept_factors.cache_info()[:2] == (3, 2)  # (hits, misses)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
     def test_kept_grouping_changes_no_value(self, alpha):
-        # the solvers keep their mode set's grouping on the expansion; every other construction
-        # has none, and evaluate_interior groups the terms itself, to the same bits
+        # the solvers hand their mode set's table to the expansion; every other construction
+        # builds its own from its terms, a table of equal modes that gives the same bits
         h = builtin_boundary("coshcos:2")
         gx, gy = self.points(alpha)[0]
         px, py = np.array([0.0, 0.3, -0.7]), np.array([0.0, -0.2 * alpha, 0.5 * alpha])
         for e in (expand_dirichlet(h, alpha, 400), solve_robin(h, alpha, 0.3, 400),
                   solve_neumann(builtin_boundary("x3-3xy2"), alpha, 400)):
-            assert e._table is not None and e._table.modes == tuple(t.mode for t in e.terms)
+            assert e._table.modes == tuple(t.mode for t in e.terms)
             points = ((gx, gy), (px, py))
             kept = [evaluate_interior(e, x, y).tobytes() for x, y in points]  # e's factors are kept from here on
             for bare in (dataclasses.replace(e, terms=e.terms), expansion_from_dict(expansion_to_dict(e))):
-                assert bare._table is None and bare == dataclasses.replace(e, data_norm=bare.data_norm)
+                assert bare == dataclasses.replace(e, data_norm=bare.data_norm)
+                assert bare._table is not e._table and bare._table.modes == e._table.modes
                 for (x, y), want in zip(points, kept):
                     assert evaluate_interior(bare, x, y).tobytes() == want == evaluate_interior(e, x, y).tobytes()
-        assert expand_for_central(h, alpha, 5)._table is not None
+        e = expand_for_central(h, alpha, 5)
+        assert e._table.modes == tuple(t.mode for t in e.terms)
 
     def test_point_outside_raises(self):
         e = expand_dirichlet(builtin_boundary("x2-y2"), 0.5, 10)
@@ -346,7 +355,8 @@ class TestKeptFactors:
         # the same distinct coordinates at more points: narrower blocks
         sx, sy = np.r_[sx, sx[:10]], np.r_[sy, sy[:10]]
         assert evaluate_interior(e, sx, sy).tobytes() == evaluate_interior(dataclasses.replace(e), sx, sy).tobytes()
-        assert _kept_factors.cache_info()[:2] == (1, 5)
+        # the replaced expansion builds a table of its own, and takes an entry of its own
+        assert _kept_factors.cache_info()[:2] == (1, 6)
 
     def test_kept_sets_are_bounded(self):
         e = self.expansion(0.5)
@@ -711,6 +721,18 @@ class TestSerialization:
     def test_t_outside_unit_interval_is_refused_on_construction(self, t):
         with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             SteklovExpansion(1.0, t, 0.0, (), 32)
+
+    @pytest.mark.parametrize("mean_term,data_norm", [
+        (1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (-math.inf, None)])
+    def test_bad_mean_term_or_data_norm_is_refused_on_construction(self, mean_term, data_norm):
+        # central_value would certify a negative or NaN bound from them
+        message = "data_norm must be finite and >= 0" if math.isfinite(mean_term) else "mean_term must be finite"
+        with pytest.raises(ValueError, match=message):
+            SteklovExpansion(1.0, None, mean_term, (), 32, data_norm)
+        e = expand_for_central(builtin_boundary("coshcos:2"), 0.5, 3)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(e, mean_term=mean_term, data_norm=data_norm)
+        assert central_value(SteklovExpansion(1.0, None, 0.5, (), 32, 0.0)).bound >= 0.0
 
     def test_term_of_another_rectangle_is_refused(self):
         # the modes would be evaluated outside their rectangle, and central_value take the square's tail

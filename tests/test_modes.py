@@ -389,7 +389,7 @@ class TestEnumeration:
         # mode on the square, sorted by sort_key (tol = 1e-10 as above)
         tol = 1e-10
         candidates = [m for cls in SymmetryClass if classes is None or cls in classes for fam in Family
-                      for m in md._stream_modes(DeterminingEquation(cls, fam, alpha), count, tol)]
+                      for m in md._stream(DeterminingEquation(cls, fam, alpha), count, tol)]
         if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
             candidates.append(resolve(ModeId.xy(), alpha))
         want = sorted(candidates, key=md.SteklovMode.sort_key)[:count]
@@ -481,36 +481,36 @@ class TestStreamCache:
         first = first_modes(0.7, 20)
         want = list(first)
         first.clear()
-        stream = md._stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 5, DEFAULT_TOL)
+        stream = md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 5, DEFAULT_TOL)
         stream[0] = None
         stream.append(None)
         assert first_modes(0.7, 20) == want
-        assert None not in md._stream_modes(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 6, DEFAULT_TOL)
+        assert None not in md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 6, DEFAULT_TOL)
 
     def test_failing_stream_caches_nothing_past_the_failure(self, monkeypatch):
         # the class I x root j = 3 at alpha = 0.001 cannot reach the default tolerance
         md._solved.cache_clear()
         eq = DeterminingEquation(SymmetryClass.I, Family.X, 0.001)
-        assert len(md._stream_modes(eq, 2, DEFAULT_TOL)) == 2
+        assert len(md._stream(eq, 2, DEFAULT_TOL)) == 2
         calls = self.count_solves(monkeypatch)
         for _ in range(2):
             with pytest.raises(NonConvergenceError, match="j=3 "):
-                md._stream_modes(eq, 4, DEFAULT_TOL)
+                md._stream(eq, 4, DEFAULT_TOL)
             with pytest.raises(NonConvergenceError, match="j=3 "):
                 spectrum(0.001, 3)
         stream = md._solved(eq, DEFAULT_TOL)[0]
-        assert len(stream.modes) == stream.delta.size == 2
+        assert isinstance(stream, tuple) and len(stream) == 2
         assert [j for j in calls if j[0] == 3] == [[3, 4], [3], [3, 4], [3]]
 
     def test_threads_see_only_whole_prefixes(self):
         eq = DeterminingEquation(SymmetryClass.II, Family.X, 0.55)
-        want = self.cold(lambda: md._stream_modes(eq, 60, DEFAULT_TOL))
+        want = self.cold(lambda: md._stream(eq, 60, DEFAULT_TOL))
         md._solved.cache_clear()
         seen, switch = [], sys.getswitchinterval()
 
         def worker(k):
             for count in range(k, 61, 7):
-                seen.append((count, md._stream_modes(eq, count, DEFAULT_TOL)))
+                seen.append((count, md._stream(eq, count, DEFAULT_TOL)))
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 7)]
         sys.setswitchinterval(1e-6)
