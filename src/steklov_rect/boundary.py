@@ -12,11 +12,12 @@ its largest nu.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import re
 import stat
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -442,68 +443,121 @@ def project(
     addition formulas make the factor along the edges a sum of two products
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
     The modes are gathered and grouped by (class, family) into one table
-    first; the expansions hand over the table of their mode set instead.
+    first; the expansions hand over the table of their mode set instead, and
+    the solvers keep the (mode, panel) and (mode, node) tables per grid.
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
     return _project(u, rect, _mode_table(modes), order)
 
 
-def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> tuple[float, float, list[float]]:
-    """project against the modes of a table, all of them of rect."""
+def _pair_grids(alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
+    """(centres, offsets, weights, nodes) of _panel_grid on each pair of edges, the vertical
+    pair (half-length alpha) first, with panels[0] and panels[1] panels."""
+    grids = []
+    for half, n in zip((alpha, 1.0), panels):
+        centres, offsets, weights = _panel_grid(half, order, n)
+        grids.append((centres, offsets, weights, (centres[:, None] + offsets).ravel()))
+    return grids
+
+
+def _tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> Iterator[tuple]:
+    """The data-independent part of _project, one slice of table.blocks and pair of edges at a
+    time: (rows, pair, parities, across, tables), with pair 0 for the vertical edges and 1 for
+    the horizontal ones, parities (even along, even across) naming the folded data the slice
+    reads, across the factors at the pair's end, and tables one of
+    - (factors along the edges at the folded nodes,) for the constant and the xy mode,
+    - (e^(nu d), e^(L + nu c), e^(L - nu c)) where the factor along the edges is hyperbolic,
+    - (cos nu d, sin nu d, cos nu c, sin nu c) where it is trigonometric,
+    with c the centres of the folded panels and d the node offsets."""
+    pairs, ups = [], []  # (centres at t >= 0, offsets) per pair, and the nodes of the folded data
+    for centres, offsets, _, t in _pair_grids(alpha, order, panels):
+        q, half = (centres.size + 1) // 2, t.size // 2  # as in _project's fold
+        pairs.append((centres[centres.size - q:], offsets))
+        ups.append(np.concatenate([np.zeros(q * order - (t.size - half)), t[half:]]))
+    # x factors at x = 1 (across the vertical pair), then at the folded nodes of the horizontal
+    # pair; y factors at y = alpha, then at those of the vertical pair
+    x, y = np.concatenate([[1.0], ups[1]]), np.concatenate([[alpha], ups[0]])
+    width = 2 * max(order, *(centres.size for centres, _ in pairs))  # of the widest table
+    for part, eq, nu, log_scale, (even_x, even_y) in table.blocks(width):
+        # the constant and the xy mode keep their factors at the nodes; a separated mode's
+        # factor along the edges comes from the tables below
+        fx, fy = _block_factors(table.modes, part, eq, nu, log_scale, *((x, y) if eq is None else (x[:1], y[:1])))
+        for pair, (centres, offsets) in enumerate(pairs):
+            vertical = pair == 0
+            along, across = (fy, fx[:, 0]) if vertical else (fx, fy[:, 0])
+            parities = (even_y, even_x) if vertical else (even_x, even_y)
+            if eq is None:
+                yield part, pair, parities, across, (along[:, 1:],)
+                continue
+            nc, nd = nu * centres, nu * offsets
+            if (eq.family == Family.Y) == vertical:  # hyperbolic along the edges
+                yield part, pair, parities, across, (np.exp(nd), np.exp(log_scale + nc), np.exp(log_scale - nc))
+            else:
+                yield part, pair, parities, across, (np.cos(nd), np.sin(nd), np.cos(nc), np.sin(nc))
+
+
+# projection tables kept per process for the solvers' mode sets, the least recently used dropped
+# first, of at most _TABLE_VALUES values (1 MB) each, counting 2 (order + q) per mode and pair of
+# q folded panels: M = 400 modes take about 0.66 MB at order 32, and three rectangles with data
+# of a few frequencies each make about ten grids
+_TABLE_SETS = 12
+_TABLE_VALUES = 1 << 17
+
+
+@functools.lru_cache(maxsize=_TABLE_SETS)
+def _kept_tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
+    """_tables as a list; the key holds the table, which hashes by identity, so no other table
+    can take its entry."""
+    return list(_tables(table, alpha, order, panels))
+
+
+def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int,
+             keep: bool = False) -> tuple[float, float, list[float]]:
+    """project against the modes of a table, all of them of rect. With keep, the tables of the
+    modes on the grid are kept per process (_kept_tables) unless they pass about
+    _TABLE_VALUES values; otherwise each slice's tables are built and dropped in turn."""
     # the constant and the xy mode have nu = 0
     freq = _check_freq_hint(u.freq_hint) + max((float(g.nu.max()) for g in table.groups), default=0.0)
-    grids = [_panel_grid(half, order, default_panels(half * freq)) for half in (rect.alpha, 1.0)]
-    tv, th = ((centres[:, None] + offsets).ravel() for centres, offsets, _ in grids)
+    panels = (default_panels(rect.alpha * freq), default_panels(freq))
+    grids = _pair_grids(rect.alpha, order, panels)
+    tv, th = grids[0][3], grids[1][3]
     values = u._grid_values(rect, _boundary_grid(rect, tv, th))
     total, square, coeffs = 0.0, 0.0, np.zeros(len(table.modes))
-    pairs, ups = [], []  # vertical pair first: (vertical, folded data, centres at t >= 0, offsets)
-    for vertical, (centres, offsets, weights), t, hv in zip(
-            (True, False), grids, (tv, th), np.split(values, [2 * tv.size])):
-        panels = centres.size
-        q = (panels + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
+    folds = []  # per pair: (along, across) parity of the factors -> data on q panels x order nodes
+    for (centres, _, weights, t), hv in zip(grids, np.split(values, [2 * tv.size])):
+        q = (centres.size + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
         hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum of the squares adds it in this order
-        wh = (hv.reshape(panels, order, 2) * weights[:, None]).reshape(t.size, 2)
+        wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
         square += float(np.sum(wh * hv))
         half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
         mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
         # the nodes t < 0 of a middle panel hold 0, so the upper half is q whole panels
         below = np.zeros((q * order - (t.size - half), 2))
-        folded = {}  # (along, across) parity of the factors -> data on q panels x order nodes
+        folded = {}
         for even_t, part in ((True, wh[half:] + mirror), (False, wh[half:] - mirror)):
             part = np.concatenate([below, part])
             folded[even_t, True] = (part[:, 0] + part[:, 1]).reshape(q, order)
             folded[even_t, False] = (part[:, 0] - part[:, 1]).reshape(q, order)
         total += float(np.sum(folded[True, True]))  # data odd along or across the pair folds to 0
-        pairs.append((vertical, folded, centres[panels - q:], offsets))
-        ups.append(np.concatenate([np.zeros(below.shape[0]), t[half:]]))  # nodes of the folded data
-    # x factors at x = 1 (across the vertical pair), then at the folded nodes of the horizontal
-    # pair; y factors at y = alpha, then at those of the vertical pair
-    x, y = np.concatenate([[1.0], ups[1]]), np.concatenate([[rect.alpha], ups[0]])
-    width = 2 * max(order, *(centres.size for _, _, centres, _ in pairs))  # of the widest table
-    for part, eq, nu, log_scale, (even_x, even_y) in table.blocks(width):
-        # the constant and the xy mode keep their factors at the nodes; a separated mode's
-        # factor along the edges comes from the tables below
-        fx, fy = _block_factors(table.modes, part, eq, nu, log_scale, *((x, y) if eq is None else (x[:1], y[:1])))
-        for vertical, folded, centres, offsets in pairs:
-            along, across = (fy, fx[:, 0]) if vertical else (fx, fy[:, 0])
-            even_along, even_across = (even_y, even_x) if vertical else (even_x, even_y)
-            data = folded[even_along, even_across]
-            if eq is None:
-                coeffs[part] += (along[:, 1:] @ data.ravel()) * across
-                continue
-            nc, nd = nu * centres, nu * offsets
-            if (eq.family == Family.Y) == vertical:  # hyperbolic along the edges, with log_scale:
-                # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,
-                # where e^(-nu d_k) = e^(nu d_(K-1-k)) on the symmetric nodes
-                ed = np.exp(nd)
-                sums = 0.5 * (np.exp(log_scale + nc) * (ed @ data.T) + (1.0 if even_along else -1.0)
-                              * np.exp(log_scale - nc) * (ed @ data[:, ::-1].T))
-            else:  # cos nu (c + d) = cos nu c cos nu d - sin nu c sin nu d, sin likewise
-                cd, sd = np.cos(nd) @ data.T, np.sin(nd) @ data.T
-                cc, sc = np.cos(nc), np.sin(nc)
-                sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
-            coeffs[part] += np.sum(sums, axis=1) * across
+        folds.append(folded)
+    kept = keep and len(table.modes) * sum(2 * (order + (n + 1) // 2) for n in panels) <= _TABLE_VALUES
+    for part, pair, (even_along, even_across), across, tables in (
+            _kept_tables if kept else _tables)(table, rect.alpha, order, panels):
+        data = folds[pair][even_along, even_across]
+        if len(tables) == 1:
+            coeffs[part] += (tables[0] @ data.ravel()) * across
+            continue
+        if len(tables) == 3:  # with log_scale L,
+            # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,
+            # where e^(-nu d_k) = e^(nu d_(K-1-k)) on the symmetric nodes
+            ed, ep, em = tables
+            sums = 0.5 * (ep * (ed @ data.T) + (1.0 if even_along else -1.0) * em * (ed @ data[:, ::-1].T))
+        else:  # cos nu (c + d) = cos nu c cos nu d - sin nu c sin nu d, sin likewise
+            cosd, sind, cc, sc = tables
+            cd, sd = cosd @ data.T, sind @ data.T
+            sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
+        coeffs[part] += np.sum(sums, axis=1) * across
     per = rect.perimeter
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 

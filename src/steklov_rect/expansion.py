@@ -139,12 +139,14 @@ def _build(
     table: _ModeTable,
     order: int,
     t: Optional[float],
+    keep: bool = True,
 ) -> SteklovExpansion:
     """Coefficients of h against the modes of a table; with t set, each is divided by
     (1-t)*delta + t, with delta the table's eigenvalue array.
 
-    The mean, the norm and the coefficients come from one quadrature grid. The
-    expansion keeps the table, so evaluate_interior reuses its grouping and factors.
+    The mean, the norm and the coefficients come from one quadrature grid; with keep, the
+    projection's tables are kept per table and grid (boundary._project). The expansion
+    keeps the table, so evaluate_interior reuses its grouping and factors.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
@@ -152,7 +154,7 @@ def _build(
     """
     rect = Rectangle(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
-        raw_mean, norm, coeffs = bd._project(h, rect, table, order)
+        raw_mean, norm, coeffs = bd._project(h, rect, table, order, keep)
     if not (math.isfinite(raw_mean) and math.isfinite(norm)):
         raise bd.BoundaryDataError(
             f"boundary data is not finite: mean = {raw_mean!r}, norm = {norm!r}"
@@ -209,8 +211,19 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    prefixes = [(DeterminingEquation(SymmetryClass.I, fam, alpha), m) for fam in Family]
-    return _build(h, alpha, _merged(prefixes, (), tol), order, None)
+    # 2m modes: their projection tables cost less to build than to key and keep
+    return _build(h, alpha, _central_table(alpha, m, tol), order, None, keep=False)
+
+
+# expand_for_central's mode sets kept per process, the least recently used dropped first: four
+# rectangles at m = 3..12 take 40; one of m = 12 takes about 2 KB beside its modes
+_CENTRAL_SETS = 64
+
+
+@functools.lru_cache(maxsize=_CENTRAL_SETS)
+def _central_table(alpha: float, m: int, tol: float) -> _ModeTable:
+    """The table of the first m modes of each class-I family, merged by sort_key."""
+    return _mode_table(_merged([(DeterminingEquation(SymmetryClass.I, fam, alpha), m) for fam in Family], (), tol))
 
 
 def solve_robin(

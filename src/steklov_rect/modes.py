@@ -427,16 +427,15 @@ def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray,
     return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
 
 
-def _merged(prefixes: Sequence[tuple[DeterminingEquation, int]], extra: Sequence[SteklovMode], tol: float,
-            count: Optional[int] = None) -> _ModeTable:
-    """The table of the extra modes and the first n modes of each (eq, n) stream of prefixes,
-    sorted by sort_key (eigenvalue, then class, family and index); of the first count only
-    when count is given."""
+def _merged(prefixes: Sequence[tuple[DeterminingEquation, int]], extra: Sequence[SteklovMode],
+            tol: float) -> list[SteklovMode]:
+    """The extra modes and the first n modes of each (eq, n) stream of prefixes, as a new list
+    sorted by sort_key (eigenvalue, then class, family and index)."""
     modes = list(extra)
     for eq, n in prefixes:
         modes += _stream(eq, n, tol)
     modes.sort(key=SteklovMode.sort_key)
-    return _mode_table(modes[:count])
+    return modes
 
 
 # mode sets kept per process, the least recently used dropped first; one of M = 400 modes
@@ -458,8 +457,8 @@ def _first_table(alpha: float, count: int, classes: tuple[SymmetryClass, ...], t
     uppers = np.concatenate([high for _, high in windows] + [[mode.delta for mode in extra]])
     level = np.partition(uppers, count - 1)[count - 1]
     # low rises with j, so the modes whose window starts below level are a prefix of each stream
-    return _merged([(eq, int(np.count_nonzero(low <= level))) for eq, (low, _) in zip(eqs, windows)],
-                   extra, tol, count)
+    return _mode_table(_merged([(eq, int(np.count_nonzero(low <= level))) for eq, (low, _) in zip(eqs, windows)],
+                               extra, tol)[:count])
 
 
 def _first_modes_table(alpha: float, count: int, classes: Optional[Sequence[SymmetryClass]], tol: float) -> _ModeTable:
@@ -512,4 +511,4 @@ def spectrum(
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
         extra.append(resolve(ModeId.xy(), alpha))
     prefixes = [(DeterminingEquation(cls, fam, alpha), j_max) for cls, fam in _streams(classes)]
-    return list(_merged(prefixes, extra, tol).modes)
+    return _merged(prefixes, extra, tol)

@@ -36,8 +36,11 @@ from steklov_rect import (
     solve_neumann,
     solve_robin,
 )
+from steklov_rect import boundary as bd
+from steklov_rect.boundary import project
 from steklov_rect.bounds import rect_center_tail
-from steklov_rect.expansion import _FACTOR_SETS, _FACTOR_VALUES, _axis, _class_one_prefix, _kept_factors
+from steklov_rect.expansion import _FACTOR_SETS, _FACTOR_VALUES, _axis, _central_table, _class_one_prefix, _kept_factors
+from steklov_rect.geometry import Rectangle
 from steklov_rect.geometry import DomainError
 from steklov_rect.modes import _first_table
 
@@ -369,6 +372,72 @@ class TestKeptFactors:
         for n in range(10, 10 + 2 * _FACTOR_SETS):
             evaluate_interior(e, *self.grid(0.5, n))
             assert _kept_factors.cache_info().currsize == min(n - 9, _FACTOR_SETS)
+
+
+class TestKeptTables:
+    """A solver keeps its projection tables per (mode table, grid); no other projection does."""
+
+    # per solver, two data sets of different freq_hint: one mode set, two grids
+    CALLS = [(lambda h, alpha: expand_dirichlet(h, alpha, 400), ("coshcos:2", "coshcos:9")),
+             (lambda h, alpha: solve_robin(h, alpha, 0.3, 400), ("coshcos:2", "coshcos:9")),
+             (lambda h, alpha: solve_neumann(h, alpha, 400), ("x3-3xy2", "sinsinh:9"))]
+
+    @staticmethod
+    def bits(e):
+        return np.array([e.mean_term, e.data_norm, *(term.coefficient for term in e.terms)]).tobytes()
+
+    def solves(self, alpha):
+        return [self.bits(solve(builtin_boundary(name), alpha)) for solve, names in self.CALLS for name in names]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_warm_equals_cold_equals_streamed(self, alpha, monkeypatch):
+        bd._kept_tables.cache_clear()
+        cold = self.solves(alpha)
+        info = bd._kept_tables.cache_info()
+        assert info.hits >= 2 and info.misses == info.currsize >= 2  # the Robin solves read the Dirichlet grids
+        assert self.solves(alpha) == cold
+        assert bd._kept_tables.cache_info().misses == info.misses
+        monkeypatch.setattr(bd, "_TABLE_VALUES", 0)  # nothing kept: each slice built and dropped in turn
+        assert self.solves(alpha) == cold
+        assert bd._kept_tables.cache_info().misses == info.misses
+
+    def test_second_round_misses_nothing(self):
+        bd._kept_tables.cache_clear()
+        for alpha in (1.0, 0.5, 0.1):
+            self.solves(alpha)
+        misses = bd._kept_tables.cache_info().misses
+        assert misses <= bd._TABLE_SETS
+        for alpha in (1.0, 0.5, 0.1):
+            self.solves(alpha)
+        assert bd._kept_tables.cache_info().misses == misses
+
+    def test_public_project_and_central_expansions_keep_nothing(self):
+        h = builtin_boundary("coshcos:2")
+        modes = [term.mode for term in expand_dirichlet(h, 0.5, 400).terms]
+        info = bd._kept_tables.cache_info()
+        project(h, Rectangle(0.5), modes)
+        for m in (3, 3, 12):
+            expand_for_central(h, 0.5, m)
+        assert bd._kept_tables.cache_info() == info
+
+    def test_entry_over_the_bound_is_not_kept(self):
+        h = builtin_boundary("coshcos:2")
+        bd._kept_tables.cache_clear()
+        e = expand_dirichlet(h, 0.5, 700)  # about 170 000 values
+        assert bd._kept_tables.cache_info()[:2] == (0, 0)  # (hits, misses)
+        assert self.bits(expand_dirichlet(h, 0.5, 700)) == self.bits(e)
+        assert bd._kept_tables.cache_info().currsize == 0
+        expand_dirichlet(h, 0.5, 400)
+        assert bd._kept_tables.cache_info().currsize == 1
+
+    def test_central_mode_sets_are_kept(self):
+        h = builtin_boundary("coshcos:2")
+        _central_table.cache_clear()
+        a, b = expand_for_central(h, 0.5, 6), expand_for_central(constant_function(2.0), 0.5, 6)
+        assert a._table is b._table and _central_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _central_table.cache_clear()
+        assert self.bits(expand_for_central(h, 0.5, 6)) == self.bits(a)
+        assert expand_for_central(h, 0.5, 6)._table is not a._table
 
 
 class TestCentralValue:

@@ -357,6 +357,12 @@ class TestEnumeration:
         assert deltas == sorted(deltas)
         assert deltas[1] == pytest.approx(0.6882527423362673, rel=1e-10)
 
+    def test_spectrum_groups_no_table(self, monkeypatch):
+        want = spectrum(0.5, 30)
+        monkeypatch.setattr(md, "_mode_table", None)  # spectrum returns the sorted list as it is
+        got = spectrum(0.5, 30)
+        assert got == want and got is not spectrum(0.5, 30)
+
     @settings(max_examples=40, deadline=None)
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
