@@ -11,7 +11,6 @@ and Neumann problems for Laplace's equation.
 
 from .geometry import BoundaryPoint, CornerError, DomainError, Edge, Rectangle
 from .roots import (
-    BracketError,
     DeterminingEquation,
     Family,
     NonConvergenceError,

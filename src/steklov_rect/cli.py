@@ -19,7 +19,7 @@ from . import boundary as bd
 from . import expansion as xp
 from . import modes as md
 from .geometry import DomainError
-from .roots import BracketError, NonConvergenceError, SymmetryClass
+from .roots import NonConvergenceError, SymmetryClass
 
 __all__ = ["main", "build_parser"]
 
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (bd.BoundaryDataError, xp.IncompatibleDataError, md.InvalidModeError,
-            NonConvergenceError, BracketError, DomainError, OSError) as exc:
+            NonConvergenceError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 Each symmetry class and variable family of separated harmonic Steklov
 eigenfunctions on the rectangle has one such determining equation. The
 positive roots nu parameterize the spectrum, one root per pole-to-pole
-window of the tangent term, so brackets can be written down analytically
-and bisection is guaranteed to converge.
+window of the tangent term, so brackets can be written down analytically.
+Taken through arctan on its bracket, an equation has no poles, and Newton's
+iteration on that form reaches every root to full double precision.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "Family",
     "DeterminingEquation",
     "PoleProximityError",
-    "BracketError",
     "NonConvergenceError",
     "residual",
     "bracket",
@@ -31,12 +31,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 
-# Bisection alone when tol is coarser than this; below it, a Newton polish
-# runs so the default tolerance reaches full double precision.
-_POLISH_CUTOFF = 1e-9
+_POLE_GUARD = 1e-8  # relative guard band around poles of the tangent term, for residual
 
-# Relative guard band around poles of the tangent term.
-_POLE_GUARD = 1e-8
+_PI_HI, _PI_LO = math.pi, 1.2246467991473532e-16  # pi as a double, and the part it misses
+
+# nu - arctan(tanh nu) = artanh(t) - arctan(t) = t**3 * sum_n 2 t**(4n) / (4n + 3), t = tanh(nu)
+_GAP_SERIES = 2.0 / (4.0 * np.arange(32) + 3.0)
 
 
 class SymmetryClass(enum.Enum):
@@ -67,12 +67,8 @@ class PoleProximityError(ArithmeticError):
     """nu is too close to a pole of the tangent term to evaluate reliably."""
 
 
-class BracketError(ArithmeticError):
-    """The analytic bracket failed to show a sign change (should not happen)."""
-
-
 class NonConvergenceError(ArithmeticError):
-    """Iteration budget exhausted; the tolerance is below what doubles allow."""
+    """A root lies where doubles are spaced wider than the tolerance asked for."""
 
 
 @dataclass(frozen=True)
@@ -121,35 +117,22 @@ class DeterminingEquation:
         return 1 if self.trig_cos else -1
 
 
-def _residual(eq: DeterminingEquation, nu: np.ndarray) -> np.ndarray:
-    """tan(a*nu) + sign * hyp(b*nu) at every nu of an array, with no pole guard."""
-    hyp = np.tanh(eq.hyp_scale * nu)
-    if eq.uses_coth:
-        hyp = 1.0 / hyp
-    return np.tan(eq.tan_scale * nu) + eq.sign * hyp
-
-
-def _near_pole(eq: DeterminingEquation, nu: np.ndarray) -> np.ndarray:
-    """Which nu lie within the relative guard band around a pole of the tangent term."""
-    theta = eq.tan_scale * nu
-    # Distance from theta to the nearest pole (k + 1/2)*pi of tan.
-    k = np.floor(theta / math.pi)
-    return np.abs(theta - (k + 0.5) * math.pi) < _POLE_GUARD * np.maximum(1.0, np.abs(theta))
-
-
 def residual(eq: DeterminingEquation, nu):
     """Left-minus-right side of the determining equation at nu > 0 (a number or an array).
 
-    Raises PoleProximityError within a relative guard band of the tangent
-    poles, where the value would be dominated by cancellation; callers must
-    shrink their interval instead of trusting a value there.
+    A diagnostic, which solve_nu does not call. Raises PoleProximityError within a
+    relative guard band of the tangent poles, where cancellation dominates the value.
     """
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0.0):
         raise ValueError(f"nu must be positive, got {nu}")
-    if np.any(_near_pole(eq, nu)):
+    theta = eq.tan_scale * nu
+    # distance from theta to the nearest pole (k + 1/2)*pi of tan
+    pole = (np.floor(theta / math.pi) + 0.5) * math.pi
+    if np.any(np.abs(theta - pole) < _POLE_GUARD * np.maximum(1.0, np.abs(theta))):
         raise PoleProximityError(f"nu={nu} within guard distance of a tangent pole")
-    value = _residual(eq, nu)
+    hyp = np.tanh(eq.hyp_scale * nu)
+    value = np.tan(theta) + eq.sign * (1.0 / hyp if eq.uses_coth else hyp)
     return float(value) if value.ndim == 0 else value
 
 
@@ -179,102 +162,79 @@ def bracket(eq: DeterminingEquation, j):
     return (2 * k * half, (2 * k + 1) * half)
 
 
-def _safe_endpoints(eq: DeterminingEquation, lo: np.ndarray, hi: np.ndarray):
-    """Nudge bracket ends inward until the residual is negative at lo and positive at hi.
-
-    The residual rises through a bracket, from -inf just above a pole of tan
-    or -hyp at a zero of it, to +hyp at a zero or +inf just below a pole.
-    Both ends start one guard band inside, and an end's nudge is quartered
-    while the residual there has the wrong sign: at the zero end when a root
-    lies close to the zero, at the pole end when a huge hyperbolic term puts
-    the root inside the guard band (class III/IV y at alpha = 1e-9). The pole
-    end's nudge stops at 4 ulp of the pole, past the rounding of the bracket
-    end, where tan already has the sign it tends to at the pole.
-    """
-    span = hi - lo
-    nudge = np.maximum(2.0 * _POLE_GUARD * np.maximum(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
-    pole_nudge, zero_nudge = nudge, nudge.copy()
-    least = 4.0 * np.spacing(lo if eq.sign > 0 else hi)  # of the pole end's nudge
-    for _ in range(16):
-        lo_nudge, hi_nudge = (pole_nudge, zero_nudge) if eq.sign > 0 else (zero_nudge, pole_nudge)
-        a, b = np.maximum(lo + lo_nudge, 1e-300), hi - hi_nudge
-        neg_a, pos_b = np.signbit(_residual(eq, a)), ~np.signbit(_residual(eq, b))
-        if (neg_a & pos_b).all():
-            return a, b
-        pole_ok, zero_ok = (neg_a, pos_b) if eq.sign > 0 else (pos_b, neg_a)
-        zero_nudge[~zero_ok] *= 0.25
-        pole_nudge = np.where(pole_ok, pole_nudge, np.maximum(0.25 * pole_nudge, least))
-    bad = np.argmin(neg_a & pos_b)
-    raise BracketError(f"no sign change on bracket ({lo[bad]}, {hi[bad]}) for {eq}")
-
-
 def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
-    """The j-th strictly positive root of the determining equation.
+    """The j-th strictly positive root of the determining equation, to full double precision.
 
-    j is an int, or an int array of indices solved together (the roots
-    come back as an array of the same shape). Each root is localized within
-    tol: plain bisection down to that width for coarse tolerances,
-    bisection plus a bracketed Newton polish for tight ones. Every root runs
-    the iteration it would run alone; the array only shares the numpy
-    calls. Roots are strictly increasing in j and successive differences
-    approach pi / tan_scale.
+    j is an int, or an int array of indices solved together (the roots come
+    back as an array of the same shape). On its bracket, with a = tan_scale
+    and b = hyp_scale, tan(a*nu) = -sign * hyp(b*nu) reads, without poles,
+    F(nu) = a*nu - m*pi + sigma * arctan(tanh(b*nu)) = 0: m is the multiple
+    of pi nearest a*nu at the bracket's midpoint, less sign/2 for coth
+    (arctan coth = pi/2 - arctan tanh), and sigma is sign, negated for coth.
+    F' = a + sigma * b / cosh(2*b*nu) is positive from the midpoint to the
+    root, which lies above the midpoint where F is concave (sigma = 1) and
+    below it where F is convex, so Newton's iteration from the midpoint
+    approaches the root from one side; the class II, family x root j = 1 at
+    alpha >= 0.7 is the exception (_first_ii_x).
+
+    tol only decides refusal: NonConvergenceError is raised exactly when the
+    spacing of doubles at a root is wider than tol.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    js = np.asarray(j)
-    lo, hi = bracket(eq, js.ravel())
-    # the iterates stay between the nudged ends, where the residual is negative at lo and
-    # positive at hi, so no residual below needs the pole guard
-    lo, hi = _safe_endpoints(eq, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    coarse = tol if tol >= _POLISH_CUTOFF else 1e-6
-    # a step halves a bracket to within an ulp, so one still wider than coarse after
-    # this many steps has stalled: its midpoint rounds onto an end
-    steps = math.ceil(math.log2(np.max(hi - lo, initial=coarse) / coarse)) + 3
-    while (act := hi - lo > coarse).any():
-        if (steps := steps - 1) < 0:
-            raise NonConvergenceError(f"bisection for {eq}, j={js.ravel()[act][0]} stalled above width {coarse}")
-        mid = 0.5 * (lo + hi)
-        fm = _residual(eq, mid)
-        up = act & np.signbit(fm)  # the root lies above mid
-        down = act ^ up
-        if not fm.all():  # an exact root closes its bracket onto mid
-            zero = act & (fm == 0.0)
-            up, down = up | zero, down | zero
-        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
-    x = 0.5 * (lo + hi)
-    if tol < _POLISH_CUTOFF:
-        x = _polish(eq, js.ravel(), x, lo, hi, tol)
-    return float(x[0]) if js.ndim == 0 else x.reshape(js.shape)
+    js = np.asarray(j).ravel()
+    a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
+    x = np.mean(bracket(eq, js), axis=0)  # the brackets' midpoints
+    m = np.round(a * x / math.pi) - (0.5 * s if eq.uses_coth else 0.0)
+    sigma = -s if eq.uses_coth else s
+    done = (js == 1) & (eq.symmetry_class is SymmetryClass.II and eq.family is Family.X and 0.7 <= eq.alpha < 1)
+    if done.any():
+        x[done] = _first_ii_x(eq.alpha)
+    prev = x
+    with np.errstate(invalid="ignore"):  # a bracket past the largest double makes nu nan
+        for _ in range(64):  # a root takes a handful of steps
+            if done.all():
+                break
+            e = np.exp(-2.0 * b * x)  # 1/cosh(2*b*x) = 2e / (1 + e*e), with no overflow
+            f = (a * x - m * _PI_HI) - m * _PI_LO + sigma * np.arctan(np.tanh(b * x))
+            step = f / (a + sigma * b * (2.0 * e / (1.0 + e * e)))
+            new = np.where(done, x, x - step)
+            # a step below the spacing of doubles, or a return to the iterate before, is rounding
+            done = done | ~(np.abs(step) >= np.spacing(x)) | (new == prev)
+            prev, x = x, new
+    width = np.nan_to_num(np.spacing(x), nan=np.inf)
+    if not (width <= tol).all():
+        i = int(np.argmin(width <= tol))
+        raise NonConvergenceError(
+            f"class {eq.symmetry_class.value}, family {eq.family.value}, alpha={eq.alpha!r} (tan({a!r}*nu) = "
+            f"{'-' if s > 0 else '+'}{'coth' if eq.uses_coth else 'tanh'}({b!r}*nu)): root j={js[i]} at "
+            f"nu={float(x[i])!r} lies where doubles are {float(width[i])!r} apart, wider than tol={tol!r}; "
+            f"the smallest root tol (--root-tol) accepted is {float(width.max())!r}")
+    return float(x[0]) if np.ndim(j) == 0 else x.reshape(np.shape(j))
 
 
-def _polish(eq, js, x, lo, hi, tol):
-    """Newton polish, kept inside the bracket so tangent poles stay out of reach."""
-    a, b, s, coth = eq.tan_scale, eq.hyp_scale, eq.sign, eq.uses_coth
-    out, todo = np.empty_like(x), np.arange(x.size)  # todo: the roots still polishing
-    for _ in range(60):
-        if todo.size == 0:
-            return out
-        f = _residual(eq, x)
-        below = np.signbit(f)
-        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        t = np.tan(a * x)
-        # past b*x = 350 sech^2 / csch^2 are far below an ulp of the tan term
-        g = (np.sinh if coth else np.cosh)(np.minimum(b * x, 350.0))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a slope that rounds to 0 bisects
-            step = f / (a * (1.0 + t * t) + s * ((-b if coth else b) / (g * g)))
-        x_new = x - step
-        outside = ~((lo < x_new) & (x_new < hi))
-        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        step = np.where(outside, x_new - x, step)
-        x = x_new
-        # converge only when the requested localization is certified, either
-        # by a small nonzero Newton step or by the bracket width itself
-        done = ((0.0 < np.abs(step)) & (np.abs(step) <= 0.25 * tol)) | (hi - lo <= tol)
-        out[todo[done]] = x[done]
-        todo, x, lo, hi = todo[~done], x[~done], lo[~done], hi[~done]
-    if todo.size == 0:
-        return out
-    raise NonConvergenceError(
-        f"root polish for {eq}, j={js[todo[0]]} did not reach tol={tol}; "
-        "tolerance is likely below double precision"
-    )
+def _first_ii_x(alpha: float) -> float:
+    """Class II, family x, j = 1 for 0.7 <= alpha < 1: the nu > 0 with arctan(tanh nu) / nu = alpha.
+
+    As alpha -> 1 the root merges into nu = 0 and F loses it to cancellation.
+    f(nu) = d(nu) / nu - (1 - alpha), d(nu) = nu - arctan(tanh nu), does not:
+    1 - alpha is exact, and d comes from its series in tanh(nu)**4, whose
+    terms fall by 4 or more each for nu < 0.89 (alpha > 0.7). f rises from
+    -(1 - alpha) but has an inflection at nu = 0.63, so Newton's iteration from
+    the root of f's leading term 2 nu**2 / 3 is kept in a bracket.
+    """
+    c = 1.0 - alpha
+    lo, hi = 0.0, math.pi / (4.0 * alpha)  # arctan(tanh nu) < pi/4 puts the root below hi
+    x, prev = min(math.sqrt(1.5 * c), hi), hi
+    for _ in range(64):
+        t = math.tanh(x)
+        d = t**3 * np.polynomial.polynomial.polyval(t**4, _GAP_SERIES)
+        f = d / x - c
+        lo, hi = (x, hi) if f < 0.0 else (lo, x)
+        # f' = (nu d' - d) / nu**2 with d' = 1 - 1/cosh(2 nu) = 2 sinh(nu)**2 / cosh(2 nu)
+        new = x - f * x * x / (2.0 * x * math.sinh(x) ** 2 / math.cosh(2.0 * x) - d)
+        new = new if lo <= new <= hi else 0.5 * (lo + hi)
+        if abs(new - x) < math.ulp(x) or new == prev:
+            break
+        prev, x = x, new
+    return float(new)

@@ -1,7 +1,8 @@
 """Independent numerical oracles used to freeze expected values in tests.
 
 Everything here deliberately avoids the library's own evaluation paths:
-roots come from scipy's brentq on directly-written residuals, boundary
+roots come from scipy's brentq on directly-written residuals or from
+Newton's iteration in 50-digit mpmath on the pole-free product form, boundary
 integrals from scipy's fixed_quad on directly-written profiles. The one
 exception, paired_inner_product, sums on the library's own edge grid, so that
 a quadrature on that grid is compared with a plain per-edge sum on the same
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.optimize import brentq
@@ -24,6 +26,32 @@ def root_in(fn, lo, hi):
     """Tight brentq root in (lo, hi), nudged off the endpoints."""
     span = hi - lo
     return brentq(fn, lo + 1e-12 * span + 1e-300, hi - 1e-12 * span, xtol=1e-15, rtol=8.9e-16)
+
+
+def mp_root(eq, start, dps=50):
+    """The root of eq's determining equation next to start, to dps digits.
+
+    tan(a v) = -sign * S(b v) / C(b v) times cos(a v) C(b v) is
+    sin(a v) C(b v) + sign * cos(a v) S(b v) = 0, which has no poles; C, S
+    are cosh, sinh for the tanh equations and sinh, cosh for the coth ones,
+    so C' = S and S' = C. Newton's iteration runs in mpmath from start.
+    """
+    with mpmath.workdps(dps):
+        a, b, s = mpmath.mpf(eq.tan_scale), mpmath.mpf(eq.hyp_scale), eq.sign
+        S, C = (mpmath.cosh, mpmath.sinh) if eq.uses_coth else (mpmath.sinh, mpmath.cosh)
+        v = mpmath.mpf(start)
+        for _ in range(50):
+            sa, ca, Sb, Cb = mpmath.sin(a * v), mpmath.cos(a * v), S(b * v), C(b * v)
+            step = (sa * Cb + s * ca * Sb) / (a * ca * Cb + b * sa * Sb - s * a * sa * Sb + s * b * ca * Cb)
+            v -= step
+            if abs(step) <= abs(v) * mpmath.mpf(10) ** (20 - dps):
+                return v
+    raise AssertionError(f"mpmath Newton iteration from {start} did not settle")
+
+
+def ulps(got, want):
+    """|got - want| in units of the spacing of doubles at got."""
+    return float(abs(mpmath.mpf(got) - want)) / float(np.spacing(got))
 
 
 def boundary_integral(fn_xy, alpha, n=160):

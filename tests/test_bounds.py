@@ -156,8 +156,3 @@ class TestTables:
         assert rows["center_3"].computed == pytest.approx(7.079865e-4, rel=1e-6)
         assert rows["relerr_m3"].computed == pytest.approx(7.26e-5, rel=1e-2)
         assert rows["c_6/c_5"].computed == pytest.approx(1.8674427e-3, rel=1e-7)
-
-    def test_coarse_roots_fail(self):
-        report = reproduce_tables(root_tol=1e-4)
-        assert not report.ok
-        assert any(r.label.startswith("nu_") for r in report.failures)

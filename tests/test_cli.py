@@ -10,13 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import steklov_rect.bounds as bnd
 from steklov_rect import (
+    DeterminingEquation,
+    Family,
     Rectangle,
+    SymmetryClass,
     builtin_boundary,
     central_value,
     evaluate,
     evaluate_interior,
     expand_for_central,
+    solve_nu,
     solve_robin,
 )
 from steklov_rect.boundary import _MAX_ORDER
@@ -88,8 +93,8 @@ class TestSpectrum:
         assert out.splitlines()[1].split()[:3] == ["class", "family", "index"]
 
     def test_alpha_just_below_one(self, capsys):
-        # at 1 - 2**-53 the class II x root j=1 lies at nu = 1.3e-8, closer to
-        # the end of its bracket than the first nudge; its mode tends to xy
+        # at 1 - 2**-53 the class II x root j=1 lies at nu = 1.3e-8, next to the
+        # root nu = 0 it merges into at alpha = 1; its mode tends to xy
         rc, out, err = run(capsys, "spectrum", "--alpha", "0.9999999999999999", "--jmax", "1",
                            "--format", "json")
         assert rc == 0, err
@@ -324,13 +329,15 @@ class TestBadValues:
         assert len(err.splitlines()) == 1
         assert "not finite" in err
 
-    def test_bracket_failure_is_clean_error(self, capsys):
-        # at alpha = 1e-16 the class III y root lies within an ulp of the tangent
-        # pole pi/2; the root tolerance lets the class III x roots near 1.6e16 solve
-        rc, _, err = run(capsys, "spectrum", "--alpha", "1e-16", "--jmax", "1", "--root-tol", "10",
-                         "--classes", "III")
-        self.assert_clean_error(rc, err, want_rc=1)
-        assert "no sign change" in err
+    def test_root_within_an_ulp_of_pole(self, capsys):
+        # at alpha = 1e-16 the class III y root lies less than an ulp above the tangent pole
+        # pi/2; the root tolerance lets the class III x roots near 7.9e15 solve
+        rc, out, err = run(capsys, "spectrum", "--alpha", "1e-16", "--jmax", "1", "--root-tol", "10",
+                           "--classes", "III", "--format", "json")
+        assert rc == 0 and err == ""
+        rows = {(r["class"], r["family"]): r for r in json.loads(out)["modes"]}
+        assert rows["III", "y"]["nu"] == solve_nu(DeterminingEquation(SymmetryClass.III, Family.Y, 1e-16), 1)
+        assert rows["III", "y"]["nu"] > math.pi / 2
 
     def test_root_inside_pole_guard_band(self, capsys):
         # at alpha = 1e-9 the class III/IV y roots lie 1.6e-9 from the tangent
@@ -345,13 +352,27 @@ class TestBadValues:
     def test_tiny_alpha_stalled_bisection_is_clean_error(self, capsys):
         rc, out, err = run(capsys, "spectrum", "--alpha", "1e-300", "--jmax", "1")
         self.assert_clean_error(rc, err, want_rc=1)
-        assert "stalled above width 1e-06" in err and out == ""
+        nu = solve_nu(DeterminingEquation(SymmetryClass.I, Family.X, 1e-300), 1, tol=1e300)
+        assert err == (f"error: class I, family x, alpha=1e-300 (tan(1e-300*nu) = -tanh(1.0*nu)): root j=1 at "
+                       f"nu={nu!r} lies where doubles are {float(np.spacing(nu))!r} apart, wider than tol=1e-12; "
+                       f"the smallest root tol (--root-tol) accepted is {float(np.spacing(nu))!r}\n")
+        assert out == ""
+
+    def test_brackets_past_the_largest_double_are_clean_error(self, capsys):
+        # pi / (2 alpha) overflows at a subnormal alpha: the refusal names no spacing a tol could meet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning that escapes raises here
+            rc, out, err = run(capsys, "spectrum", "--alpha", "5e-324", "--jmax", "1")
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert len(err.splitlines()) == 1 and err.endswith("accepted is inf\n") and out == ""
 
     def test_stalled_bisection_is_clean_error(self):
-        # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the bisection width 1e-9
+        # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the root tolerance 1e-9
         proc = run_child("spectrum", "--alpha", "1e-7", "--jmax", "1", "--root-tol", "1e-9")
         self.assert_clean_error(proc.returncode, proc.stderr, want_rc=1)
-        assert "stalled" in proc.stderr
+        assert "root j=1 at nu=23561944.90192" in proc.stderr
+        assert "doubles are 3.725290298461914e-09 apart, wider than tol=1e-09" in proc.stderr
+        assert proc.stderr.endswith("(--root-tol) accepted is 3.725290298461914e-09\n")
 
     def test_roots_beyond_quadrature_are_clean_error(self):
         # the class-I x roots near 2.4e9 would need 7.5e8 quadrature panels per edge
@@ -481,10 +502,14 @@ class TestTables:
         assert rc == 0
         assert "all within tolerance" in out
 
-    def test_coarse_roots_fail(self, capsys):
-        rc, _, err = run(capsys, "tables", "--root-tol", "1e-4")
+    def test_shifted_published_value_fails(self, capsys, monkeypatch):
+        # roots are at full precision whatever --root-tol is, so a shifted published value
+        # is what makes a row fail
+        monkeypatch.setattr(bnd, "TABLE1_NU", (2.3650213,) + bnd.TABLE1_NU[1:])
+        rc, out, err = run(capsys, "tables")
         assert rc == 1
-        assert "FAIL" in err
+        assert err.startswith("FAIL nu_1: computed ") and len(err.splitlines()) == 1
+        assert out.endswith("37 rows, FAILURES PRESENT\n")
 
     def test_csv_format(self, capsys):
         rc, out, _ = run(capsys, "tables", "--format", "csv")
@@ -574,21 +599,17 @@ class TestLayouts:
         want_text += [f"value at ({v['x']:.9g}, {v['y']:.9g}) = {v['value']:.9g}" for v in values]
         assert text == "\n".join(want_text) + "\n"
 
-    @pytest.mark.parametrize("argv,rc,summary", [
-        ((), 0, "37 rows, all within tolerance"),
-        (("--root-tol", "1e-4"), 1, "37 rows, FAILURES PRESENT"),
-    ], ids=["default", "coarse"])
-    def test_tables(self, capsys, argv, rc, summary):
-        assert run(capsys, "tables", *argv)[0] == rc
-        rows, csv, text = self.outputs(capsys, "tables", *argv)
-        assert any(not r["ok"] for r in rows) == (rc == 1)
+    def test_tables(self, capsys):
+        assert run(capsys, "tables")[0] == 0
+        rows, csv, text = self.outputs(capsys, "tables")
+        assert all(r["ok"] for r in rows)
         want_csv = ["name,computed,published,rel_dev"]
         want_csv += [f"{r['name']},{r['computed']!r},{r['published']!r},{r['rel_dev']!r}" for r in rows]
         assert csv == "\n".join(want_csv) + "\n"
         want_text = [f"{'name':<22}{'computed':>16}{'published':>16}{'rel_dev':>12}  ok"]
         want_text += [f"{r['name']:<22}{r['computed']:>16.9g}{r['published']:>16.9g}{r['rel_dev']:>12.2e}  "
                       f"{'yes' if r['ok'] else 'NO'}" for r in rows]
-        assert text == "\n".join(want_text + ["", summary]) + "\n"
+        assert text == "\n".join(want_text + ["", "37 rows, all within tolerance"]) + "\n"
 
 
 _NO_SCIPY = """

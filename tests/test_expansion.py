@@ -561,6 +561,17 @@ class TestCentralValue:
         assert res.m == m
         assert abs(res.value - exact) <= res.bound
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.78])
+    def test_certificate_covers_exact_data_up_to_m_60(self, alpha):
+        # a root off by ulps leaves the constant with coefficients near 1e-13 on other modes,
+        # far above a bound that falls below 1e-14 by m = 40
+        mix = LinearCombination([(0.7, builtin_boundary("x2-y2")), (-1.3, builtin_boundary("coshcos:2")),
+                                 (2.0, builtin_boundary("const:1"))])
+        for h, exact in ((builtin_boundary("const:1"), 1.0), (mix, 0.7)):
+            uncovered = [m for m in range(1, 61)
+                         if not abs((res := central_value(expand_for_central(h, alpha, m))).value - exact) <= res.bound]
+            assert uncovered == []
+
     def test_loaded_expansion_has_no_certificate(self):
         e = expand_for_central(builtin_boundary("coshcos:1"), 1.0, 3)
         doc = expansion_to_dict(e)

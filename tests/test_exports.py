@@ -36,3 +36,9 @@ def test_retired_quadrature_wrappers_are_gone(name):
     # project returns the mean, the norm and every coefficient from one grid
     assert not hasattr(steklov_rect, name)
     assert not hasattr(steklov_rect.boundary, name)
+
+
+def test_retired_bracket_error_is_gone():
+    # every root solves a pole-free equation by Newton's iteration, so no bracket can fail
+    assert not hasattr(steklov_rect, "BracketError")
+    assert not hasattr(steklov_rect.roots, "BracketError")

@@ -369,14 +369,14 @@ class TestEnumeration:
         count=st.integers(0, 200),
         classes=st.one_of(st.none(), st.sets(st.sampled_from(list(SymmetryClass)), min_size=1)),
     )
-    # 1 - 2**-53: the class II x root j=1 lies at 1.3e-8, inside the first bracket nudge
+    # 1 - 2**-53: the class II x root j=1 lies at 1.3e-8, next to the root nu = 0
     @example(alpha=0.9999999999999999, count=1, classes=None)
     def test_first_modes_is_prefix_of_spectrum(self, alpha, count, classes):
         # spectrum(alpha, count) holds the first count modes of every stream,
         # so its first count non-constant modes are the answer, ties included.
         # It also solves x-family roots up to count * pi / alpha, where the
         # default tolerance is below the spacing of doubles (TestArraySolve
-        # covers that failure), so both sides use tol = 1e-10.
+        # covers that refusal), so both sides use tol = 1e-10.
         modes = first_modes(alpha, count, classes=classes, tol=1e-10)
         whole = [m for m in spectrum(alpha, count, classes=classes, tol=1e-10) if m.kind != ModeKind.CONSTANT]
         assert [m.mode_id for m in modes] == [m.mode_id for m in whole[:count]]

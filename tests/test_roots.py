@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from steklov_rect import (
-    BracketError,
     DeterminingEquation,
     Family,
+    ModeKind,
     NonConvergenceError,
     PoleProximityError,
     SymmetryClass,
     bracket,
     residual,
     solve_nu,
+    spectrum,
 )
+from steklov_rect.roots import DEFAULT_TOL
 
-from _oracles import root_in
+from _oracles import mp_root, root_in, ulps
 
 # First six positive roots of tan(nu) + tanh(nu) = 0, printed to 9 digits.
 TABLE1_NU = (2.36502037, 5.49780392, 8.63937983, 11.7809725, 14.9225651, 18.0641578)
@@ -148,15 +150,6 @@ class TestSolveNu:
             b = solve_nu(eq, 3, tol=tol / 2)
             assert abs(a - b) <= tol
 
-    def test_coarse_tol_is_coarse(self):
-        # a requested tolerance is also roughly the accuracy delivered, so
-        # coarse runs are visibly coarse (the tables command relies on this)
-        eq = eq_of(SymmetryClass.I, Family.X, 1.0)
-        coarse = solve_nu(eq, 1, tol=1e-4)
-        fine = solve_nu(eq, 1, tol=1e-12)
-        assert abs(coarse - fine) > 1e-9
-        assert abs(coarse - fine) <= 1e-4
-
     def test_matches_independent_oracle(self):
         cases = [
             (SymmetryClass.III, Family.X, 0.37, 3, lambda v: np.tan(0.37 * v) - 1 / np.tanh(v)),
@@ -186,7 +179,7 @@ class TestSolveNu:
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     def test_root_inside_pole_guard_band(self, alpha, tol):
         # tan(nu) = -/+ coth(alpha nu) puts the class III/IV y roots j = 1 about
-        # alpha * pi/2 above/below the pole pi/2, inside its guard band
+        # alpha * pi/2 above/below the pole pi/2, inside residual's guard band
         for cls, side in ((SymmetryClass.III, 1), (SymmetryClass.IV, -1)):
             with mpmath.workdps(50):
                 a = mpmath.mpf(alpha)
@@ -196,121 +189,51 @@ class TestSolveNu:
                 assert side * (want - mpmath.pi / 2) > 0
                 assert abs(solve_nu(eq_of(cls, Family.Y, alpha), 1, tol) - want) <= tol
 
-    def test_root_within_ulps_of_pole_is_bracket_error(self):
-        # at alpha = 1e-16 the class III y root lies within an ulp of pi/2
-        with pytest.raises(BracketError, match="no sign change"):
-            solve_nu(eq_of(SymmetryClass.III, Family.Y, 1e-16), 1, 1e-3)
-
-
-# ---------------------------------------------------------------------------
-# The per-root scalar solver that solve_nu replaced, kept as a reference: the
-# array solver must run the same iteration for every root.
-
-def _scalar_residual(eq, nu):
-    theta = eq.tan_scale * nu
-    k = math.floor(theta / math.pi)
-    if abs(theta - (k + 0.5) * math.pi) < 1e-8 * max(1.0, abs(theta)):
-        raise PoleProximityError(nu)
-    hyp = (lambda u: 1.0 / math.tanh(u)) if eq.uses_coth else math.tanh
-    return math.tan(theta) + eq.sign * hyp(eq.hyp_scale * nu)
-
-
-def _scalar_endpoints(eq, lo, hi):
-    span = hi - lo
-    nudge = max(2.0 * 1e-8 * max(1.0, hi * eq.tan_scale) / eq.tan_scale, 1e-13 * span)
-    for _ in range(8):
-        a, b = max(lo + nudge, 1e-300), hi - nudge
-        try:
-            fa, fb = _scalar_residual(eq, a), _scalar_residual(eq, b)
-        except PoleProximityError:
-            nudge *= 4.0
-            continue
-        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            return a, b, fa
-        nudge *= 0.25
-    raise AssertionError("no sign change")
-
-
-def scalar_solve_nu(eq, j, tol=1e-12):
-    lo, hi = bracket(eq, j)
-    lo, hi, flo = _scalar_endpoints(eq, float(lo), float(hi))
-    coarse = max(tol, 1e-9) if tol >= 1e-9 else 1e-6
-    while hi - lo > coarse:
-        mid = 0.5 * (lo + hi)
-        fm = _scalar_residual(eq, mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    if tol >= 1e-9:
-        return x
-    a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
-    for _ in range(60):
-        f = _scalar_residual(eq, x)
-        if math.copysign(1.0, f) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        t = math.tan(a * x)
-        if b * x > 350.0:
-            dhyp = 0.0
-        elif eq.uses_coth:
-            dhyp = -b / math.sinh(b * x) ** 2
-        else:
-            dhyp = b / math.cosh(b * x) ** 2
-        step = f / (a * (1.0 + t * t) + s * dhyp)
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
-        x = x_new
-        if (0.0 < abs(step) <= 0.25 * tol) or (hi - lo) <= tol:
-            return x
-    raise NonConvergenceError(j)
+    def test_root_within_an_ulp_of_pole(self):
+        # at alpha = 1e-16 the class III y root lies 1.6e-16 above the pole pi/2, less than an ulp
+        eq = eq_of(SymmetryClass.III, Family.Y, 1e-16)
+        nu = solve_nu(eq, 1)
+        assert nu > math.pi / 2
+        assert ulps(nu, mp_root(eq, mpmath.pi / 2)) <= 0.5
 
 
 class TestArraySolve:
-    """solve_nu on index arrays runs the scalar iteration root by root."""
+    """solve_nu on index arrays, against a 50-digit mpmath oracle."""
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.37, 0.1])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
-    def test_within_one_ulp_of_scalar_solver(self, alpha, tol):
-        js = np.arange(1, 201)
-        for cls, fam in ALL_EQS:
-            eq = eq_of(cls, fam, alpha)
-            got = solve_nu(eq, js, tol)
-            want = np.array([scalar_solve_nu(eq, j, tol) for j in range(1, 201)])
-            assert got.shape == js.shape
-            assert np.all(np.abs(got - want) <= np.spacing(want)), (cls, fam)
+    @pytest.mark.parametrize("alpha,jmax", [(1.0, 200), (0.7, 200), (0.37, 200), (0.3, 200), (0.1, 200),
+                                            (0.01, 200), (0.001, 30)])
+    def test_spectrum_within_4_ulp_of_oracle(self, alpha, jmax):
+        # tol 1e-10 is above the spacing of doubles at every root here (nu < 1e5); the default
+        # 1e-12 refuses roots past nu = 8192
+        modes = [m for m in spectrum(alpha, jmax, tol=1e-10) if m.kind is ModeKind.SEPARATED]
+        assert len(modes) == 8 * jmax
+        worst = max(ulps(m.nu, mp_root(m.equation, m.nu)) for m in modes)
+        assert worst <= 4.0
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.001])
-    def test_same_nonconvergence_cases(self, alpha):
-        streams_failing = 0
-        for cls, fam in ALL_EQS:
-            eq = eq_of(cls, fam, alpha)
-            failing = []
-            for j in range(1, 41):
-                try:
-                    scalar_solve_nu(eq, j)
-                except NonConvergenceError:
-                    failing.append(j)
-            if failing:
-                streams_failing += 1
-                with pytest.raises(NonConvergenceError, match=f"j={failing[0]} "):
-                    solve_nu(eq, np.arange(1, 41))
-            else:
-                solve_nu(eq, np.arange(1, 41))
-            for j in range(1, 41):
-                if j in failing:
-                    with pytest.raises(NonConvergenceError):
-                        solve_nu(eq, j)
-                else:
-                    solve_nu(eq, j)
-        # the x-family polish cannot reach the default tolerance at these alphas
-        assert streams_failing == 4
+    @pytest.mark.parametrize("alpha", sorted({*np.linspace(0.001, 0.999, 37).tolist(), *(1.0 - 10.0**-k for k in range(1, 16))}))
+    def test_first_class_ii_x_root(self, alpha):
+        # tan(alpha nu) = tanh(nu) has a root in window 0 that merges into nu = 0 as alpha -> 1
+        eq = eq_of(SymmetryClass.II, Family.X, alpha)
+        nu = solve_nu(eq, 1)
+        assert 0.0 < nu < math.pi / (2 * alpha)
+        assert ulps(nu, mp_root(eq, nu)) <= 20.0
+
+    @pytest.mark.parametrize("alpha,last", [(0.1, 261), (0.01, 26), (0.001, 2)])
+    def test_refusal_boundary(self, alpha, last):
+        # the class I x roots cross nu = 8192, where doubles are 2**-39 = 1.8e-12 apart, after index last
+        eq = eq_of(SymmetryClass.I, Family.X, alpha)
+        nus = solve_nu(eq, np.arange(1, last + 1))
+        assert np.spacing(nus[-1]) <= DEFAULT_TOL
+        assert solve_nu(eq, last) == nus[-1]
+        with pytest.raises(NonConvergenceError, match=f"j={last + 1} ") as info:
+            solve_nu(eq, np.arange(1, last + 3))
+        nu = solve_nu(eq, last + 1, tol=2.0**-39)
+        message = str(info.value)
+        assert "class I, family x" in message and f"nu={nu!r}" in message
+        assert f"doubles are {2.0**-39!r} apart" in message
+        assert message.endswith(f"accepted is {float(np.spacing(solve_nu(eq, last + 2, tol=1.0)))!r}")
+        with pytest.raises(NonConvergenceError):
+            solve_nu(eq, last + 1)
 
     def test_scalar_and_array_agree(self):
         eq = eq_of(SymmetryClass.IV, Family.Y, 0.3)
