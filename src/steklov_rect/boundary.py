@@ -12,11 +12,12 @@ its largest nu.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 import re
 import stat
+import threading
+from collections import OrderedDict
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -444,7 +445,7 @@ def project(
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
     The modes are gathered and grouped by (class, family) into one table
     first; the expansions hand over the table of their mode set instead, and
-    the solvers keep the (mode, panel) and (mode, node) tables per grid.
+    keep the (mode, panel) and (mode, node) tables per grid.
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
@@ -497,19 +498,64 @@ def _tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]
                 yield part, pair, parities, across, (np.cos(nd), np.sin(nd), np.cos(nc), np.sin(nc))
 
 
-# projection tables kept per process for the solvers' mode sets, the least recently used dropped
-# first, of at most _TABLE_VALUES values (1 MB) each, counting 2 (order + q) per mode and pair of
-# q folded panels: M = 400 modes take about 0.66 MB at order 32, and three rectangles with data
-# of a few frequencies each make about ten grids
-_TABLE_SETS = 12
+# projection tables kept per process: an entry of more than _TABLE_VALUES values (1 MB), counting
+# 2 (order + q) per mode and pair of q folded panels, is streamed and not kept; M = 400 modes take
+# about 0.66 MB at order 32. The entries share one budget of 12 such entries, about 12 MB, and each
+# is charged its arrays' values plus _HELD_EXTRA (512 bytes) per array and per entry, above what an
+# array object (about 170 bytes) or an empty entry (about 360) takes, so entries of few or no modes
+# count too
 _TABLE_VALUES = 1 << 17
+_HELD_EXTRA = 64
 
 
-@functools.lru_cache(maxsize=_TABLE_SETS)
-def _kept_tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
-    """_tables as a list; the key holds the table, which hashes by identity, so no other table
-    can take its entry."""
-    return list(_tables(table, alpha, order, panels))
+class _KeptTables:
+    """_tables as lists, kept per (mode table, alpha, order, panels) while the charges of the
+    entries stay within budget values, the least recently used dropped first to make room. The key
+    holds the table, which hashes by identity, so no other table can take its entry. The
+    bookkeeping runs under a lock; a miss builds its tables outside it."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries: OrderedDict = OrderedDict()  # key -> (charge, list of _tables' items)
+            self.charged = self.hits = self.misses = 0
+
+    def __call__(self, table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
+        key = (table, alpha, order, panels)
+        with self._lock:
+            if key in self.entries:
+                self.hits += 1
+                self.entries.move_to_end(key)
+                return self.entries[key][1]
+            self.misses += 1
+        items = list(_tables(*key))
+        arrays = [a for rows, _, _, across, tables in items for a in (rows, across, *tables)]
+        charge = sum(a.size for a in arrays) + _HELD_EXTRA * (len(arrays) + 1)
+        with self._lock:
+            if key not in self.entries:  # else another thread kept the same tables meanwhile
+                while self.entries and self.charged + charge > self.budget:
+                    self.charged -= self.entries.popitem(last=False)[1][0]
+                self.entries[key] = charge, items
+                self.charged += charge
+        return items
+
+
+_kept_tables = _KeptTables(12 * _TABLE_VALUES)
+
+
+def _data_on_grid(u: BoundaryFunction, rect: Rectangle, table: _ModeTable,
+                  order: int) -> tuple[tuple[int, int], list[tuple], np.ndarray]:
+    """The panel count of each pair of edges, their _pair_grids and the values of u that
+    _project integrates against the modes of a table."""
+    # the constant and the xy mode have nu = 0
+    freq = _check_freq_hint(u.freq_hint) + max((float(g.nu.max()) for g in table.groups), default=0.0)
+    panels = (default_panels(rect.alpha * freq), default_panels(freq))
+    grids = _pair_grids(rect.alpha, order, panels)
+    return panels, grids, u._grid_values(rect, _boundary_grid(rect, grids[0][3], grids[1][3]))
 
 
 def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int,
@@ -517,15 +563,10 @@ def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int
     """project against the modes of a table, all of them of rect. With keep, the tables of the
     modes on the grid are kept per process (_kept_tables) unless they pass about
     _TABLE_VALUES values; otherwise each slice's tables are built and dropped in turn."""
-    # the constant and the xy mode have nu = 0
-    freq = _check_freq_hint(u.freq_hint) + max((float(g.nu.max()) for g in table.groups), default=0.0)
-    panels = (default_panels(rect.alpha * freq), default_panels(freq))
-    grids = _pair_grids(rect.alpha, order, panels)
-    tv, th = grids[0][3], grids[1][3]
-    values = u._grid_values(rect, _boundary_grid(rect, tv, th))
+    panels, grids, values = _data_on_grid(u, rect, table, order)
     total, square, coeffs = 0.0, 0.0, np.zeros(len(table.modes))
     folds = []  # per pair: (along, across) parity of the factors -> data on q panels x order nodes
-    for (centres, _, weights, t), hv in zip(grids, np.split(values, [2 * tv.size])):
+    for (centres, _, weights, t), hv in zip(grids, np.split(values, [2 * grids[0][3].size])):
         q = (centres.size + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
         hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum of the squares adds it in this order
         wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)

@@ -122,9 +122,12 @@ def _parse_eval(raw: Optional[str]) -> list[tuple[float, float]]:
             continue
         try:
             xs, ys = chunk.split(",")
-            pts.append((float(xs), float(ys)))
+            point = float(xs), float(ys)
         except ValueError as exc:
             raise UsageError(f'--eval expects "x,y;x,y;...", bad chunk {chunk!r}') from exc
+        if not all(map(math.isfinite, point)):
+            raise UsageError(f"--eval coordinates must be finite, got chunk {chunk!r}")
+        pts.append(point)
     return pts
 
 

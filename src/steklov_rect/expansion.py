@@ -139,26 +139,28 @@ def _build(
     table: _ModeTable,
     order: int,
     t: Optional[float],
-    keep: bool = True,
 ) -> SteklovExpansion:
     """Coefficients of h against the modes of a table; with t set, each is divided by
     (1-t)*delta + t, with delta the table's eigenvalue array.
 
-    The mean, the norm and the coefficients come from one quadrature grid; with keep, the
-    projection's tables are kept per table and grid (boundary._project). The expansion
-    keeps the table, so evaluate_interior reuses its grouping and factors.
+    The mean, the norm and the coefficients come from one quadrature grid, and the projection's
+    tables are kept per table and grid under one memory budget (boundary._kept_tables). The
+    expansion keeps the table, so evaluate_interior reuses its grouping and factors.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
     spuriously reject valid data, and its mean term is 0. A Robin mean / t must not overflow.
+    Data whose mean or norm is not finite is refused; the message tells data with a value that
+    is not finite from finite data whose mean or mean square overflows.
     """
     rect = Rectangle(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
-        raw_mean, norm, coeffs = bd._project(h, rect, table, order, keep)
-    if not (math.isfinite(raw_mean) and math.isfinite(norm)):
-        raise bd.BoundaryDataError(
-            f"boundary data is not finite: mean = {raw_mean!r}, norm = {norm!r}"
-        )
+        raw_mean, norm, coeffs = bd._project(h, rect, table, order, keep=True)
+        if not (math.isfinite(raw_mean) and math.isfinite(norm)):
+            finite = np.isfinite(bd._data_on_grid(h, rect, table, order)[2]).all()
+            what = ("not finite" if not finite else "finite, but its mean square overflows"
+                    if math.isfinite(raw_mean) else "finite, but its mean overflows")
+            raise bd.BoundaryDataError(f"boundary data is {what}: mean = {raw_mean!r}, norm = {norm!r}")
     if t == 0.0:
         limit = 1e-9 * (1.0 + norm)
         if abs(raw_mean) > limit:
@@ -211,8 +213,9 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    # 2m modes: their projection tables cost less to build than to key and keep
-    return _build(h, alpha, _central_table(alpha, m, tol), order, None, keep=False)
+    # the 2m modes' projection tables are kept like the solvers' (boundary._kept_tables): they take
+    # about a quarter of a call to build and one lookup to find again
+    return _build(h, alpha, _central_table(alpha, m, tol), order, None)
 
 
 # expand_for_central's mode sets kept per process, the least recently used dropped first: four

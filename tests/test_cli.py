@@ -321,6 +321,14 @@ class TestBadValues:
         self.assert_clean_error(rc, err, want_rc=2)
         assert "--classes" in err and out == ""
 
+    @pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,0"])
+    def test_non_finite_eval_point_is_usage_error(self, capsys, point):
+        # a finite point outside the rectangle is a numerical failure (exit 1), a non-finite one a bad flag
+        rc, out, err = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x2-y2", "--m", "4",
+                           f"--eval=0,0;{point}")
+        self.assert_clean_error(rc, err, want_rc=2)
+        assert out == "" and f"chunk {point!r}" in err and "outside" not in err
+
     def test_overflowing_data_is_data_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning that escapes raises here
@@ -328,6 +336,20 @@ class TestBadValues:
         self.assert_clean_error(rc, err, want_rc=1)
         assert len(err.splitlines()) == 1
         assert "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--mode", "dirichlet", "--builtin", "coshcos:700", "--m", "4"),
+        ("central", "--builtin", "sinhsin:710", "--m", "2"),
+    ])
+    def test_finite_data_whose_mean_square_overflows_is_data_error(self, capsys, argv):
+        # every value is finite (|h| <= cosh 710 < 1.2e308); only the squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run(capsys, *argv)
+        self.assert_clean_error(rc, err, want_rc=1)
+        assert len(err.splitlines()) == 1
+        assert "boundary data is finite, but its mean square overflows: mean = " in err
+        assert "not finite" not in err
 
     def test_root_within_an_ulp_of_pole(self, capsys):
         # at alpha = 1e-16 the class III y root lies less than an ulp above the tangent pole

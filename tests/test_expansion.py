@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,60 +377,166 @@ class TestKeptFactors:
 
 
 class TestKeptTables:
-    """A solver keeps its projection tables per (mode table, grid); no other projection does."""
+    """Every expansion keeps its projection tables per (mode table, grid), under one budget of
+    values; public project keeps nothing."""
 
     # per solver, two data sets of different freq_hint: one mode set, two grids
-    CALLS = [(lambda h, alpha: expand_dirichlet(h, alpha, 400), ("coshcos:2", "coshcos:9")),
-             (lambda h, alpha: solve_robin(h, alpha, 0.3, 400), ("coshcos:2", "coshcos:9")),
-             (lambda h, alpha: solve_neumann(h, alpha, 400), ("x3-3xy2", "sinsinh:9"))]
+    SOLVES = [(lambda h, alpha: expand_dirichlet(h, alpha, 400), ("coshcos:2", "coshcos:9")),
+              (lambda h, alpha: solve_robin(h, alpha, 0.3, 400), ("coshcos:2", "coshcos:9")),
+              (lambda h, alpha: solve_neumann(h, alpha, 400), ("x3-3xy2", "sinsinh:9"))]
+    CENTRAL = [(lambda h, alpha: expand_for_central(h, alpha, 3), ("coshcos:2", "coshcos:9")),
+               (lambda h, alpha: expand_for_central(h, alpha, 12), ("coshcos:2", "coshcos:9"))]
 
     @staticmethod
     def bits(e):
         return np.array([e.mean_term, e.data_norm, *(term.coefficient for term in e.terms)]).tobytes()
 
-    def solves(self, alpha):
-        return [self.bits(solve(builtin_boundary(name), alpha)) for solve, names in self.CALLS for name in names]
+    def solves(self, alpha, calls=SOLVES):
+        return [self.bits(solve(builtin_boundary(name), alpha)) for solve, names in calls for name in names]
+
+    @staticmethod
+    def assert_within_budget():
+        kept = bd._kept_tables
+        assert kept.charged == sum(charge for charge, _ in kept.entries.values()) <= kept.budget
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
     def test_warm_equals_cold_equals_streamed(self, alpha, monkeypatch):
-        bd._kept_tables.cache_clear()
-        cold = self.solves(alpha)
-        info = bd._kept_tables.cache_info()
-        assert info.hits >= 2 and info.misses == info.currsize >= 2  # the Robin solves read the Dirichlet grids
-        assert self.solves(alpha) == cold
-        assert bd._kept_tables.cache_info().misses == info.misses
+        kept = bd._kept_tables
+        kept.clear()
+        cold = self.solves(alpha, self.SOLVES + self.CENTRAL)
+        # the Robin solves read the Dirichlet grids; each central set takes one grid per frequency
+        assert kept.hits >= 2 and kept.misses == len(kept.entries) >= 6
+        misses = kept.misses
+        assert self.solves(alpha, self.SOLVES + self.CENTRAL) == cold
+        assert kept.misses == misses
         monkeypatch.setattr(bd, "_TABLE_VALUES", 0)  # nothing kept: each slice built and dropped in turn
-        assert self.solves(alpha) == cold
-        assert bd._kept_tables.cache_info().misses == info.misses
+        assert self.solves(alpha, self.SOLVES + self.CENTRAL) == cold
+        assert kept.misses == misses
 
     def test_second_round_misses_nothing(self):
-        bd._kept_tables.cache_clear()
+        kept = bd._kept_tables
+        kept.clear()
         for alpha in (1.0, 0.5, 0.1):
             self.solves(alpha)
-        misses = bd._kept_tables.cache_info().misses
-        assert misses <= bd._TABLE_SETS
+        misses = kept.misses
+        assert misses == len(kept.entries)
+        self.assert_within_budget()
         for alpha in (1.0, 0.5, 0.1):
             self.solves(alpha)
-        assert bd._kept_tables.cache_info().misses == misses
+        assert kept.misses == misses
 
-    def test_public_project_and_central_expansions_keep_nothing(self):
+    def test_public_project_keeps_nothing_and_central_expansions_hit(self):
         h = builtin_boundary("coshcos:2")
         modes = [term.mode for term in expand_dirichlet(h, 0.5, 400).terms]
-        info = bd._kept_tables.cache_info()
+        kept = bd._kept_tables
+        kept.clear()
         project(h, Rectangle(0.5), modes)
+        assert (kept.hits, kept.misses, len(kept.entries)) == (0, 0, 0)
         for m in (3, 3, 12):
             expand_for_central(h, 0.5, m)
-        assert bd._kept_tables.cache_info() == info
+        assert (kept.hits, kept.misses, len(kept.entries)) == (1, 2, 2)
+
+    def test_central_sweep_keeps_every_solver_entry(self):
+        # central values of 4 rectangles, m = 0..12 and 3 frequencies between the M = 400 solves
+        # of 3 rectangles: the charges never pass the budget and no solver entry is dropped
+        kept = bd._kept_tables
+        kept.clear()
+        solved = (1.0, 0.5, 0.1)
+        for alpha in solved:
+            self.solves(alpha)
+        misses = kept.misses
+        for i, alpha in enumerate((1.0, 0.5, 0.2, 0.1)):
+            for m in range(13):
+                for name in ("coshcos:2", "coshcos:9", "coshcos:20"):
+                    central_value(expand_for_central(builtin_boundary(name), alpha, m))
+                    self.assert_within_budget()
+            misses = kept.misses
+            self.solves(solved[i % 3])
+            assert kept.misses == misses
+        for alpha in solved:
+            self.solves(alpha)
+        assert kept.misses == misses
+
+    def test_empty_central_sets_stay_within_budget(self):
+        # m = 0 has no modes, so each of 1000 data frequencies takes an entry that holds no array;
+        # each is still charged at least the memory it takes, so such entries cannot grow past the budget
+        kept = bd._kept_tables
+        data = [AnalyticBoundaryFunction(lambda x, y: 1.0 + 0.0 * x, freq_hint=(k - 0.5) * math.pi)
+                for k in range(4, 1004)]  # 4 to 1003 panels a pair
+        expand_for_central(data[0], 1.0, 0, order=2)
+        kept.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for h in data:
+                assert expand_for_central(h, 1.0, 0, order=2).mean_term == pytest.approx(1.0)
+                self.assert_within_budget()
+            taken = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept.misses == len(kept.entries) == 1000
+        assert taken <= 8 * kept.charged  # bytes, against 8-byte values
+
+    def test_oldest_entries_make_room(self, monkeypatch):
+        h = builtin_boundary("coshcos:2")
+        kept = bd._kept_tables
+        charges = {}
+        for alpha in (0.5, 1.0, 0.1):
+            kept.clear()
+            expand_dirichlet(h, alpha, 400)
+            (charges[alpha], _), = kept.entries.values()
+        # room for the alpha = 0.5 entry and one other
+        monkeypatch.setattr(kept, "budget", charges[0.5] + max(charges[1.0], charges[0.1]))
+        kept.clear()
+        expand_dirichlet(h, 0.5, 400)
+        expand_dirichlet(h, 1.0, 400)
+        expand_dirichlet(h, 0.5, 400)  # a hit: now the most recently used
+        expand_dirichlet(h, 0.1, 400)  # drops the alpha = 1 entry, the least recently used
+        assert (kept.hits, kept.misses) == (1, 3)
+        assert [key[1] for key in kept.entries] == [0.5, 0.1]
+        self.assert_within_budget()
+
+    def test_threads_keep_the_charges_consistent(self, monkeypatch):
+        # misses and hits from more threads than cores, with a budget that forces evictions
+        kept = bd._kept_tables
+        kept.clear()
+        monkeypatch.setattr(kept, "budget", 40_000)
+        h = builtin_boundary("coshcos:2")
+        want = {(alpha, m): self.bits(expand_for_central(h, alpha, m)) for alpha in (1.0, 0.5) for m in range(13)}
+        errors = []
+
+        def work(seed):
+            try:
+                for k in np.random.default_rng(seed).permutation(8 * len(want)) % len(want):
+                    alpha, m = list(want)[k]
+                    assert self.bits(expand_for_central(h, alpha, m)) == want[alpha, m]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert kept.hits + kept.misses == 6 * 8 * len(want) + len(want)
+        self.assert_within_budget()
 
     def test_entry_over_the_bound_is_not_kept(self):
         h = builtin_boundary("coshcos:2")
-        bd._kept_tables.cache_clear()
+        kept = bd._kept_tables
+        kept.clear()
         e = expand_dirichlet(h, 0.5, 700)  # about 170 000 values
-        assert bd._kept_tables.cache_info()[:2] == (0, 0)  # (hits, misses)
+        assert (kept.hits, kept.misses) == (0, 0)
         assert self.bits(expand_dirichlet(h, 0.5, 700)) == self.bits(e)
-        assert bd._kept_tables.cache_info().currsize == 0
+        assert len(kept.entries) == 0
         expand_dirichlet(h, 0.5, 400)
-        assert bd._kept_tables.cache_info().currsize == 1
+        assert len(kept.entries) == 1
 
     def test_central_mode_sets_are_kept(self):
         h = builtin_boundary("coshcos:2")
