@@ -18,7 +18,7 @@ import re
 import stat
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -445,34 +445,36 @@ def project(
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
     The modes are gathered and grouped by (class, family) into one table
     first; the expansions hand over the table of their mode set instead, and
-    keep the (mode, panel) and (mode, node) tables per grid.
+    keep the grid and the (mode, panel) and (mode, node) tables per mode set
+    and grid. The data is folded only by the parities those tables read.
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
     return _project(u, rect, _mode_table(modes), order)
 
 
-def _pair_grids(alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
-    """(centres, offsets, weights, nodes) of _panel_grid on each pair of edges, the vertical
-    pair (half-length alpha) first, with panels[0] and panels[1] panels."""
-    grids = []
-    for half, n in zip((alpha, 1.0), panels):
-        centres, offsets, weights = _panel_grid(half, order, n)
-        grids.append((centres, offsets, weights, (centres[:, None] + offsets).ravel()))
-    return grids
+def _pair_grids(alpha: float, order: int, panels: tuple[int, int]) -> tuple[tuple, ...]:
+    """(centres, offsets, weights) of _panel_grid on each pair of edges, the vertical pair
+    (half-length alpha) first, with panels[0] and panels[1] panels."""
+    return tuple(_panel_grid(half, order, n) for half, n in zip((alpha, 1.0), panels))
 
 
-def _tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> Iterator[tuple]:
-    """The data-independent part of _project, one slice of table.blocks and pair of edges at a
-    time: (rows, pair, parities, across, tables), with pair 0 for the vertical edges and 1 for
-    the horizontal ones, parities (even along, even across) naming the folded data the slice
+def _nodes(grids: Sequence[tuple]) -> list[np.ndarray]:
+    """The nodes c_p + d_k of each pair's grid of _pair_grids, panel by panel."""
+    return [(centres[:, None] + offsets).ravel() for centres, offsets, _ in grids]
+
+
+def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple]) -> Iterator[tuple]:
+    """The tables of _project, one slice of table.blocks and pair of edges of grids (_pair_grids)
+    at a time: (rows, pair, parities, across, tables), with pair 0 for the vertical edges and 1
+    for the horizontal ones, parities (even along, even across) naming the folded data the slice
     reads, across the factors at the pair's end, and tables one of
     - (factors along the edges at the folded nodes,) for the constant and the xy mode,
     - (e^(nu d), e^(L + nu c), e^(L - nu c)) where the factor along the edges is hyperbolic,
     - (cos nu d, sin nu d, cos nu c, sin nu c) where it is trigonometric,
     with c the centres of the folded panels and d the node offsets."""
     pairs, ups = [], []  # (centres at t >= 0, offsets) per pair, and the nodes of the folded data
-    for centres, offsets, _, t in _pair_grids(alpha, order, panels):
+    for (centres, offsets, _), t in zip(grids, _nodes(grids)):
         q, half = (centres.size + 1) // 2, t.size // 2  # as in _project's fold
         pairs.append((centres[centres.size - q:], offsets))
         ups.append(np.concatenate([np.zeros(q * order - (t.size - half)), t[half:]]))
@@ -498,21 +500,40 @@ def _tables(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]
                 yield part, pair, parities, across, (np.cos(nd), np.sin(nd), np.cos(nc), np.sin(nc))
 
 
-# projection tables kept per process: an entry of more than _TABLE_VALUES values (1 MB), counting
-# 2 (order + q) per mode and pair of q folded panels, is streamed and not kept; M = 400 modes take
-# about 0.66 MB at order 32. The entries share one budget of 12 such entries, about 12 MB, and each
-# is charged its arrays' values plus _HELD_EXTRA (512 bytes) per array and per entry, above what an
-# array object (about 170 bytes) or an empty entry (about 360) takes, so entries of few or no modes
-# count too
+class _Plan(NamedTuple):
+    """All of _project on one grid that depends on the mode table and the grid only: per pair of
+    edges, the grid of _pair_grids and the (even along, even across) parities of the folded data
+    that its slices read, with (even, even), which the mean reads; and the items of _tables."""
+
+    grids: tuple[tuple, ...]
+    parities: tuple[frozenset, ...]
+    items: Iterable[tuple]
+
+
+def _plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
+    """The plan of a table's modes on a grid of panels, its tables streamed: each slice's are built
+    as _project reaches it and dropped after."""
+    evens = {g.even for g in table.groups} | {(True, True)}  # (even x, even y), as along the horizontal pair
+    grids = _pair_grids(alpha, order, panels)
+    return _Plan(grids, (frozenset((ey, ex) for ex, ey in evens), frozenset(evens)), _tables(table, alpha, order, grids))
+
+
+# projection plans kept per process: a plan of more than _TABLE_VALUES values (1 MB) in its tables,
+# counting 2 (order + q) per mode and pair of q folded panels, is streamed and not kept; M = 400 modes
+# take about 0.66 MB at order 32. The entries share one budget of 12 such entries, about 12 MB, and
+# each is charged its arrays' values and key's bytes plus _HELD_EXTRA (512 bytes) per array and per
+# entry, above what an array object (about 170 bytes) or an empty entry (about 360) takes, so entries
+# of few or no modes count too
 _TABLE_VALUES = 1 << 17
 _HELD_EXTRA = 64
 
 
 class _KeptTables:
-    """_tables as lists, kept per (mode table, alpha, order, panels) while the charges of the
-    entries stay within budget values, the least recently used dropped first to make room. The key
-    holds the table, which hashes by identity, so no other table can take its entry. The
-    bookkeeping runs under a lock; a miss builds its tables outside it."""
+    """_plan with its tables as a list, kept per (table.key, alpha, order, panels) while the charges
+    of the entries stay within budget values, the least recently used dropped first to make room.
+    The key names the table's contents, so a table built again from the same modes finds the entry,
+    and the entry holds no table. The bookkeeping runs under a lock; a miss builds its plan outside
+    it."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -521,70 +542,85 @@ class _KeptTables:
 
     def clear(self) -> None:
         with self._lock:
-            self.entries: OrderedDict = OrderedDict()  # key -> (charge, list of _tables' items)
+            self.entries: OrderedDict = OrderedDict()  # key -> (charge, _Plan)
             self.charged = self.hits = self.misses = 0
 
-    def __call__(self, table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> list[tuple]:
-        key = (table, alpha, order, panels)
+    def __call__(self, table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
+        key = (table.key, alpha, order, panels)
         with self._lock:
-            if key in self.entries:
+            entry = self.entries.get(key)
+            if entry is not None:
                 self.hits += 1
                 self.entries.move_to_end(key)
-                return self.entries[key][1]
+                return entry[1]
             self.misses += 1
-        items = list(_tables(*key))
-        arrays = [a for rows, _, _, across, tables in items for a in (rows, across, *tables)]
-        charge = sum(a.size for a in arrays) + _HELD_EXTRA * (len(arrays) + 1)
+        plan = _plan(table, alpha, order, panels)
+        plan = plan._replace(items=list(plan.items))
+        arrays = [*(a for grid in plan.grids for a in grid),
+                  *(a for rows, _, _, across, tables in plan.items for a in (rows, across, *tables))]
+        charge = sum(a.size for a in arrays) + len(table.key) // 8 + _HELD_EXTRA * (len(arrays) + 1)
         with self._lock:
-            if key not in self.entries:  # else another thread kept the same tables meanwhile
+            if key not in self.entries:  # else another thread kept the same plan meanwhile
                 while self.entries and self.charged + charge > self.budget:
                     self.charged -= self.entries.popitem(last=False)[1][0]
-                self.entries[key] = charge, items
+                self.entries[key] = charge, plan
                 self.charged += charge
-        return items
+        return plan
 
 
 _kept_tables = _KeptTables(12 * _TABLE_VALUES)
 
 
-def _data_on_grid(u: BoundaryFunction, rect: Rectangle, table: _ModeTable,
-                  order: int) -> tuple[tuple[int, int], list[tuple], np.ndarray]:
-    """The panel count of each pair of edges, their _pair_grids and the values of u that
-    _project integrates against the modes of a table."""
-    # the constant and the xy mode have nu = 0
-    freq = _check_freq_hint(u.freq_hint) + max((float(g.nu.max()) for g in table.groups), default=0.0)
-    panels = (default_panels(rect.alpha * freq), default_panels(freq))
-    grids = _pair_grids(rect.alpha, order, panels)
-    return panels, grids, u._grid_values(rect, _boundary_grid(rect, grids[0][3], grids[1][3]))
+def _panels(u: BoundaryFunction, rect: Rectangle, table: _ModeTable) -> tuple[int, int]:
+    """The panel count of each pair of edges for u against the modes of a table."""
+    freq = _check_freq_hint(u.freq_hint) + table.max_nu  # the constant and the xy mode have nu = 0
+    return default_panels(rect.alpha * freq), default_panels(freq)
+
+
+def _sample(u: BoundaryFunction, rect: Rectangle, grids: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The nodes of each pair's grid of _pair_grids and the values of u at their points."""
+    nodes = _nodes(grids)
+    return nodes, u._grid_values(rect, _boundary_grid(rect, *nodes))
+
+
+def _data_on_grid(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> np.ndarray:
+    """The values of u that _project integrates against the modes of a table."""
+    return _sample(u, rect, _pair_grids(rect.alpha, order, _panels(u, rect, table)))[1]
 
 
 def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int,
              keep: bool = False) -> tuple[float, float, list[float]]:
-    """project against the modes of a table, all of them of rect. With keep, the tables of the
-    modes on the grid are kept per process (_kept_tables) unless they pass about
-    _TABLE_VALUES values; otherwise each slice's tables are built and dropped in turn."""
-    panels, grids, values = _data_on_grid(u, rect, table, order)
+    """project against the modes of a table, all of them of rect. With keep, the plan of the modes
+    on the grid is kept per process (_kept_tables) unless its tables pass about _TABLE_VALUES
+    values; otherwise the same plan is built in place and each slice's tables are built and dropped
+    in turn. Per call, only the nodes and points, the data and its folds are made; the data is
+    folded by the parities the plan's slices read only."""
+    panels = _panels(u, rect, table)
+    kept = keep and len(table.modes) * sum(2 * (order + (n + 1) // 2) for n in panels) <= _TABLE_VALUES
+    plan = (_kept_tables if kept else _plan)(table, rect.alpha, order, panels)
+    nodes, values = _sample(u, rect, plan.grids)
     total, square, coeffs = 0.0, 0.0, np.zeros(len(table.modes))
     folds = []  # per pair: (along, across) parity of the factors -> data on q panels x order nodes
-    for (centres, _, weights, t), hv in zip(grids, np.split(values, [2 * grids[0][3].size])):
+    cut = 2 * nodes[0].size
+    for (centres, _, weights), t, hv, parities in zip(plan.grids, nodes, (values[:cut], values[cut:]), plan.parities):
         q = (centres.size + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
-        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: np.sum of the squares adds it in this order
+        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: the sum of the squares adds it in this order
         wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
-        square += float(np.sum(wh * hv))
+        square += float((wh * hv).sum())
         half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
         mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
         # the nodes t < 0 of a middle panel hold 0, so the upper half is q whole panels
         below = np.zeros((q * order - (t.size - half), 2))
-        folded = {}
-        for even_t, part in ((True, wh[half:] + mirror), (False, wh[half:] - mirror)):
-            part = np.concatenate([below, part])
-            folded[even_t, True] = (part[:, 0] + part[:, 1]).reshape(q, order)
-            folded[even_t, False] = (part[:, 0] - part[:, 1]).reshape(q, order)
-        total += float(np.sum(folded[True, True]))  # data odd along or across the pair folds to 0
+        sides, folded = {}, {}
+        for even_along, even_across in parities:
+            if even_along not in sides:
+                sides[even_along] = np.concatenate([below, wh[half:] + mirror if even_along else wh[half:] - mirror])
+            part = sides[even_along]
+            folded[even_along, even_across] = (part[:, 0] + part[:, 1] if even_across
+                                               else part[:, 0] - part[:, 1]).reshape(q, order)
+        total += float(folded[True, True].sum())  # data odd along or across the pair folds to 0
         folds.append(folded)
-    kept = keep and len(table.modes) * sum(2 * (order + (n + 1) // 2) for n in panels) <= _TABLE_VALUES
-    for part, pair, (even_along, even_across), across, tables in (
-            _kept_tables if kept else _tables)(table, rect.alpha, order, panels):
+    for part, pair, (even_along, even_across), across, tables in plan.items:
         data = folds[pair][even_along, even_across]
         if len(tables) == 1:
             coeffs[part] += (tables[0] @ data.ravel()) * across
@@ -598,7 +634,7 @@ def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int
             cosd, sind, cc, sc = tables
             cd, sd = cosd @ data.T, sind @ data.T
             sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
-        coeffs[part] += np.sum(sums, axis=1) * across
+        coeffs[part] += sums.sum(axis=1) * across
     per = rect.perimeter
     return total / per, math.sqrt(square / per), (coeffs / per).tolist()
 

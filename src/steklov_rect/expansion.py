@@ -144,7 +144,7 @@ def _build(
     (1-t)*delta + t, with delta the table's eigenvalue array.
 
     The mean, the norm and the coefficients come from one quadrature grid, and the projection's
-    tables are kept per table and grid under one memory budget (boundary._kept_tables). The
+    plan is kept per mode set and grid under one memory budget (boundary._kept_tables). The
     expansion keeps the table, so evaluate_interior reuses its grouping and factors.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
@@ -157,7 +157,7 @@ def _build(
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
         raw_mean, norm, coeffs = bd._project(h, rect, table, order, keep=True)
         if not (math.isfinite(raw_mean) and math.isfinite(norm)):
-            finite = np.isfinite(bd._data_on_grid(h, rect, table, order)[2]).all()
+            finite = np.isfinite(bd._data_on_grid(h, rect, table, order)).all()
             what = ("not finite" if not finite else "finite, but its mean square overflows"
                     if math.isfinite(raw_mean) else "finite, but its mean overflows")
             raise bd.BoundaryDataError(f"boundary data is {what}: mean = {raw_mean!r}, norm = {norm!r}")
@@ -213,7 +213,7 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    # the 2m modes' projection tables are kept like the solvers' (boundary._kept_tables): they take
+    # the 2m modes' projection plan is kept like the solvers' (boundary._kept_tables): it takes
     # about a quarter of a call to build and one lookup to find again
     return _build(h, alpha, _central_table(alpha, m, tol), order, None)
 
@@ -347,9 +347,11 @@ def evaluate_interior(e: SteklovExpansion, x, y):
 
 
 def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[ExpansionTerm]:
-    """Class-I terms of one family forming a complete index prefix 1..m."""
-    by_index = {t.mode.index: t for t in e.terms
-                if t.mode.symmetry_class == SymmetryClass.I and t.mode.family == family}
+    """Class-I terms of one family forming a complete index prefix 1..m, read from the rows of
+    their group in e's table; of terms of one index, the last counts."""
+    rows = next((g.rows.tolist() for g in e._table.groups
+                 if g.eq is not None and g.eq.symmetry_class == SymmetryClass.I and g.eq.family == family), [])
+    by_index = {e.terms[r].mode.index: e.terms[r] for r in rows}
     out: list[ExpansionTerm] = []
     while len(out) + 1 in by_index:
         out.append(by_index[len(out) + 1])
@@ -368,9 +370,10 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     class-I term, at the lower ends of the (m+1)-th root windows (no root solve).
     """
     fam_x, fam_y = _class_one_prefix(e, Family.X), _class_one_prefix(e, Family.Y)
+    parts = [term.coefficient * term.mode.scale for term in fam_x + fam_y]  # evaluate at (0,0) = scale
     value = e.mean_term
-    for term in fam_x + fam_y:
-        value += term.coefficient * term.mode.scale  # evaluate at (0,0) = scale
+    for part in parts:
+        value += part
     m = min(len(fam_x), len(fam_y))
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
@@ -378,8 +381,8 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     if e.t is not None:
         eqs = [DeterminingEquation(SymmetryClass.I, fam, e.alpha) for fam in Family]
         per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)
-    magnitude = abs(e.mean_term) + sum(abs(t.coefficient * t.mode.scale) for t in fam_x + fam_y)
-    rounding = (len(fam_x) + len(fam_y) + 2) * np.finfo(float).eps * magnitude
+    magnitude = abs(e.mean_term) + sum(map(abs, parts))
+    rounding = (len(parts) + 2) * np.finfo(float).eps * magnitude
     return CentralValueResult(value, m, float(per_norm * e.data_norm + rounding), e.data_norm)
 
 

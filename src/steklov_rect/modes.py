@@ -292,11 +292,15 @@ class _Group(NamedTuple):
 class _ModeTable:
     """Modes in order, their eigenvalues as an array, and their groups by kind and (class,
     family) in the order of each group's first mode; its arrays are never written. A table
-    equals and hashes as itself only, so caches can key on it."""
+    equals and hashes as itself only, so caches can key on it. max_nu is the largest nu (0
+    without modes), and key the bytes of the modes' block codes, nu and log_scale: tables of
+    one key on one rectangle have the same groups and factors, so caches can key on it too."""
 
     modes: tuple[SteklovMode, ...]
     delta: np.ndarray
     groups: tuple[_Group, ...]
+    max_nu: float
+    key: bytes
 
     def blocks(self, width: int) -> Iterator[tuple]:
         """(rows, equation, nu, log_scale, (even_x, even_y)) of slices of the groups, each of at
@@ -323,7 +327,8 @@ def _mode_table(modes: Sequence[SteklovMode]) -> _ModeTable:
         cls = m0.symmetry_class  # None for the constant and the xy mode
         even = (m0.kind == ModeKind.CONSTANT,) * 2 if cls is None else (cls.even_x, cls.even_y)
         groups.append(_Group(rows, None if cls is None else m0.equation, nus[rows], log_scales[rows], even))
-    return _ModeTable(tuple(modes), delta, tuple(groups))
+    key = codes.tobytes() + nus.tobytes() + log_scales.tobytes()
+    return _ModeTable(tuple(modes), delta, tuple(groups), float(nus.max(initial=0.0)), key)
 
 
 def _block_factors(modes: Sequence[SteklovMode], part, eq, nu, log_scale, x, y):

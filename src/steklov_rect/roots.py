@@ -184,14 +184,15 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
         raise ValueError(f"tol must be positive, got {tol}")
     js = np.asarray(j).ravel()
     a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
-    x = np.mean(bracket(eq, js), axis=0)  # the brackets' midpoints
-    m = np.round(a * x / math.pi) - (0.5 * s if eq.uses_coth else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bracket past the largest double makes nu nan
+        x = np.mean(bracket(eq, js), axis=0)  # the brackets' midpoints
+        m = np.round(a * x / math.pi) - (0.5 * s if eq.uses_coth else 0.0)
     sigma = -s if eq.uses_coth else s
     done = (js == 1) & (eq.symmetry_class is SymmetryClass.II and eq.family is Family.X and 0.7 <= eq.alpha < 1)
     if done.any():
         x[done] = _first_ii_x(eq.alpha)
     prev = x
-    with np.errstate(invalid="ignore"):  # a bracket past the largest double makes nu nan
+    with np.errstate(invalid="ignore"):
         for _ in range(64):  # a root takes a handful of steps
             if done.all():
                 break
@@ -204,12 +205,15 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
             prev, x = x, new
     width = np.nan_to_num(np.spacing(x), nan=np.inf)
     if not (width <= tol).all():
+        where = (f"class {eq.symmetry_class.value}, family {eq.family.value}, alpha={eq.alpha!r} (tan({a!r}*nu) = "
+                 f"{'-' if s > 0 else '+'}{'coth' if eq.uses_coth else 'tanh'}({b!r}*nu))")
+        if not np.isfinite(x).all():  # no tol accepts a root past the largest double
+            i = int(np.argmin(np.isfinite(x)))
+            raise NonConvergenceError(f"{where}: root j={js[i]} overflows doubles at this alpha")
         i = int(np.argmin(width <= tol))
         raise NonConvergenceError(
-            f"class {eq.symmetry_class.value}, family {eq.family.value}, alpha={eq.alpha!r} (tan({a!r}*nu) = "
-            f"{'-' if s > 0 else '+'}{'coth' if eq.uses_coth else 'tanh'}({b!r}*nu)): root j={js[i]} at "
-            f"nu={float(x[i])!r} lies where doubles are {float(width[i])!r} apart, wider than tol={tol!r}; "
-            f"the smallest root tol (--root-tol) accepted is {float(width.max())!r}")
+            f"{where}: root j={js[i]} at nu={float(x[i])!r} lies where doubles are {float(width[i])!r} apart, "
+            f"wider than tol={tol!r}; the smallest root tol (--root-tol) accepted is {float(width.max())!r}")
     return float(x[0]) if np.ndim(j) == 0 else x.reshape(np.shape(j))
 
 

@@ -380,13 +380,20 @@ class TestBadValues:
                        f"the smallest root tol (--root-tol) accepted is {float(np.spacing(nu))!r}\n")
         assert out == ""
 
-    def test_brackets_past_the_largest_double_are_clean_error(self, capsys):
-        # pi / (2 alpha) overflows at a subnormal alpha: the refusal names no spacing a tol could meet
+    @pytest.mark.parametrize("argv", [("spectrum", "--alpha", "5e-324", "--jmax", "1"),
+                                      ("spectrum", "--alpha", "1e-310", "--jmax", "1"),
+                                      ("central", "--builtin", "coshcos:2", "--alpha", "1e-320")])
+    def test_brackets_past_the_largest_double_are_clean_error(self, capsys, argv):
+        # pi / (2 alpha) overflows at a subnormal alpha: the refusal says so and names no root tol,
+        # since no tol the CLI accepts could meet it
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning that escapes raises here
-            rc, out, err = run(capsys, "spectrum", "--alpha", "5e-324", "--jmax", "1")
+            rc, out, err = run(capsys, *argv)
         self.assert_clean_error(rc, err, want_rc=1)
-        assert len(err.splitlines()) == 1 and err.endswith("accepted is inf\n") and out == ""
+        alpha = argv[argv.index("--alpha") + 1]
+        assert err == (f"error: class I, family x, alpha={float(alpha)!r} (tan({float(alpha)!r}*nu) = -tanh(1.0*nu)): "
+                       "root j=1 overflows doubles at this alpha\n")
+        assert "tol" not in err and "nan" not in err and out == ""
 
     def test_stalled_bisection_is_clean_error(self):
         # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the root tolerance 1e-9

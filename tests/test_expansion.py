@@ -538,6 +538,47 @@ class TestKeptTables:
         expand_dirichlet(h, 0.5, 400)
         assert len(kept.entries) == 1
 
+    def test_entries_are_keyed_by_table_contents(self):
+        # 70 central sets through the 64 kept mode sets: the second pass rebuilds every table, and
+        # each new table of the same modes finds the entry the first pass kept
+        h = builtin_boundary("coshcos:2")
+        kept = bd._kept_tables
+        kept.clear()
+        _central_table.cache_clear()
+        sets = [(alpha, m) for alpha in (1.0, 0.9, 0.7, 0.5, 0.3, 0.2, 0.1) for m in range(3, 13)]
+        first = [self.bits(expand_for_central(h, alpha, m)) for alpha, m in sets]
+        assert (kept.hits, kept.misses, len(kept.entries)) == (0, 70, 70)
+        second = [self.bits(expand_for_central(h, alpha, m)) for alpha, m in sets]
+        assert _central_table.cache_info()[:2] == (0, 140)  # (hits, misses): every table built twice
+        assert (kept.hits, kept.misses, len(kept.entries)) == (70, 70, 70)
+        assert second == first
+        self.assert_within_budget()
+
+    # data of every parity pattern: classes I (with the mean), II, IV and III
+    MIX = LinearCombination([(1.0, builtin_boundary("coshcos:2")), (0.5, builtin_boundary("sinhsin:1.5")),
+                             (0.3, builtin_boundary("x")), (0.2, builtin_boundary("y")), (0.7, builtin_boundary("xy"))])
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("classes", [[c] for c in SymmetryClass] + [[SymmetryClass.I, SymmetryClass.IV]],
+                             ids=lambda classes: "+".join(c.value for c in classes))
+    def test_folds_only_the_parities_the_tables_read(self, alpha, classes):
+        rect = Rectangle(alpha)
+        kept = bd._kept_tables
+        norm = math.sqrt(bd.inner_product(self.MIX, self.MIX, rect, panels=16))
+        mean = bd.inner_product(self.MIX, constant_function(1.0), rect, panels=16)
+        # (even x, even y) of the modes, and of the mean; the vertical pair reads them as (even y, even x)
+        evens = {(c.even_x, c.even_y) for c in classes} | {(True, True)}
+        for M in (1, 7, 50):
+            kept.clear()
+            cold = expand_dirichlet(self.MIX, alpha, M, classes=classes)
+            warm = expand_dirichlet(self.MIX, alpha, M, classes=classes)
+            assert (kept.hits, kept.misses) == (1, 1)
+            (_, plan), = kept.entries.values()
+            assert plan.parities == ({(ey, ex) for ex, ey in evens}, evens)
+            streamed = project(self.MIX, rect, [term.mode for term in cold.terms])
+            assert self.bits(warm) == self.bits(cold) == np.array([streamed[0], streamed[1], *streamed[2]]).tobytes()
+            assert abs(cold.mean_term - mean) <= 1e-14 * norm and abs(cold.data_norm - norm) <= 1e-14 * norm
+
     def test_central_mode_sets_are_kept(self):
         h = builtin_boundary("coshcos:2")
         _central_table.cache_clear()

@@ -235,6 +235,26 @@ class TestArraySolve:
         with pytest.raises(NonConvergenceError):
             solve_nu(eq, last + 1)
 
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-320, 5e-324])
+    def test_refusal_of_a_root_past_the_largest_double(self, alpha):
+        # at a subnormal alpha the bracket, and the root, pass the largest double: no tol accepts
+        # them, so the refusal says the root overflows and suggests no tol
+        eq = eq_of(SymmetryClass.I, Family.X, alpha)
+        for tol in (DEFAULT_TOL, 1e300):
+            with pytest.raises(NonConvergenceError) as info:
+                solve_nu(eq, np.arange(1, 3), tol=tol)
+            assert str(info.value).endswith("root j=1 overflows doubles at this alpha")
+            assert "tol" not in str(info.value) and "nan" not in str(info.value)
+
+    def test_refusal_names_the_overflowing_root_and_no_tol(self):
+        # at alpha = 1e-306 root 1 (near 2.4e306) is finite but coarse and a later one overflows:
+        # the refusal names that one, since no tol would accept it
+        eq = eq_of(SymmetryClass.I, Family.X, 1e-306)
+        assert math.isfinite(solve_nu(eq, 1, tol=1e300))
+        with pytest.raises(NonConvergenceError, match=r"root j=\d+ overflows doubles at this alpha$") as info:
+            solve_nu(eq, np.arange(1, 200))
+        assert "tol" not in str(info.value)
+
     def test_scalar_and_array_agree(self):
         eq = eq_of(SymmetryClass.IV, Family.Y, 0.3)
         js = np.array([[3, 1], [7, 2]])
