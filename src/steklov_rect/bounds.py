@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Rectangle
 from .modes import Family, SymmetryClass, _log_norm, _stream
-from .roots import DEFAULT_TOL, DeterminingEquation
+from .roots import DeterminingEquation
 from . import stable
 
 __all__ = [
@@ -67,19 +67,19 @@ class DecayBound:
         return self.log_actual < self.log_bound
 
 
-def _class_one(alpha: float, family: Family, j_max: int, tol: float) -> tuple[list[float], list[float]]:
+def _class_one(alpha: float, family: Family, j_max: int) -> tuple[list[float], list[float]]:
     """Class-I roots nu_1..nu_jmax of one family and the logs of their normalization integrals."""
     eq = DeterminingEquation(SymmetryClass.I, family, alpha)
-    nu = np.array([mode.nu for mode in _stream(eq, j_max, tol)])
+    nu = np.array([mode.nu for mode in _stream(eq, j_max)])
     return nu.tolist(), _log_norm(eq, nu).tolist()
 
 
-def check_square_bounds(j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound]:
+def check_square_bounds(j_max: int) -> list[DecayBound]:
     """Strict decay records for the square, j = 1..j_max."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     out: list[DecayBound] = []
-    for j, (nu, log_i) in enumerate(zip(*_class_one(1.0, Family.X, j_max, tol)), start=1):
+    for j, (nu, log_i) in enumerate(zip(*_class_one(1.0, Family.X, j_max)), start=1):
         out += [
             DecayBound(BoundKind.SQUARE_CJ, 1.0, j, nu, -log_i, math.log(2.56) - 2.0 * nu),
             DecayBound(BoundKind.SQUARE_CENTER, 1.0, j, nu, 0.5 * (math.log(8.0) - log_i),
@@ -88,13 +88,13 @@ def check_square_bounds(j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound
     return out
 
 
-def check_rect_bounds(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[DecayBound]:
+def check_rect_bounds(alpha: float, j_max: int) -> list[DecayBound]:
     """Strict decay records for a rectangle with alpha < 1, j = 1..j_max."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"rectangle bounds need 0 < alpha < 1, got {alpha}")
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    (nu1s, log_is), (nu2s, log_js) = (_class_one(alpha, fam, j_max, tol) for fam in Family)
+    (nu1s, log_is), (nu2s, log_js) = (_class_one(alpha, fam, j_max) for fam in Family)
     out: list[DecayBound] = []
     for j, (nu1, nu2, log_i, log_j) in enumerate(zip(nu1s, nu2s, log_is, log_js), start=1):
         out += [
@@ -106,14 +106,14 @@ def check_rect_bounds(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> lis
     return out
 
 
-def nu_orderings(alpha: float, j_max: int, tol: float = DEFAULT_TOL) -> list[tuple]:
+def nu_orderings(alpha: float, j_max: int) -> list[tuple]:
     """Rows (j, alpha*nu2, alpha*nu1, nu2, nu1) for the two class-I root families.
 
     The verified ordering is alpha*nu2 < alpha*nu1 < nu2 < nu1: the family-2
     root always lies slightly *above* alpha times the family-1 root, by a gap
     of about exp(-2 alpha nu2).
     """
-    (nu1s, _), (nu2s, _) = (_class_one(alpha, fam, j_max, tol) for fam in Family)
+    (nu1s, _), (nu2s, _) = (_class_one(alpha, fam, j_max) for fam in Family)
     return [(j, alpha * nu2, alpha * nu1, nu2, nu1) for j, (nu1, nu2) in enumerate(zip(nu1s, nu2s), start=1)]
 
 
@@ -127,16 +127,16 @@ _CENTER_COEFF = 0.41
 _CENTER_COEFF_MIN_INDEX = 3
 
 
-def square_center_tail(m: int, tol: float = DEFAULT_TOL) -> float:
+def square_center_tail(m: int) -> float:
     """Certified |h(0,0) - h_m(0,0)| / ||h|| on the square.
 
     The closed 0.41 * exp(-nu_m) coefficient is valid from m = 3 on; below
     that the geometric tail summed from nu_{m+1} is used, which is valid for
     every m. The root is read from the solved class-I x-family stream, so it
-    is the expansion's own root whenever the two share tol.
+    is the expansion's own root.
     """
     j = m if m >= _CENTER_COEFF_MIN_INDEX else m + 1
-    nu = _stream(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j, tol)[-1].nu
+    nu = _stream(DeterminingEquation(SymmetryClass.I, Family.X, 1.0), j)[-1].nu
     if m >= _CENTER_COEFF_MIN_INDEX:
         return _CENTER_COEFF * math.exp(-nu)
     return _PAIR_BOUND * math.exp(-nu) / (1.0 - math.exp(-math.pi))
@@ -207,7 +207,7 @@ class TableReport:
         return [r for r in self.rows if not r.ok]
 
 
-def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
+def reproduce_tables() -> TableReport:
     """Recompute every published square-spectrum table entry and its deviation.
 
     Emits nu_j, their first differences and eigenvalues, the central mode
@@ -216,7 +216,7 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     (square_center_tail for m = 1, 2, 3).
     """
     eq = DeterminingEquation(SymmetryClass.I, Family.X, 1.0)
-    modes = _stream(eq, 6, root_tol)
+    modes = _stream(eq, 6)
     nus = [mode.nu for mode in modes]
     cs = [math.exp(-log_i) for log_i in _log_norm(eq, np.array(nus)).tolist()]
 
@@ -231,7 +231,7 @@ def reproduce_tables(root_tol: float = DEFAULT_TOL) -> TableReport:
     rows += [TableRow(3, f"c_{j}", c, TABLE3_C[j - 1], TOL_TABLE23) for j, c in enumerate(cs, start=1)]
     rows += [TableRow(3, f"c_{j}/c_{j-1}", cs[j - 1] / cs[j - 2], TABLE3_RATIO[j - 2], TOL_TABLE23)
              for j in range(2, 7)]
-    tails = [square_center_tail(m, root_tol) for m in range(1, 4)]
+    tails = [square_center_tail(m) for m in range(1, 4)]
     rows += [TableRow(4, f"relerr_m{m}", v, TABLE4_RELERR[m - 1], TOL_TABLE4)
              for m, v in enumerate(tails, start=1)]
     return TableReport(tuple(rows))

@@ -36,10 +36,10 @@ def _fmt_arg(x: float) -> str:  # alpha or t in a header: 9 digits only when the
     return _fmt(x) if float(_fmt(x)) == x else repr(x)
 
 
-def _add_common(p: argparse.ArgumentParser, alpha: bool = True) -> None:
-    if alpha:
+def _add_common(p: argparse.ArgumentParser, modes: bool = True) -> None:
+    if modes:  # the rectangle, and the spacing of doubles its roots may lie at
         p.add_argument("--alpha", type=float, default=1.0, help="aspect ratio in (0, 1]")
-    p.add_argument("--root-tol", type=float, default=1e-12, dest="root_tol")
+        p.add_argument("--root-tol", type=float, default=1e-12, dest="root_tol")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -80,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tables", help="recompute the reference tables and deviations")
-    _add_common(p, alpha=False)
+    _add_common(p, modes=False)
     p.set_defaults(func=cmd_tables)
     return parser
 
 
 def _check_numerics(args) -> None:
-    if not (math.isfinite(args.root_tol) and args.root_tol > 0.0):
+    if "root_tol" in args and not (math.isfinite(args.root_tol) and args.root_tol > 0.0):
         raise UsageError(f"--root-tol must be positive and finite, got {args.root_tol}")
     if "quad_order" in args and not 2 <= args.quad_order <= bd._MAX_ORDER:
         raise UsageError(f"--quad-order must be in [2, {bd._MAX_ORDER}], got {args.quad_order}")
@@ -162,7 +162,7 @@ def _csv(header: Sequence[str], rows: Sequence[dict], none: str) -> list[str]:
 
 def _text(columns: Sequence[tuple[str, str]], rows: Sequence[dict]) -> list[str]:
     """The header line, then one line a row in fixed-width columns: each (name, layout) pair,
-    e.g. ("nu", "{:>15}"), lays out the name, then row[name], a float with _fmt and None as -."""
+    e.g. ("nu", " {:>14}"), lays out the name, then row[name], a float with _fmt and None as -."""
     def cell(v) -> str:
         return "-" if v is None else _fmt(v) if isinstance(v, float) else str(v)
 
@@ -170,8 +170,9 @@ def _text(columns: Sequence[tuple[str, str]], rows: Sequence[dict]) -> list[str]
         "".join(layout.format(cell(r[name])) for name, layout in columns) for r in rows]
 
 
+# a space opens each right-aligned column, so a value that fills its width stays apart from the one before
 _MODE_COLUMNS = (("class", "{:<6}"), ("family", "{:<8}"), ("index", "{:<7}"),
-                 ("nu", "{:>15}"), ("delta", "{:>15}"))
+                 ("nu", " {:>14}"), ("delta", " {:>14}"))
 
 
 def cmd_spectrum(args) -> int:
@@ -187,7 +188,7 @@ def cmd_spectrum(args) -> int:
         _emit(args, _csv(("class", "family", "index", "nu", "delta", "scale"), rows, "-"))
     else:
         _emit(args, [f"spectrum  alpha={_fmt_arg(args.alpha)}  jmax={args.jmax}",
-                     *_text(_MODE_COLUMNS + (("scale", "{:>15}"),), rows)])
+                     *_text(_MODE_COLUMNS + (("scale", " {:>14}"),), rows)])
     return 0
 
 
@@ -208,7 +209,7 @@ def cmd_central(args) -> int:
         raise UsageError(f"--m must be >= 0, got {args.m}")
     h = _load_data(args)
     e = xp.expand_for_central(h, args.alpha, args.m, order=args.quad_order, tol=args.root_tol)
-    res = xp.central_value(e, tol=args.root_tol)
+    res = xp.central_value(e)
     _warn_if_vacuous(res)
     doc = {"alpha": args.alpha, "value": res.value, "m": res.m,
            "bound": res.bound, "data_norm": res.data_norm}
@@ -258,13 +259,13 @@ def cmd_solve(args) -> int:
         if e.t is not None:
             title += f"  t={_fmt_arg(e.t)}"
         _emit(args, [title, f"mean term = {_fmt(e.mean_term)}",
-                     *_text(_MODE_COLUMNS + (("coefficient", "{:>16}"),), doc["terms"]),
+                     *_text(_MODE_COLUMNS + (("coefficient", " {:>15}"),), doc["terms"]),
                      *(f"value at ({_fmt(v['x'])}, {_fmt(v['y'])}) = {_fmt(v['value'])}" for v in values)])
     return 0
 
 
 def cmd_tables(args) -> int:
-    report = bnd.reproduce_tables(root_tol=args.root_tol)
+    report = bnd.reproduce_tables()
     rows = [{"name": r.label, "computed": r.computed, "published": r.published,
              "rel_dev": r.rel_dev, "ok": r.ok}
             for r in report.rows]

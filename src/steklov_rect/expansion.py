@@ -29,6 +29,7 @@ from .modes import (
     SymmetryClass,
     _block_factors,
     _check_nu,
+    _check_tol,
     _first_modes_table,
     _log_scale,
     _merged,
@@ -195,7 +196,9 @@ def expand_dirichlet(
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    return _build(h, alpha, _first_modes_table(alpha, M, classes, tol), order, None)
+    table = _first_modes_table(alpha, M, classes)
+    _check_tol(table.modes, table.max_nu, tol)
+    return _build(h, alpha, table, order, None)
 
 
 def expand_for_central(
@@ -215,7 +218,9 @@ def expand_for_central(
         raise ValueError(f"m must be >= 0, got {m}")
     # the 2m modes' projection plan is kept like the solvers' (boundary._kept_tables): it takes
     # about a quarter of a call to build and one lookup to find again
-    return _build(h, alpha, _central_table(alpha, m, tol), order, None)
+    table = _central_table(alpha, m)
+    _check_tol(table.modes, table.max_nu, tol)
+    return _build(h, alpha, table, order, None)
 
 
 # expand_for_central's mode sets kept per process, the least recently used dropped first: four
@@ -224,9 +229,9 @@ _CENTRAL_SETS = 64
 
 
 @functools.lru_cache(maxsize=_CENTRAL_SETS)
-def _central_table(alpha: float, m: int, tol: float) -> _ModeTable:
+def _central_table(alpha: float, m: int) -> _ModeTable:
     """The table of the first m modes of each class-I family, merged by sort_key."""
-    return _mode_table(_merged([(DeterminingEquation(SymmetryClass.I, fam, alpha), m) for fam in Family], (), tol))
+    return _mode_table(_merged([(DeterminingEquation(SymmetryClass.I, fam, alpha), m) for fam in Family], ()))
 
 
 def solve_robin(
@@ -248,7 +253,9 @@ def solve_robin(
         raise ValueError(f"Robin parameter must satisfy 0 < t <= 1, got {t}")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    return _build(eta, alpha, _first_modes_table(alpha, M, classes, tol), order, t)
+    table = _first_modes_table(alpha, M, classes)
+    _check_tol(table.modes, table.max_nu, tol)
+    return _build(eta, alpha, table, order, t)
 
 
 def solve_neumann(
@@ -267,7 +274,9 @@ def solve_neumann(
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    return _build(eta, alpha, _first_modes_table(alpha, M, classes, tol), order, 0.0)
+    table = _first_modes_table(alpha, M, classes)
+    _check_tol(table.modes, table.max_nu, tol)
+    return _build(eta, alpha, table, order, 0.0)
 
 
 def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +367,7 @@ def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[ExpansionTerm
     return out
 
 
-def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValueResult:
+def central_value(e: SteklovExpansion) -> CentralValueResult:
     """Value at the origin with a certified error radius.
 
     Only class-I terms are summed (all other classes vanish at the origin
@@ -377,7 +386,7 @@ def central_value(e: SteklovExpansion, tol: float = DEFAULT_TOL) -> CentralValue
     m = min(len(fam_x), len(fam_y))
     if e.data_norm is None:
         return CentralValueResult(value, m, math.inf, None)
-    per_norm = square_center_tail(m, tol) if e.alpha == 1.0 else rect_center_tail(m, e.alpha)
+    per_norm = square_center_tail(m) if e.alpha == 1.0 else rect_center_tail(m, e.alpha)
     if e.t is not None:
         eqs = [DeterminingEquation(SymmetryClass.I, fam, e.alpha) for fam in Family]
         per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)

@@ -19,7 +19,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import BoundaryPoint, CornerError, Edge, Rectangle, check_interior
-from .roots import DEFAULT_TOL, DeterminingEquation, Family, SymmetryClass, bracket, solve_nu
+from .roots import (DEFAULT_TOL, DeterminingEquation, Family, SymmetryClass, _CLASS_ORDER, _FAMILY_ORDER,
+                    _check_root_tol, bracket, solve_nu)
 from . import stable
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "first_modes",
 ]
 
-_CLASS_ORDER = {SymmetryClass.I: 0, SymmetryClass.II: 1, SymmetryClass.III: 2, SymmetryClass.IV: 3}
-_FAMILY_ORDER = {Family.X: 0, Family.Y: 1}
 # one shared equation per (class, family, alpha), so modes read its cached parities
 _equation = functools.lru_cache(maxsize=256)(DeterminingEquation)
 
@@ -179,12 +178,19 @@ def _log_norm(eq: DeterminingEquation, nu):
     a, b = eq.tan_scale, eq.hyp_scale
     u_hyp, u_trig = b * nu, a * nu
     trig = np.cos(u_trig) if eq.trig_cos else np.sin(u_trig)
-    # 2 * [ F(u_hyp)^2 * int G^2  +  G(u_trig)^2 * int F^2 ], scaled by e^{-2 u_hyp}
-    scaled = 2.0 * (
-        stable.hyp_scaled(u_hyp, eq.hyp_cosh) ** 2 * a * stable.mean_sq_trig(u_trig, eq.trig_cos)
-        + trig**2 * b * stable.mean_sq_hyp_scaled(u_hyp, eq.hyp_cosh)
-    )
-    return 2.0 * u_hyp + np.log(scaled)
+    mean_sq_trig = stable.mean_sq_trig(u_trig, eq.trig_cos)
+    # a root past half the largest double makes 4 u_hyp inf, and a tiny sinh factor scaled 0 (below)
+    with np.errstate(over="ignore", divide="ignore"):
+        # 2 * [ F(u_hyp)^2 * int G^2  +  G(u_trig)^2 * int F^2 ], scaled by e^{-2 u_hyp}
+        log_scaled = np.log(2.0 * (
+            stable.hyp_scaled(u_hyp, eq.hyp_cosh) ** 2 * a * mean_sq_trig
+            + trig**2 * b * stable.mean_sq_hyp_scaled(u_hyp, eq.hyp_cosh)
+        ))
+    if not eq.hyp_cosh:  # sinh(u) e^-u = u and its scaled mean square 2 u^2 / 3 below u = 2^-500,
+        # where their squares underflow: there the log takes u^2 out of both terms
+        log_scaled = np.where(u_hyp < 2.0**-500, 2.0 * np.log(u_hyp)
+                              + np.log(2.0 * (a * mean_sq_trig + trig**2 * b / 1.5)), log_scaled)
+    return 2.0 * u_hyp + log_scaled
 
 
 def _log_scale(eq: DeterminingEquation, nu):
@@ -237,7 +243,9 @@ def resolve(mode_id: ModeId, alpha: float, tol: float = DEFAULT_TOL) -> SteklovM
         # scale == math.sqrt(3.0) to the last bit, 0.5*log(3) does not
         return SteklovMode(mode_id, alpha, 0.0, 1.0, math.log(math.sqrt(3.0)))
     eq = DeterminingEquation(mode_id.symmetry_class, mode_id.family, alpha)
-    return _modes_at(eq, np.array([mode_id.index]), tol)[0]
+    mode = _modes_at(eq, np.array([mode_id.index]))[0]
+    _check_tol([mode], mode.nu, tol)
+    return mode
 
 
 def _separated_factors(
@@ -383,9 +391,10 @@ def _streams(classes: Optional[Sequence[SymmetryClass]]) -> list[tuple[SymmetryC
     return [(c, f) for c in SymmetryClass if classes is None or c in classes for f in Family]
 
 
-def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[SteklovMode]:
-    """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays."""
-    nu = solve_nu(eq, js, tol)
+def _modes_at(eq: DeterminingEquation, js: np.ndarray) -> list[SteklovMode]:
+    """The modes of indices js of one (class, family): roots, eigenvalues and scales as arrays,
+    with no limit on the spacing of doubles at a root (callers check their tol)."""
+    nu = solve_nu(eq, js, math.inf)
     cls, fam, alpha = eq.symmetry_class, eq.family, eq.alpha
     return [
         SteklovMode(ModeId.separated(cls, fam, j), alpha, n, d, s)
@@ -394,17 +403,17 @@ def _modes_at(eq: DeterminingEquation, js: np.ndarray, tol: float) -> list[Stekl
 
 
 # (class, family) streams kept per process, the least recently used dropped first: the eight
-# streams of each of eight (alpha, tol) pairs; a solved mode takes about 250 bytes
+# streams of each of eight rectangles; a solved mode takes about 250 bytes
 _STREAMS = 64
 
 
 @functools.lru_cache(maxsize=_STREAMS)
-def _solved(eq: DeterminingEquation, tol: float) -> list[tuple[SteklovMode, ...]]:
-    """A one-item list holding the modes of eq's stream at tol solved so far, from index 1."""
+def _solved(eq: DeterminingEquation) -> list[tuple[SteklovMode, ...]]:
+    """A one-item list holding the modes of eq's stream solved so far, from index 1."""
     return [()]
 
 
-def _stream(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode]:
+def _stream(eq: DeterminingEquation, count: int) -> list[SteklovMode]:
     """The first count modes of eq's (class, family) stream, as a new list.
 
     The stream is kept per process (_solved) and extended by the indices it
@@ -412,10 +421,10 @@ def _stream(eq: DeterminingEquation, count: int, tol: float) -> list[SteklovMode
     would run alone, so the modes are those a cold solve of indices
     1..count gives; a solve that raises leaves the stream as it was.
     """
-    cell = _solved(eq, tol)
+    cell = _solved(eq)
     modes = cell[0]  # read once: another thread may store a shorter stream meanwhile, never a wrong one
     if count > len(modes):
-        modes = cell[0] = modes + tuple(_modes_at(eq, np.arange(len(modes) + 1, count + 1), tol))
+        modes = cell[0] = modes + tuple(_modes_at(eq, np.arange(len(modes) + 1, count + 1)))
     return list(modes[:count])
 
 
@@ -425,20 +434,20 @@ def _window_deltas(eq: DeterminingEquation, js: np.ndarray) -> tuple[np.ndarray,
     delta = nu tanh(b nu) or nu coth(b nu) rises with nu, so these bound the
     eigenvalue of each mode from below and above without solving its root.
     """
-    lo, hi = bracket(eq, js)
-    with np.errstate(invalid="ignore"):
+    # ends past the largest double, or a tanh(b nu) that underflows, make an eigenvalue inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = bracket(eq, js)
         low = _delta(eq, lo)
-    # nu coth(b nu) is 0/0 at nu = 0, where a window may start; it falls to 1/b there
-    return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
+        # nu coth(b nu) is 0/0 at nu = 0, where a window may start; it falls to 1/b there
+        return np.where(np.isnan(low), 1.0 / eq.hyp_scale, low), _delta(eq, hi)
 
 
-def _merged(prefixes: Sequence[tuple[DeterminingEquation, int]], extra: Sequence[SteklovMode],
-            tol: float) -> list[SteklovMode]:
+def _merged(prefixes: Sequence[tuple[DeterminingEquation, int]], extra: Sequence[SteklovMode]) -> list[SteklovMode]:
     """The extra modes and the first n modes of each (eq, n) stream of prefixes, as a new list
     sorted by sort_key (eigenvalue, then class, family and index)."""
     modes = list(extra)
     for eq, n in prefixes:
-        modes += _stream(eq, n, tol)
+        modes += _stream(eq, n)
     modes.sort(key=SteklovMode.sort_key)
     return modes
 
@@ -449,30 +458,35 @@ _MODE_SETS = 32
 
 
 @functools.lru_cache(maxsize=_MODE_SETS)
-def _first_table(alpha: float, count: int, classes: tuple[SymmetryClass, ...], tol: float) -> _ModeTable:
+def _first_table(alpha: float, count: int, classes: tuple[SymmetryClass, ...]) -> _ModeTable:
     """The table of the first count modes of the given classes; see first_modes."""
     eqs = [_equation(cls, fam, alpha) for cls, fam in _streams(classes)]
     if count == 0:
         return _mode_table([])
     if not eqs:
         raise InvalidModeError(f"filter yields only 0 modes, {count} requested")
-    extra = [resolve(ModeId.xy(), alpha, tol)] if alpha == 1.0 and SymmetryClass.II in classes else []
+    extra = [resolve(ModeId.xy(), alpha)] if alpha == 1.0 and SymmetryClass.II in classes else []
     # no stream holds more than count of the first count modes
     windows = [_window_deltas(eq, np.arange(1, count + 1)) for eq in eqs]
     uppers = np.concatenate([high for _, high in windows] + [[mode.delta for mode in extra]])
     level = np.partition(uppers, count - 1)[count - 1]
     # low rises with j, so the modes whose window starts below level are a prefix of each stream
     return _mode_table(_merged([(eq, int(np.count_nonzero(low <= level))) for eq, (low, _) in zip(eqs, windows)],
-                               extra, tol)[:count])
+                               extra)[:count])
 
 
-def _first_modes_table(alpha: float, count: int, classes: Optional[Sequence[SymmetryClass]], tol: float) -> _ModeTable:
-    """first_modes' modes as a table, built once per process for each (alpha, count, classes,
-    tol); classes given in any order or with repeats share one entry."""
+def _first_modes_table(alpha: float, count: int, classes: Optional[Sequence[SymmetryClass]]) -> _ModeTable:
+    """first_modes' modes as a table, built once per process for each (alpha, count, classes);
+    classes given in any order or with repeats share one entry."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     Rectangle(alpha)  # validates alpha
-    return _first_table(alpha, count, tuple(c for c in SymmetryClass if classes is None or c in classes), tol)
+    return _first_table(alpha, count, tuple(c for c in SymmetryClass if classes is None or c in classes))
+
+
+def _check_tol(modes: Sequence[SteklovMode], largest: float, tol: float) -> None:
+    """roots._check_root_tol on the roots of modes, of which largest is the largest."""
+    _check_root_tol(((m.equation, m.index, m.nu) for m in modes if m.kind == ModeKind.SEPARATED), largest, tol)
 
 
 def first_modes(
@@ -491,9 +505,11 @@ def first_modes(
     process), and the candidates are sorted once by sort_key (_merged, as
     spectrum's are). Ties (the square is full of them) break by class then
     family order. The merged set is kept per process (_first_table), so a
-    repeated request only copies it into a new list.
+    repeated request only copies it into a new list. tol only refuses (_check_tol).
     """
-    return list(_first_modes_table(alpha, count, classes, tol).modes)
+    table = _first_modes_table(alpha, count, classes)
+    _check_tol(table.modes, table.max_nu, tol)
+    return list(table.modes)
 
 
 def spectrum(
@@ -515,5 +531,6 @@ def spectrum(
         extra.append(resolve(ModeId.constant(), alpha))
     if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
         extra.append(resolve(ModeId.xy(), alpha))
-    prefixes = [(DeterminingEquation(cls, fam, alpha), j_max) for cls, fam in _streams(classes)]
-    return _merged(prefixes, extra, tol)
+    modes = _merged([(DeterminingEquation(cls, fam, alpha), j_max) for cls, fam in _streams(classes)], extra)
+    _check_tol(modes, max((mode.nu for mode in modes), default=0.0), tol)
+    return modes

@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -61,6 +62,10 @@ class Family(enum.Enum):
 
     X = "x"  # hyperbolic in x: tan(alpha*nu) vs tanh/coth(nu)
     Y = "y"  # hyperbolic in y: tan(nu) vs tanh/coth(alpha*nu)
+
+
+_CLASS_ORDER = {SymmetryClass.I: 0, SymmetryClass.II: 1, SymmetryClass.III: 2, SymmetryClass.IV: 3}
+_FAMILY_ORDER = {Family.X: 0, Family.Y: 1}
 
 
 class PoleProximityError(ArithmeticError):
@@ -178,10 +183,8 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     alpha >= 0.7 is the exception (_first_ii_x).
 
     tol only decides refusal: NonConvergenceError is raised exactly when the
-    spacing of doubles at a root is wider than tol.
+    spacing of doubles at a root is wider than tol (_check_root_tol).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     js = np.asarray(j).ravel()
     a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
     with np.errstate(over="ignore", invalid="ignore"):  # a bracket past the largest double makes nu nan
@@ -203,18 +206,32 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
             # a step below the spacing of doubles, or a return to the iterate before, is rounding
             done = done | ~(np.abs(step) >= np.spacing(x)) | (new == prev)
             prev, x = x, new
-    width = np.nan_to_num(np.spacing(x), nan=np.inf)
-    if not (width <= tol).all():
-        where = (f"class {eq.symmetry_class.value}, family {eq.family.value}, alpha={eq.alpha!r} (tan({a!r}*nu) = "
-                 f"{'-' if s > 0 else '+'}{'coth' if eq.uses_coth else 'tanh'}({b!r}*nu))")
-        if not np.isfinite(x).all():  # no tol accepts a root past the largest double
-            i = int(np.argmin(np.isfinite(x)))
-            raise NonConvergenceError(f"{where}: root j={js[i]} overflows doubles at this alpha")
-        i = int(np.argmin(width <= tol))
-        raise NonConvergenceError(
-            f"{where}: root j={js[i]} at nu={float(x[i])!r} lies where doubles are {float(width[i])!r} apart, "
-            f"wider than tol={tol!r}; the smallest root tol (--root-tol) accepted is {float(width.max())!r}")
+    _check_root_tol(((eq, int(j), float(nu)) for j, nu in zip(js, x)), float(x.max(initial=0.0)), tol)
     return float(x[0]) if np.ndim(j) == 0 else x.reshape(np.shape(j))
+
+
+def _check_root_tol(roots: Iterable[tuple[DeterminingEquation, int, float]], largest: float, tol: float) -> None:
+    """Raise NonConvergenceError if a root lies where doubles are spaced wider than tol.
+
+    roots yields (equation, j, nu) of the roots in use, and largest is their largest nu. The
+    spacing never falls as nu grows, so one np.spacing at largest decides; roots is read only to
+    name a root past the largest double (whose spacing, nan, no tol accepts) or else the first
+    (class, family) in tie-break order with a root past tol, at its lowest such j.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    widest = float(np.spacing(largest))
+    if widest <= tol:
+        return
+    eq, j, nu = min((r for r in roots if not np.spacing(r[2]) <= tol), key=lambda r: (
+        math.isfinite(r[2]), _CLASS_ORDER[r[0].symmetry_class], _FAMILY_ORDER[r[0].family], r[1]))
+    where = (f"class {eq.symmetry_class.value}, family {eq.family.value}, alpha={eq.alpha!r} (tan({eq.tan_scale!r}*nu)"
+             f" = {'-' if eq.sign > 0 else '+'}{'coth' if eq.uses_coth else 'tanh'}({eq.hyp_scale!r}*nu))")
+    if not math.isfinite(nu):
+        raise NonConvergenceError(f"{where}: root j={j} overflows doubles at this alpha")
+    raise NonConvergenceError(
+        f"{where}: root j={j} at nu={nu!r} lies where doubles are {float(np.spacing(nu))!r} apart, "
+        f"wider than tol={tol!r}; the smallest root tol (--root-tol) accepted is {widest!r}")
 
 
 def _first_ii_x(alpha: float) -> float:

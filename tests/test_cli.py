@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -308,6 +309,7 @@ class TestBadValues:
     @pytest.mark.parametrize("argv", [
         ("tables", "--alpha", "0.5"),
         ("tables", "--quad-order", "8"),
+        ("tables", "--root-tol", "1e-4"),
         ("spectrum", "--quad-order", "8"),
     ])
     def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
@@ -394,6 +396,32 @@ class TestBadValues:
         assert err == (f"error: class I, family x, alpha={float(alpha)!r} (tan({float(alpha)!r}*nu) = -tanh(1.0*nu)): "
                        "root j=1 overflows doubles at this alpha\n")
         assert "tol" not in err and "nan" not in err and out == ""
+
+    @pytest.mark.parametrize("alpha,m", [("1e-306", "60"), ("1e-310", "3")])
+    def test_tiny_alpha_solve_prints_no_warning(self, capsys, alpha, m):
+        # the 60 modes at alpha = 1e-306 are of the y families; the class III x root j = 1
+        # (nu = 7.9e305), which the selection solves and leaves out, refuses nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "solve", "--mode", "dirichlet", "--builtin", "x2-y2", "--alpha", alpha,
+                               "--m", m, "--eval", "0,0")
+        assert (rc, err) == (0, "") and f"M={m}" in out
+
+    def test_normalization_of_tiny_sinh_factors(self, capsys):
+        # the class II y mode at alpha = 1e-300 has sinh(alpha nu) = 3.1e-300, whose square underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "spectrum", "--alpha", "1e-300", "--jmax", "1", "--root-tol", "1e300",
+                               "--classes", "II", "--format", "json")
+        assert (rc, err) == (0, "")
+        row = next(r for r in json.loads(out)["modes"] if r["family"] == "y")
+        with mpmath.workdps(700):
+            nu, a = mpmath.mpf(row["nu"]), mpmath.mpf("1e-300")
+            # 2 * [sinh(a nu)^2 * int sin(nu x)^2 dx + sin(nu)^2 * int sinh(nu y)^2 dy] over the half-sides 1, a
+            norm = 2 * (mpmath.sinh(a * nu) ** 2 * (1 - mpmath.sin(2 * nu) / (2 * nu))
+                        + mpmath.sin(nu) ** 2 * (mpmath.sinh(2 * nu * a) / (2 * nu) - a))
+            want = float(mpmath.sqrt(4 * (1 + a) / norm))
+        assert abs(row["scale"] - want) <= 1e-12 * want
 
     def test_stalled_bisection_is_clean_error(self):
         # near nu = 2.4e7 doubles are 3.7e-9 apart, wider than the root tolerance 1e-9
@@ -570,8 +598,9 @@ def text_cell(v):
 
 
 def mode_text(r, last, width):
+    # a space opens each right-aligned column, so a cell that fills it stays apart
     return (f"{r['class']:<6}{text_cell(r['family']):<8}{text_cell(r['index']):<7}"
-            f"{text_cell(r['nu']):>15}{text_cell(r['delta']):>15}{text_cell(r[last]):>{width}}")
+            f" {text_cell(r['nu']):>14} {text_cell(r['delta']):>14} {text_cell(r[last]):>{width - 1}}")
 
 
 class TestLayouts:
@@ -608,7 +637,9 @@ class TestLayouts:
          "dirichlet solution  alpha=1  M=12"),
         (("--mode", "robin", "--t", "0.3", "--builtin", "coshcos:2", "--alpha", "0.5", "--m", "8"),
          "robin solution  alpha=0.5  M=8  t=0.3"),
-    ], ids=["dirichlet-eval", "robin"])
+        (("--mode", "dirichlet", "--builtin", "x2-y2", "--alpha", "1e-310", "--m", "3", "--eval", "0,0;0.25,0;-0.3,0"),
+         "dirichlet solution  alpha=1e-310  M=3"),
+    ], ids=["dirichlet-eval", "robin", "full-width"])
     def test_solve(self, capsys, argv, title):
         doc, csv, text = self.outputs(capsys, "solve", *argv)
         e, values = doc["expansion"], doc["values"]

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,11 +30,11 @@ from steklov_rect import (
     normal_derivative,
     normalization_integral,
     resolve,
+    solve_nu,
     spectrum,
 )
 from steklov_rect import modes as md
 from steklov_rect.modes import gradient
-from steklov_rect.roots import DEFAULT_TOL
 
 from _oracles import boundary_integral, fd_laplacian, raw_profile
 
@@ -128,6 +129,21 @@ class TestNormalizationIntegral:
     def test_log_path_has_no_overflow_limit(self):
         # the integral itself leaves the double range near nu = 350
         assert math.isfinite(log_normalization_integral(SymmetryClass.I, Family.X, 400.0, 1.0))
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 9.6e-152, 1e-140, 1e-20])
+    @pytest.mark.parametrize("cls", [SymmetryClass.II, SymmetryClass.III])
+    def test_log_path_has_no_underflow_limit(self, cls, alpha):
+        # the y family's sinh(alpha nu) squares below the double range for alpha nu < 1e-154; the log
+        # takes the square out below alpha nu = 2**-500, near alpha = 9.6e-152 at j = 1
+        for j in (1, 2, 7):
+            nu = solve_nu(DeterminingEquation(cls, Family.Y, alpha), j)
+            with mpmath.workdps(700):
+                n, a = mpmath.mpf(nu), mpmath.mpf(alpha)
+                trig, sign = (mpmath.cos, 1) if cls.even_x else (mpmath.sin, -1)
+                # 2 * [sinh(a n)^2 * int trig(n x)^2 dx + trig(n)^2 * int sinh(n y)^2 dy] over half-sides 1, a
+                want = float(mpmath.log(2 * (mpmath.sinh(a * n) ** 2 * (1 + sign * mpmath.sin(2 * n) / (2 * n))
+                                             + trig(n) ** 2 * (mpmath.sinh(2 * n * a) / (2 * n) - a))))
+            assert abs(log_normalization_integral(cls, Family.Y, nu, alpha) - want) <= 2 * math.ulp(want)
 
 
 class TestResolve:
@@ -393,13 +409,12 @@ class TestEnumeration:
     def test_first_modes_equals_sorted_candidates(self, alpha, count, classes):
         # the reference: the first count modes of every stream the filter passes, and the xy
         # mode on the square, sorted by sort_key (tol = 1e-10 as above)
-        tol = 1e-10
         candidates = [m for cls in SymmetryClass if classes is None or cls in classes for fam in Family
-                      for m in md._stream(DeterminingEquation(cls, fam, alpha), count, tol)]
+                      for m in md._stream(DeterminingEquation(cls, fam, alpha), count)]
         if alpha == 1.0 and (classes is None or SymmetryClass.II in classes):
             candidates.append(resolve(ModeId.xy(), alpha))
         want = sorted(candidates, key=md.SteklovMode.sort_key)[:count]
-        assert first_modes(alpha, count, classes=classes, tol=tol) == want
+        assert first_modes(alpha, count, classes=classes, tol=1e-10) == want
 
     def test_first_modes_ties_on_square(self):
         # classes III and IV (and I and II at the same index) tie exactly on the square
@@ -487,36 +502,59 @@ class TestStreamCache:
         first = first_modes(0.7, 20)
         want = list(first)
         first.clear()
-        stream = md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 5, DEFAULT_TOL)
+        stream = md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 5)
         stream[0] = None
         stream.append(None)
         assert first_modes(0.7, 20) == want
-        assert None not in md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 6, DEFAULT_TOL)
+        assert None not in md._stream(DeterminingEquation(SymmetryClass.I, Family.X, 0.7), 6)
 
     def test_failing_stream_caches_nothing_past_the_failure(self, monkeypatch):
-        # the class I x root j = 3 at alpha = 0.001 cannot reach the default tolerance
+        # at alpha = 1e-306 the class I x root j = 1 (near 2.4e306) is a double and j = 200 is not
         md._solved.cache_clear()
-        eq = DeterminingEquation(SymmetryClass.I, Family.X, 0.001)
-        assert len(md._stream(eq, 2, DEFAULT_TOL)) == 2
+        eq = DeterminingEquation(SymmetryClass.I, Family.X, 1e-306)
+        assert len(md._stream(eq, 2)) == 2
         calls = self.count_solves(monkeypatch)
         for _ in range(2):
-            with pytest.raises(NonConvergenceError, match="j=3 "):
-                md._stream(eq, 4, DEFAULT_TOL)
-            with pytest.raises(NonConvergenceError, match="j=3 "):
-                spectrum(0.001, 3)
-        stream = md._solved(eq, DEFAULT_TOL)[0]
+            with pytest.raises(NonConvergenceError, match="overflows doubles"):
+                md._stream(eq, 200)
+        stream = md._solved(eq)[0]
         assert isinstance(stream, tuple) and len(stream) == 2
-        assert [j for j in calls if j[0] == 3] == [[3, 4], [3], [3, 4], [3]]
+        assert calls == [list(range(3, 201))] * 2
+
+    def test_refused_stream_is_kept(self, monkeypatch):
+        # the class I x root j = 3 at alpha = 0.001 lies where doubles are 1.8e-12 apart: the
+        # default tol refuses the spectrum, and its solved streams serve a coarser tol
+        md._solved.cache_clear()
+        calls = self.count_solves(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="j=3 "):
+            spectrum(0.001, 3)
+        assert calls == [[1, 2, 3]] * 8
+        del calls[:]
+        modes = spectrum(0.001, 3, tol=1e-10)
+        assert calls == [] and md._solved.cache_info().currsize == 8
+        md._solved.cache_clear()
+        assert self.bits(spectrum(0.001, 3, tol=1e-10)) == self.bits(modes)
+
+    def test_streams_are_shared_across_tols(self, monkeypatch):
+        self.clear()
+        spectrum(0.5, 100)
+        calls = self.count_solves(monkeypatch)
+        warm = [self.bits(listing(0.5, 100, tol=tol)) for tol in (1e-10, 1e-3) for listing in (spectrum, first_modes)]
+        info = md._solved.cache_info()
+        assert calls == [] and (info.misses, info.currsize) == (8, 8)
+        self.clear()
+        cold = [self.bits(listing(0.5, 100, tol=tol)) for tol in (1e-10, 1e-3) for listing in (spectrum, first_modes)]
+        assert warm == cold
 
     def test_threads_see_only_whole_prefixes(self):
         eq = DeterminingEquation(SymmetryClass.II, Family.X, 0.55)
-        want = self.cold(lambda: md._stream(eq, 60, DEFAULT_TOL))
+        want = self.cold(lambda: md._stream(eq, 60))
         md._solved.cache_clear()
         seen, switch = [], sys.getswitchinterval()
 
         def worker(k):
             for count in range(k, 61, 7):
-                seen.append((count, md._stream(eq, count, DEFAULT_TOL)))
+                seen.append((count, md._stream(eq, count)))
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 7)]
         sys.setswitchinterval(1e-6)
@@ -541,7 +579,7 @@ class TestStreamCache:
 
 
 class TestModeSets:
-    """first_modes' merged mode set is built once per process for each (alpha, count, classes, tol)."""
+    """first_modes' merged mode set is built once per process for each (alpha, count, classes)."""
 
     clear = staticmethod(TestStreamCache.clear)
     bits = staticmethod(TestStreamCache.bits)
@@ -560,7 +598,7 @@ class TestModeSets:
             self.clear()
             modes = first_modes(alpha, count, classes=classes)
             # the kept table is the one a fresh gather of the returned list gives
-            assert self.table_bits(md._first_table(alpha, count, classes or tuple(SymmetryClass), DEFAULT_TOL)) == \
+            assert self.table_bits(md._first_table(alpha, count, classes or tuple(SymmetryClass))) == \
                 self.table_bits(md._mode_table(modes))
             want.append(self.bits(modes))
         for order in (range(len(requests)), reversed(range(len(requests)))):
@@ -599,13 +637,16 @@ class TestModeSets:
         first_modes(0.45, 2 * md._MODE_SETS)
         assert md._first_table.cache_info().hits == 1
 
-    def test_raising_solve_caches_nothing(self, monkeypatch):
-        # the class I x root j = 3 at alpha = 0.001 cannot reach the default tolerance
+    def test_refused_set_is_kept(self, monkeypatch):
+        # the class I x root j = 3 at alpha = 0.001 lies where doubles are 1.8e-12 apart
         self.clear()
         calls = TestStreamCache.count_solves(monkeypatch)
         for _ in range(2):
             with pytest.raises(NonConvergenceError, match="j=3 "):
                 first_modes(0.001, 3000, classes=[SymmetryClass.I])
-        # nothing is kept: the second attempt solves the failing roots again
-        assert md._first_table.cache_info().currsize == 0
-        assert calls == [[1, 2, 3]] * 2
+        # each class-I stream is solved once and the set is kept: a coarser tol takes it
+        assert len(calls) == 2
+        modes = first_modes(0.001, 3000, classes=[SymmetryClass.I], tol=1e-10)
+        assert len(calls) == 2 and md._first_table.cache_info()[:2] == (2, 1)
+        self.clear()
+        assert self.bits(first_modes(0.001, 3000, classes=[SymmetryClass.I], tol=1e-10)) == self.bits(modes)

@@ -16,7 +16,7 @@ from steklov_rect import (
     solve_nu,
     spectrum,
 )
-from steklov_rect.roots import DEFAULT_TOL
+from steklov_rect.roots import DEFAULT_TOL, _check_root_tol
 
 from _oracles import mp_root, root_in, ulps
 
@@ -170,8 +170,9 @@ class TestSolveNu:
         eq = eq_of(SymmetryClass.I, Family.X, 1.0)
         with pytest.raises(ValueError):
             solve_nu(eq, 0)
-        with pytest.raises(ValueError):
-            solve_nu(eq, 1, tol=0.0)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                solve_nu(eq, 1, tol=tol)
         with pytest.raises(ValueError):
             DeterminingEquation(SymmetryClass.I, Family.X, 1.5)
 
@@ -254,6 +255,19 @@ class TestArraySolve:
         with pytest.raises(NonConvergenceError, match=r"root j=\d+ overflows doubles at this alpha$") as info:
             solve_nu(eq, np.arange(1, 200))
         assert "tol" not in str(info.value)
+
+    def test_refusal_names_the_first_stream_and_the_largest_spacing(self):
+        # two streams lie past tol: the message names class I y, the first in tie-break order, at
+        # its lowest such index, and the spacing at the largest root as the smallest tol accepted
+        roots = [(eq_of(SymmetryClass.III, Family.X, 0.5), 2, 9000.0), (eq_of(SymmetryClass.I, Family.Y, 0.5), 5, 20000.0),
+                 (eq_of(SymmetryClass.I, Family.Y, 0.5), 4, 10000.0), (eq_of(SymmetryClass.I, Family.X, 0.5), 1, 3.0)]
+        with pytest.raises(NonConvergenceError) as info:
+            _check_root_tol(iter(roots), 40000.0, DEFAULT_TOL)
+        assert str(info.value) == (
+            "class I, family y, alpha=0.5 (tan(1.0*nu) = -tanh(0.5*nu)): root j=4 at nu=10000.0 lies where "
+            f"doubles are {2.0**-39!r} apart, wider than tol=1e-12; the smallest root tol (--root-tol) "
+            f"accepted is {2.0**-37!r}")
+        _check_root_tol(iter(roots), 40000.0, 2.0**-37)
 
     def test_scalar_and_array_agree(self):
         eq = eq_of(SymmetryClass.IV, Family.Y, 0.3)
