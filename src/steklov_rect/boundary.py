@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 import stat
 import threading
 from collections import OrderedDict
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Edge, Rectangle
+from .geometry import Edge, Rectangle, _edge_runs
 from .modes import InvalidModeError, SteklovMode, _block_factors, _mode_table, _ModeTable, evaluate
 from .roots import Family
 
@@ -178,9 +177,11 @@ class SampledBoundaryFunction(BoundaryFunction):
     Arc length runs counterclockwise from (1, -alpha); samples must be
     strictly increasing in [0, perimeter) with at least two per edge.
     Interpolation is per-edge splines (cubic when enough points), never
-    across corners, so per-edge smooth data with corner kinks is fine. Each
-    sample goes to the edge and coordinate Rectangle.arclength_to_edge gives
-    it, so one at a corner's arc length stays at that corner.
+    across corners, so per-edge smooth data with corner kinks is fine. The
+    samples fall in one run per edge, RIGHT, TOP, LEFT, BOTTOM, each sample at
+    the edge and coordinate Rectangle.arclength_to_edge gives it, so one at a
+    corner's arc length stays at that corner; the TOP and LEFT runs, along
+    which t descends, are reversed to make their knots.
     """
 
     def __init__(self, rect: Rectangle, arclength: Sequence[float], values: Sequence[float]):
@@ -196,17 +197,17 @@ class SampledBoundaryFunction(BoundaryFunction):
             raise BoundaryDataError(f"arclength must lie in [0, {rect.perimeter})")
         self.rect = rect
         self._splines: dict[Edge, _EdgeSpline] = {}
-        edges, t = rect.arclength_to_edge(s)
-        for edge in Edge:
-            ts, vs = t[edges == edge], v[edges == edge]
+        runs = _edge_runs(rect.alpha, s)  # s is sorted, and in [0, perimeter) its own remainder
+        for edge, ts, vs in zip(Edge, runs, np.split(v, np.cumsum([r.size for r in runs[:-1]]))):
             if ts.size < 2:
-                raise EdgeCoverageError(
-                    f"edge {edge.name} has {ts.size} samples; at least 2 required"
-                )
-            order = np.argsort(ts)
-            if np.any(np.diff(ts[order]) == 0):  # arc lengths a rounding apart, near a corner
+                raise EdgeCoverageError(f"edge {edge.name} has {ts.size} samples; at least 2 required")
+            if edge in (Edge.TOP, Edge.LEFT):  # t descends along these edges
+                ts, vs = ts[::-1], vs[::-1]
+            if np.any(np.diff(ts) == 0):  # arc lengths a rounding apart, near a corner
                 raise BoundaryDataError(f"two samples fall on one point of edge {edge.name}")
-            self._splines[edge] = _EdgeSpline(ts[order], vs[order])
+            # copies: searchsorted would copy reversed knots at every evaluation, and a view of
+            # the values would keep the whole table they were read with
+            self._splines[edge] = _EdgeSpline(np.ascontiguousarray(ts), np.ascontiguousarray(vs))
 
     def edge_values(self, rect: Rectangle, edge: Edge, t: np.ndarray) -> np.ndarray:
         self._check_rect(rect)
@@ -237,8 +238,9 @@ class _EdgeSpline:
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
         secant = np.diff(y) / (h := np.diff(t))
-        s = np.repeat(secant, 2)  # the line through two samples
-        if t.size > 2:
+        if t.size == 2:
+            s = np.repeat(secant, 2)  # the line through two samples
+        else:
             # CubicSpline's not-a-knot rows: h_1 s_0 + w0 s_1 = r0, w1 s_{n-2} + h_{n-3} s_{n-1} = r1
             # and h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = r_i for i = 1..n-2
             w0, w1 = t[2] - t[0], t[-1] - t[-3]
@@ -281,8 +283,6 @@ class _EdgeSpline:
 
 # np.loadtxt opens a str path through np.lib._datasource, which decompresses by these suffixes
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# a row may follow the header only if some character after it is not a line end
-_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
 def _load_rows(rows: str | list[str], skip: int) -> np.ndarray:
@@ -296,41 +296,41 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     and a line whose first non-blank character is '#' is a comment.
 
     The header is the first line that is neither blank nor a comment. Lines end at \\n, \\r\\n
-    or \\r, as in numpy's text-mode open. numpy parses a regular file named without a
-    compressed suffix by its absolute path, in C chunks, skipping every line up to the
-    header. A blank or comment line after the header fails that parse, as a bad row does;
-    numpy's ValueError is the one rule that sends a file to the fallback, a parse of the
-    non-blank, non-comment lines after the header, which also reports a bad row.
+    or \\r, as in numpy's text-mode open. Only the lines up to the header and one character
+    more are read here; if that character is no line end, numpy parses a regular file named
+    without a compressed suffix by its absolute path, in C chunks, skipping those lines. A
+    blank or comment line after the header fails that parse, as a bad row or a byte that is
+    not UTF-8 does: numpy's ValueError is the one rule that sends a file to the fallback,
+    which reads the whole text and parses its non-blank, non-comment lines after the header,
+    and also reports a bad row. A pipe or a compressed name goes there at once.
     """
     rect = Rectangle(alpha)
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            header, skip = "", 0
+            while not header.strip() or header.lstrip().startswith("#"):
+                if not (line := fh.readline()):
+                    raise BoundaryDataError(f"{path}: empty boundary data file")
+                header, skip = line.removesuffix("\n"), skip + 1
+            first = next(csv.reader([header]))
+            if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
+                raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
+            # numpy opens the file again by name: a pipe would read empty the second time, a
+            # compressed suffix would be decompressed, and a file without rows would warn
+            data, rest = None, fh.read(1)
+            if (rest not in ("", "\n") and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                    and isinstance(path, (str, bytes, os.PathLike))
+                    and not os.fsdecode(path).lower().endswith(_COMPRESSED)):
+                try:  # absolute: never read as a URL
+                    data = _load_rows(os.fsdecode(os.path.abspath(path)), skip)
+                except ValueError:  # numpy skips only empty lines and reads no comments
+                    pass
+            if data is None:  # the lines after the header that are neither blank nor comments
+                rest += fh.read()
+                rows = [ln for ln in rest.split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
     except UnicodeDecodeError as exc:
         raise BoundaryDataError(f"{path}: not UTF-8 text ({exc})") from exc
-    header, start, skip = "", 0, 0
-    while not header.strip() or header.lstrip().startswith("#"):
-        if start > len(text):
-            raise BoundaryDataError(f"{path}: empty boundary data file")
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        header, start, skip = text[start:end], end + 1, skip + 1
-    first = next(csv.reader([header]))
-    if [c.strip().lower() for c in first][:2] != ["arclength", "value"]:
-        raise BoundaryDataError(f"{path}: expected header 'arclength,value', got {first}")
-    # numpy opens the file again by name: a pipe would read empty the second time, a
-    # compressed suffix would be decompressed, and a file without rows would warn
-    data = None
-    if (regular and isinstance(path, (str, bytes, os.PathLike))
-            and not os.fsdecode(path).lower().endswith(_COMPRESSED)
-            and _NOT_NEWLINE.search(text, start)):
-        try:  # absolute: never read as a URL
-            data = _load_rows(os.fsdecode(os.path.abspath(path)), skip)
-        except ValueError:  # numpy skips only empty lines and reads no comments
-            pass
-    if data is None:  # the lines after the header that are neither blank nor comments
-        rows = [ln for ln in text.split("\n")[skip:] if ln.strip() and not ln.lstrip().startswith("#")]
+    if data is None:
         try:
             data = _load_rows(rows, 0) if rows else np.empty((0, 2))  # loadtxt warns on no data
         except ValueError as exc:

@@ -95,22 +95,16 @@ class Rectangle:
     # Arc length runs counterclockwise from the vertex (1, -alpha):
     # RIGHT upward, TOP leftward, LEFT downward, BOTTOM rightward.
     def arclength_to_edge(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Edges and edge coordinates t of arc lengths s (an array or a number).
-
-        s is taken modulo the perimeter, then the edge spans are subtracted
-        in turn. The edge test and t come from the same differences, so an
-        arc length that rounds onto a corner lands at that corner, on the
-        edge that t belongs to.
-        """
-        a = self.alpha
+        """Edges and edge coordinates t of arc lengths s (an array or a number): s is taken
+        modulo the perimeter and sorted, and _edge_runs maps the sorted values."""
         with np.errstate(invalid="ignore"):  # inf maps to nan, as with Python's %
             s0 = np.mod(np.asarray(s, dtype=float), self.perimeter)
-        s1 = s0 - 2 * a
-        s2 = s1 - 2.0
-        s3 = s2 - 2 * a
-        on = [s0 < 2 * a, s1 < 2.0, s2 < 2 * a]
-        edges = np.select(on, [Edge.RIGHT, Edge.TOP, Edge.LEFT], Edge.BOTTOM)
-        return edges, np.select(on, [-a + s0, 1.0 - s1, a - s2], -1.0 + s3)
+        order = np.argsort(s0, axis=None, kind="stable")
+        runs = _edge_runs(self.alpha, np.ravel(s0)[order])
+        edges, t = np.empty(np.shape(s0), dtype=np.int64), np.empty(np.shape(s0))
+        edges.flat[order] = np.repeat(np.array(Edge), [r.size for r in runs])
+        t.flat[order] = np.concatenate(runs)
+        return edges, t
 
     def arclength_to_point(self, s: float) -> BoundaryPoint:
         edge, t = self.arclength_to_edge(float(s))
@@ -132,6 +126,20 @@ class Rectangle:
 
     def __str__(self) -> str:  # pragma: no cover
         return f"(-1,1)x(-{self.alpha},{self.alpha})"
+
+
+def _edge_runs(alpha: float, s: np.ndarray) -> list[np.ndarray]:
+    """The edge coordinates t of sorted arc lengths s (nan last), in runs of RIGHT, TOP, LEFT and
+    BOTTOM, each in the order of s. The edge spans are subtracted in turn, and a run ends where
+    what is left stops being below its edge's span: the test and t come from one difference, so
+    an arc length that rounds onto a corner lands there, on the edge t belongs to."""
+    a, runs = alpha, []
+    for span, t_of in ((2 * a, lambda d: -a + d), (2.0, lambda d: 1.0 - d), (2 * a, lambda d: a - d)):
+        n = int(np.searchsorted(s, span))  # the count of s < span
+        runs.append(t_of(s[:n]))
+        s = s[n:] - span
+    runs.append(-1.0 + s)
+    return runs
 
 
 def check_interior(rect: Rectangle, x, y) -> None:

@@ -190,7 +190,8 @@ def _log_norm(eq: DeterminingEquation, nu):
         # where their squares underflow: there the log takes u^2 out of both terms
         log_scaled = np.where(u_hyp < 2.0**-500, 2.0 * np.log(u_hyp)
                               + np.log(2.0 * (a * mean_sq_trig + trig**2 * b / 1.5)), log_scaled)
-    return 2.0 * u_hyp + log_scaled
+    with np.errstate(over="ignore"):  # 2 u_hyp is inf for u_hyp past half the largest double
+        return 2.0 * u_hyp + log_scaled
 
 
 def _log_scale(eq: DeterminingEquation, nu):

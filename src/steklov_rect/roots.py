@@ -188,14 +188,15 @@ def solve_nu(eq: DeterminingEquation, j, tol: float = DEFAULT_TOL):
     js = np.asarray(j).ravel()
     a, b, s = eq.tan_scale, eq.hyp_scale, eq.sign
     with np.errstate(over="ignore", invalid="ignore"):  # a bracket past the largest double makes nu nan
-        x = np.mean(bracket(eq, js), axis=0)  # the brackets' midpoints
+        lo, hi = bracket(eq, js)
+        x = 0.5 * lo + 0.5 * hi  # the brackets' midpoints, where lo + hi may pass the largest double
         m = np.round(a * x / math.pi) - (0.5 * s if eq.uses_coth else 0.0)
     sigma = -s if eq.uses_coth else s
     done = (js == 1) & (eq.symmetry_class is SymmetryClass.II and eq.family is Family.X and 0.7 <= eq.alpha < 1)
     if done.any():
         x[done] = _first_ii_x(eq.alpha)
     prev = x
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 2 b x overflows to an e of 0 near the largest double
         for _ in range(64):  # a root takes a handful of steps
             if done.all():
                 break

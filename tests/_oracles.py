@@ -6,7 +6,8 @@ Newton's iteration in 50-digit mpmath on the pole-free product form, boundary
 integrals from scipy's fixed_quad on directly-written profiles. The one
 exception, paired_inner_product, sums on the library's own edge grid, so that
 a quadrature on that grid is compared with a plain per-edge sum on the same
-nodes.
+nodes; select_arclength_to_edge is the library's earlier arc-length map, kept
+to compare its replacement with bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ def mp_root(eq, start, dps=50):
             if abs(step) <= abs(v) * mpmath.mpf(10) ** (20 - dps):
                 return v
     raise AssertionError(f"mpmath Newton iteration from {start} did not settle")
+
+
+def select_arclength_to_edge(alpha, s):
+    """Edges and edge coordinates of arc lengths s, each chosen from the four edges' tests and
+    formulas by a whole-array np.select, as Rectangle.arclength_to_edge did before it mapped
+    sorted runs."""
+    a = alpha
+    with np.errstate(invalid="ignore"):
+        s0 = np.mod(np.asarray(s, dtype=float), 4.0 * (1.0 + a))
+    s1 = s0 - 2 * a
+    s2 = s1 - 2.0
+    s3 = s2 - 2 * a
+    on = [s0 < 2 * a, s1 < 2.0, s2 < 2 * a]
+    edges = np.select(on, [Edge.RIGHT, Edge.TOP, Edge.LEFT], Edge.BOTTOM)
+    return edges, np.select(on, [-a + s0, 1.0 - s1, a - s2], -1.0 + s3)
 
 
 def ulps(got, want):

@@ -8,6 +8,7 @@ import urllib.request
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import make_interp_spline
 
 from steklov_rect import (
@@ -39,7 +40,8 @@ from steklov_rect.modes import _block_factors, _mode_table, evaluate
 from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid,
                                    default_panels, edge_quadrature, project)
 
-from _oracles import boundary_integral, boundary_mean, fd_laplacian, paired_inner_product
+from _oracles import (boundary_integral, boundary_mean, fd_laplacian, paired_inner_product,
+                      select_arclength_to_edge)
 
 
 def class_one(j, alpha=1.0, fam=Family.X):
@@ -511,6 +513,19 @@ class TestFreqHint:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * norm
         assert inner_product(h, constant_function(1.0), rect) == pytest.approx(project(h, rect, [])[0], abs=1e-14)
 
+
+@st.composite
+def sorted_arclengths(draw):
+    """alpha and strictly increasing arc lengths in [0, perimeter): a few between each two
+    corners, and up to three at a corner or an ulp from one."""
+    alpha = draw(st.one_of(st.sampled_from([1.0, 0.9, 0.5, 0.1]), st.floats(1e-3, 1.0)))
+    c = [0.0, 2 * alpha, 2 * alpha + 2.0, 4 * alpha + 2.0, 4.0 * (1.0 + alpha)]
+    s = [x for lo, hi in zip(c, c[1:]) for x in draw(st.lists(st.floats(lo, hi), min_size=2, max_size=15))]
+    s += draw(st.lists(st.sampled_from([y for x in c for y in (x, np.nextafter(x, -1), np.nextafter(x, 9))]),
+                       max_size=3))
+    return alpha, np.unique([x for x in s if 0.0 <= x < c[-1]])
+
+
 class TestSampledData:
     def make_csv(self, tmp_path, alpha, fn, n_per_edge=80, name="bdry.csv"):
         rect = Rectangle(alpha)
@@ -571,6 +586,34 @@ class TestSampledData:
         assert len(set(rect.arclength_to_edge(corner)[1].tolist())) == 1
         with pytest.raises(BoundaryDataError, match="one point of edge TOP"):
             SampledBoundaryFunction(rect, s, np.arange(s.size, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sorted_arclengths())
+    @example((0.9, np.array([0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 5.6, 6.0, 7.0])))
+    @example((0.1, np.array([0.05, 0.1, 0.2, 0.20000000000000004, 0.5, 1.0, 2.5, 2.6])))
+    def test_knots_are_the_samples_mapped_and_sorted_by_t(self, inputs):
+        # each edge's knots and values are its samples, mapped one by one and sorted by t, and
+        # the first edge in order with too few samples or two on one point is refused
+        alpha, s = inputs
+        v = np.arange(s.size, dtype=float)
+        edges, t = select_arclength_to_edge(alpha, s)
+        want, refusal = {}, None
+        for edge in Edge:
+            order = np.argsort(t[edges == edge], kind="stable")
+            ts, vs = t[edges == edge][order], v[edges == edge][order]
+            if ts.size < 2:
+                refusal = f"edge {edge.name} has {ts.size} samples"
+            elif np.any(np.diff(ts) == 0):
+                refusal = f"two samples fall on one point of edge {edge.name}"
+            if refusal:
+                with pytest.raises(BoundaryDataError, match=refusal):
+                    SampledBoundaryFunction(Rectangle(alpha), s, v)
+                return
+            want[edge] = ts, vs
+        got = SampledBoundaryFunction(Rectangle(alpha), s, v)
+        for edge, (ts, vs) in want.items():
+            assert np.array_equal(got._splines[edge].t.view(np.int64), ts.view(np.int64))
+            assert np.array_equal(got._splines[edge].y, vs)
 
     def test_missing_edge_rejected(self):
         rect = Rectangle(1.0)
@@ -794,6 +837,43 @@ class TestLoadCsv:
         path = tmp_path / "header.csv"
         path.write_text("arclength,value\n \n\t\n")
         with pytest.raises(EdgeCoverageError):
+            load_boundary_csv(path, 1.0)
+
+
+# 20,000 samples, some 530 kB of text: far past any buffer that reads the head of a file
+_LONG_ROWS = [f"{(k + 0.5) * 8.0 / 20_000!r},{math.sin(k / 100)!r}" for k in range(20_000)]
+
+
+def _assert_same_splines(got, want):
+    for edge in Edge:
+        g, w = got._splines[edge], want._splines[edge]
+        assert all(np.array_equal(a, b) for a, b in ((g.t, w.t), (g.y, w.y), (g.s, w.s))), edge
+
+
+class TestLoadCsvPastTheHead:
+    """Files whose header comes late, or whose rows must be filtered, read to the end."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["arclength,value", *_LONG_ROWS, "# a comment after the data"],
+            ["arclength,value", *_LONG_ROWS[:10_000], " \t", *_LONG_ROWS[10_000:]],
+            # 70,000 bytes of comment lines before the header, past 64 KiB
+            ["# a comment before the header ...."] * 2000 + ["arclength,value", *_LONG_ROWS],
+        ],
+        ids=["late-comment", "blank-line-in-the-middle", "header-after-64-KiB"],
+    )
+    def test_equals_the_clean_file(self, tmp_path, lines):
+        (tmp_path / "clean.csv").write_text("\n".join(["arclength,value", *_LONG_ROWS]) + "\n")
+        (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+        _assert_same_splines(load_boundary_csv(tmp_path / "samples.csv", 1.0),
+                             load_boundary_csv(tmp_path / "clean.csv", 1.0))
+
+    def test_non_utf8_last_line(self, tmp_path):
+        path = tmp_path / "late-latin1.csv"
+        path.write_bytes("\n".join(["arclength,value", *_LONG_ROWS[:-1]]).encode()
+                         + b"\n7.9998,0.5 # caf\xe9\n")
+        with pytest.raises(BoundaryDataError, match="late-latin1.csv: not UTF-8"):
             load_boundary_csv(path, 1.0)
 
 

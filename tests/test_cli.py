@@ -407,6 +407,16 @@ class TestBadValues:
                                "--m", m, "--eval", "0,0")
         assert (rc, err) == (0, "") and f"M={m}" in out
 
+    def test_root_near_the_largest_double_prints_no_warning(self, capsys):
+        # the class I and IV x roots j = 1 are 1.18e308, past half the largest double: their
+        # brackets' ends add up to inf, and so do 2 b nu in the solve and 2 u in the normalization
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "spectrum", "--alpha", "2e-308", "--jmax", "1", "--root-tol", "1e300")
+        assert (rc, err) == (0, "")
+        assert [ln.split()[:4] for ln in out.splitlines() if "1.17809725e+308" in ln] == [
+            ["I", "x", "1", "1.17809725e+308"], ["IV", "x", "1", "1.17809725e+308"]]
+
     def test_normalization_of_tiny_sinh_factors(self, capsys):
         # the class II y mode at alpha = 1e-300 has sinh(alpha nu) = 3.1e-300, whose square underflows
         with warnings.catch_warnings():

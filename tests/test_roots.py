@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -196,6 +197,18 @@ class TestSolveNu:
         nu = solve_nu(eq, 1)
         assert nu > math.pi / 2
         assert ulps(nu, mp_root(eq, mpmath.pi / 2)) <= 0.5
+
+    @pytest.mark.parametrize("cls", [SymmetryClass.I, SymmetryClass.IV])
+    def test_root_near_the_largest_double(self, cls):
+        # at alpha = 2e-308 the x root j = 1 is 3 pi / (4 alpha) = 1.18e308, and the ends of its
+        # bracket (7.9e307, 1.6e308) add up past the largest double
+        eq = eq_of(cls, Family.X, 2e-308)
+        lo, hi = bracket(eq, 1)
+        assert math.isinf(lo + hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu = solve_nu(eq, 1, tol=1e300)
+        assert ulps(nu, mp_root(eq, (mpmath.mpf(lo) + hi) / 2)) <= 2.0
 
 
 class TestArraySolve:
