@@ -290,6 +290,16 @@ def _load_rows(rows: str | list[str], skip: int) -> np.ndarray:
                       ndmin=2, quotechar='"', comments=None)
 
 
+def _undecodable(fh, exc: UnicodeDecodeError) -> str:
+    """The byte a read of the text file fh could not decode, and its offset in the file: the bytes
+    that read decoded end where fh's binary stream stands. A pipe has no offset to give."""
+    byte = f"byte 0x{exc.object[exc.start]:02x}"
+    try:
+        return f"{byte} at offset {fh.buffer.tell() - len(exc.object) + exc.start} ({exc.reason})"
+    except OSError:
+        return f"{byte} ({exc.reason})"
+
+
 def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     """Read sampled boundary data: UTF-8 text (a BOM is accepted), a header
     ``arclength,value``, then one sample per line; a line of only spaces or tabs is blank,
@@ -305,8 +315,8 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
     and also reports a bad row. A pipe or a compressed name goes there at once.
     """
     rect = Rectangle(alpha)
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
             header, skip = "", 0
             while not header.strip() or header.lstrip().startswith("#"):
                 if not (line := fh.readline()):
@@ -328,8 +338,8 @@ def load_boundary_csv(path, alpha: float) -> SampledBoundaryFunction:
             if data is None:  # the lines after the header that are neither blank nor comments
                 rest += fh.read()
                 rows = [ln for ln in rest.split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
-    except UnicodeDecodeError as exc:
-        raise BoundaryDataError(f"{path}: not UTF-8 text ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise BoundaryDataError(f"{path}: not UTF-8 text: {_undecodable(fh, exc)}") from exc
     if data is None:
         try:
             data = _load_rows(rows, 0) if rows else np.empty((0, 2))  # loadtxt warns on no data
@@ -450,7 +460,8 @@ def project(
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
-    return _project(u, rect, _mode_table(modes), order)
+    mean, norm, coeffs = _project(u, rect, _mode_table(modes), order)
+    return mean, norm, coeffs.tolist()
 
 
 def _pair_grids(alpha: float, order: int, panels: tuple[int, int]) -> tuple[tuple, ...]:
@@ -589,8 +600,9 @@ def _data_on_grid(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order
 
 
 def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int,
-             keep: bool = False) -> tuple[float, float, list[float]]:
-    """project against the modes of a table, all of them of rect. With keep, the plan of the modes
+             keep: bool = False) -> tuple[float, float, np.ndarray]:
+    """project against the modes of a table, all of them of rect, with the coefficients as one array
+    in the order of the table's modes. With keep, the plan of the modes
     on the grid is kept per process (_kept_tables) unless its tables pass about _TABLE_VALUES
     values; otherwise the same plan is built in place and each slice's tables are built and dropped
     in turn. Per call, only the nodes and points, the data and its folds are made; the data is
@@ -636,7 +648,7 @@ def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int
             sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
         coeffs[part] += sums.sum(axis=1) * across
     per = rect.perimeter
-    return total / per, math.sqrt(square / per), (coeffs / per).tolist()
+    return total / per, math.sqrt(square / per), coeffs / per
 
 
 def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> float:

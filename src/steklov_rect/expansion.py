@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +79,11 @@ class SteklovExpansion:
     expansion was built from; it is not serialized, so expansions loaded
     from JSON carry None and report an infinite central-value bound. The
     mean term must be finite, and data_norm finite and >= 0.
+
+    The computations read the terms' modes as a table (_table) and their coefficients as one array
+    (_coefficients). An expansion the constructor makes derives both from its terms once; one
+    _build makes holds the two it was projected with and builds its terms only when they are read
+    (_LazyTerms).
     """
 
     alpha: float
@@ -104,7 +109,7 @@ class SteklovExpansion:
 
     @property
     def truncation_M(self) -> int:
-        return len(self.terms)
+        return len(self._coefficients)
 
     @property
     def rect(self) -> Rectangle:
@@ -114,6 +119,25 @@ class SteklovExpansion:
     def _table(self) -> _ModeTable:
         """The terms' modes as a table, grouped once per expansion; _build stores its mode set's."""
         return _mode_table([term.mode for term in self.terms])
+
+    @functools.cached_property
+    def _coefficients(self) -> np.ndarray:
+        """The terms' coefficients as one array, in the order of the table's modes; _build stores its own."""
+        return np.array([term.coefficient for term in self.terms], dtype=float)
+
+
+class _LazyTerms:
+    """SteklovExpansion.terms of an expansion _build made: built from its table's modes and its
+    coefficients on first access, and kept in the instance, as the constructor keeps its terms."""
+
+    def __get__(self, e, owner=None):
+        if e is None:
+            return self
+        e.__dict__["terms"] = terms = tuple(map(ExpansionTerm, e._table.modes, e._coefficients.tolist()))
+        return terms
+
+
+SteklovExpansion.terms = _LazyTerms()  # set after @dataclass, which would read a class attribute as a default
 
 
 @dataclass(frozen=True)
@@ -146,7 +170,8 @@ def _build(
 
     The mean, the norm and the coefficients come from one quadrature grid, and the projection's
     plan is kept per mode set and grid under one memory budget (boundary._kept_tables). The
-    expansion keeps the table, so evaluate_interior reuses its grouping and factors.
+    expansion keeps the table and the coefficients as one array beside it, so evaluate_interior
+    reuses its grouping and factors, and no term is built unless the terms are read.
 
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
@@ -174,9 +199,12 @@ def _build(
         if not math.isfinite(mean_term):
             raise IncompatibleDataError(f"Robin mean term mean / t = {raw_mean:.3e} / {t:.3e} overflows")
     if t is not None:
-        coeffs = (np.array(coeffs) / ((1.0 - t) * table.delta + t)).tolist()
-    e = SteklovExpansion(alpha, t, mean_term, tuple(map(ExpansionTerm, table.modes, coeffs)), order, norm)
-    e.__dict__["_table"] = table  # in place of the one _table would build from the same modes
+        coeffs = coeffs / ((1.0 - t) * table.delta + t)
+    # the constructor's fields and, in place of the terms, the two arrays they would give; the fields
+    # pass __post_init__'s checks, and the table's modes are of alpha, by construction
+    e = object.__new__(SteklovExpansion)
+    e.__dict__.update(alpha=alpha, t=t, mean_term=mean_term, quad_order=order, data_norm=norm,
+                      _table=table, _coefficients=coeffs)
     return e
 
 
@@ -308,12 +336,21 @@ _FACTOR_SETS = 4
 _FACTOR_VALUES = 1 << 17
 
 
+@dataclass(frozen=True)
+class _Contents:
+    """A mode table of a rectangle that equals and hashes as its key, (table.key, alpha), the contents
+    its factors depend on: keyed on it, a cache finds its entry again from any table of the same modes."""
+
+    key: tuple[bytes, float]
+    table: _ModeTable = field(compare=False)
+
+
 @functools.lru_cache(maxsize=_FACTOR_SETS)
-def _kept_factors(table: _ModeTable, width: int, xs: bytes, ys: bytes) -> list[tuple]:
+def _kept_factors(contents: _Contents, width: int, xs: bytes, ys: bytes) -> list[tuple]:
     """(rows, x factors, y factors) at the coordinates whose bits are xs and ys of each slice
-    table.blocks(width) gives; the key holds the table, which hashes by identity, so no other
-    table can take its entry."""
-    xs, ys = np.frombuffer(xs), np.frombuffer(ys)
+    table.blocks(width) gives, for the table of contents; an entry made from one table is found
+    from every table of the same contents."""
+    table, xs, ys = contents.table, np.frombuffer(xs), np.frombuffer(ys)
     return [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
             for rows, eq, nu, log_scale, _ in table.blocks(width)]
 
@@ -322,7 +359,8 @@ def _factors(e: SteklovExpansion, width: int, xs: np.ndarray, ys: np.ndarray) ->
     """e's factors at xs and ys, kept per process (_kept_factors) unless they exceed _FACTOR_VALUES
     values, then built without the cache."""
     kept = len(e._table.modes) * (xs.size + ys.size) <= _FACTOR_VALUES
-    return (_kept_factors if kept else _kept_factors.__wrapped__)(e._table, width, xs.tobytes(), ys.tobytes())
+    return (_kept_factors if kept else _kept_factors.__wrapped__)(
+        _Contents((e._table.key, e.alpha), e._table), width, xs.tobytes(), ys.tobytes())
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):
@@ -344,7 +382,7 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     (xs, ix), (ys, iy) = _axis(xa), _axis(ya)
     grid = xs.size * ys.size <= xa.size
     total = np.zeros((xs.size, ys.size) if grid else xa.size)
-    c = np.array([term.coefficient for term in e.terms])
+    c = e._coefficients
     width = max(xs.size, ys.size) if grid else xa.size  # of the widest array a slice builds
     for rows, fx, fy in _factors(e, width, xs, ys):
         if grid:
@@ -355,13 +393,14 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[ExpansionTerm]:
-    """Class-I terms of one family forming a complete index prefix 1..m, read from the rows of
-    their group in e's table; of terms of one index, the last counts."""
+def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[int]:
+    """The rows of e's table of the class-I modes of one family that form a complete index prefix
+    1..m, in index order, read from the rows of their group; of modes of one index, the last counts."""
+    modes = e._table.modes
     rows = next((g.rows.tolist() for g in e._table.groups
                  if g.eq is not None and g.eq.symmetry_class == SymmetryClass.I and g.eq.family == family), [])
-    by_index = {e.terms[r].mode.index: e.terms[r] for r in rows}
-    out: list[ExpansionTerm] = []
+    by_index = {modes[r].index: r for r in rows}
+    out: list[int] = []
     while len(out) + 1 in by_index:
         out.append(by_index[len(out) + 1])
     return out
@@ -379,7 +418,8 @@ def central_value(e: SteklovExpansion) -> CentralValueResult:
     class-I term, at the lower ends of the (m+1)-th root windows (no root solve).
     """
     fam_x, fam_y = _class_one_prefix(e, Family.X), _class_one_prefix(e, Family.Y)
-    parts = [term.coefficient * term.mode.scale for term in fam_x + fam_y]  # evaluate at (0,0) = scale
+    rows, modes = fam_x + fam_y, e._table.modes
+    parts = [c * modes[r].scale for r, c in zip(rows, e._coefficients[rows].tolist())]  # evaluate at (0,0) = scale
     value = e.mean_term
     for part in parts:
         value += part
@@ -401,10 +441,10 @@ _TAIL_SHARE = 0.2  # of the terms, those of the highest eigenvalues, that energy
 def energy_tail(e: SteklovExpansion) -> EnergyTail:
     """sum (1 + delta) c^2 over all terms (mean term included) plus the share
     contributed by the top-eigenvalue quintile, a cheap convergence read."""
-    contributions = [e.mean_term**2]
-    contributions += [(1.0 + t.mode.delta) * t.coefficient**2 for t in e.terms]
+    # a list of floats, which sum adds one by one
+    contributions = [e.mean_term**2] + ((1.0 + e._table.delta) * e._coefficients**2).tolist()
     total = float(sum(contributions))
-    n_tail = math.ceil(_TAIL_SHARE * len(e.terms))
+    n_tail = math.ceil(_TAIL_SHARE * e.truncation_M)
     if n_tail == 0 or total == 0.0:
         return EnergyTail(total, 0.0)
     tail = float(sum(contributions[-n_tail:]))
@@ -421,7 +461,7 @@ def expansion_to_dict(e: SteklovExpansion) -> dict:
     if e.t is not None:
         doc["t"] = e.t
     doc["mean_term"] = e.mean_term
-    doc["terms"] = [{**t.mode._row(), "coefficient": t.coefficient} for t in e.terms]
+    doc["terms"] = [{**mode._row(), "coefficient": c} for mode, c in zip(e._table.modes, e._coefficients.tolist())]
     doc["quadrature_order"] = e.quad_order
     return doc
 

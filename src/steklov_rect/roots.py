@@ -36,8 +36,9 @@ _POLE_GUARD = 1e-8  # relative guard band around poles of the tangent term, for 
 
 _PI_HI, _PI_LO = math.pi, 1.2246467991473532e-16  # pi as a double, and the part it misses
 
-# nu - arctan(tanh nu) = artanh(t) - arctan(t) = t**3 * sum_n 2 t**(4n) / (4n + 3), t = tanh(nu)
-_GAP_SERIES = 2.0 / (4.0 * np.arange(32) + 3.0)
+# nu - arctan(tanh nu) = artanh(t) - arctan(t) = t**3 * sum_n 2 t**(4n) / (4n + 3), t = tanh(nu); the
+# coefficients of the series in t**4, highest power first, as np.polyval reads them
+_GAP_SERIES = (2.0 / (4.0 * np.arange(32) + 3.0))[::-1]
 
 
 class SymmetryClass(enum.Enum):
@@ -250,7 +251,7 @@ def _first_ii_x(alpha: float) -> float:
     x, prev = min(math.sqrt(1.5 * c), hi), hi
     for _ in range(64):
         t = math.tanh(x)
-        d = t**3 * np.polynomial.polynomial.polyval(t**4, _GAP_SERIES)
+        d = t**3 * np.polyval(_GAP_SERIES, t**4)
         f = d / x - c
         lo, hi = (x, hi) if f < 0.0 else (lo, x)
         # f' = (nu d' - d) / nu**2 with d' = 1 - 1/cosh(2 nu) = 2 sinh(nu)**2 / cosh(2 nu)

@@ -876,6 +876,22 @@ class TestLoadCsvPastTheHead:
         with pytest.raises(BoundaryDataError, match="late-latin1.csv: not UTF-8"):
             load_boundary_csv(path, 1.0)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("where", ["comment-before-header", "last-row"])
+    def test_non_utf8_offset_is_the_files(self, tmp_path, bom, where):
+        # the reads decode 8 KB and more at a time; the offset counts from the start of the file
+        comments = "".join(f"# comment {k}\n" for k in range(1000)).encode()
+        rows = "\n".join(["arclength,value", *_LONG_ROWS]).encode()
+        if where == "comment-before-header":
+            head, tail = bom + comments + b"# caf", b"\n" + rows + b"\n"
+        else:
+            head, tail = bom + rows + b"\n7.9999,0.5 # caf", b"\n"
+        assert len(head) > 8192
+        path = tmp_path / "late-latin1.csv"
+        path.write_bytes(head + b"\xe9" + tail)
+        with pytest.raises(BoundaryDataError, match=f"not UTF-8 text: byte 0xe9 at offset {len(head)} "):
+            load_boundary_csv(path, 1.0)
+
 
 def _jittered(rng, n, lo=-1.0, hi=1.0):
     """n increasing positions, one in each of n equal cells of [lo, hi]."""

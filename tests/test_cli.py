@@ -706,3 +706,22 @@ def test_runtime_never_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_NUMPY_POLYNOMIAL = """
+import sys
+import steklov_rect.cli
+assert steklov_rect.cli.main(["spectrum", "--alpha", sys.argv[1]]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("alpha", ["1", "0.8"])
+def test_spectrum_never_imports_numpy_polynomial(alpha):
+    # class II x j = 1 at 0.7 <= alpha < 1 sums its own series; numpy.polynomial would cost a
+    # few milliseconds of every such call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_POLYNOMIAL, alpha], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -318,7 +318,7 @@ class TestEvaluateInteriorTermByTerm:
 
 
 class TestKeptFactors:
-    """A solver's expansion keeps its factors per (mode table, block width, distinct coordinates)."""
+    """An expansion keeps its factors per (mode table contents, alpha, block width, distinct coordinates)."""
 
     @staticmethod
     def grid(alpha, n=40):
@@ -351,17 +351,20 @@ class TestKeptFactors:
         assert _kept_factors.cache_info()[:2] == (1, 1)
         assert np.any(gy == 0.0)
         evaluate_interior(e, gx, np.where(gy == 0.0, -0.0, gy))  # equal values, but not equal bits
+        assert _kept_factors.cache_info()[:2] == (1, 2)
+        # a table built again from the same modes has the same contents: it finds e's entry
         _first_table.cache_clear()
         e2 = self.expansion(0.5)
         assert e2._table is not e._table and e2._table.modes == e._table.modes
         assert evaluate_interior(e2, gx, gy).tobytes() == want
+        assert _kept_factors.cache_info()[:2] == (2, 2)
         sx, sy = np.linspace(-0.6, 0.6, 150), 0.5 * np.linspace(0.6, -0.6, 150)
         evaluate_interior(e, sx, sy)
         # the same distinct coordinates at more points: narrower blocks
         sx, sy = np.r_[sx, sx[:10]], np.r_[sy, sy[:10]]
         assert evaluate_interior(e, sx, sy).tobytes() == evaluate_interior(dataclasses.replace(e), sx, sy).tobytes()
-        # the replaced expansion builds a table of its own, and takes an entry of its own
-        assert _kept_factors.cache_info()[:2] == (1, 6)
+        # the replaced expansion builds a table of its own, of e's contents, and finds e's entry
+        assert _kept_factors.cache_info()[:2] == (3, 4)
 
     def test_kept_sets_are_bounded(self):
         e = self.expansion(0.5)
@@ -637,7 +640,7 @@ class TestCentralValue:
         h = builtin_boundary("coshcos:1")
         for e in (expand_for_central(h, 1.0, m), expand_dirichlet(h, 1.0, 2 * m, classes=[SymmetryClass.I])):
             res = central_value(e)
-            fam_x, fam_y = (_class_one_prefix(e, fam) for fam in Family)
+            fam_x, fam_y = ([e.terms[r] for r in _class_one_prefix(e, fam)] for fam in Family)
             assert res.m == m
             if m >= 3:
                 per_norm = 0.41 * math.exp(-fam_x[m - 1].mode.nu)
@@ -1001,3 +1004,77 @@ class TestSerialization:
         assert len(xy_rows) == 1 and xy_rows[0]["class"] == "II"
         e2 = expansion_from_dict(doc)
         assert evaluate_interior(e2, 0.5, 0.5) == pytest.approx(0.25, abs=1e-8)
+
+
+class TestCoefficientArray:
+    """A solver's expansion holds its coefficients as one array beside its mode table and builds its
+    terms only when they are read; every other construction derives both from its terms."""
+
+    @staticmethod
+    def data(alpha, names, nu, seed, mean_zero):
+        parts = [builtin_boundary(f"{name}:{nu!r}" if name in WAVES else name) for name in names]
+        h = LinearCombination(list(zip(np.random.default_rng(seed).standard_normal(len(parts)).tolist(), parts)))
+        if not mean_zero:
+            return h
+        return LinearCombination([(1.0, h), (-project(h, Rectangle(alpha), [])[0], constant_function(1.0))])
+
+    @staticmethod
+    def points(alpha, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.meshgrid(np.linspace(-0.9, 0.9, 7), alpha * np.linspace(-0.9, 0.9, 5))
+        return grid, (rng.uniform(-0.9, 0.9, 30), alpha * rng.uniform(-0.9, 0.9, 30))
+
+    @staticmethod
+    def outputs(e, points, certified=True):
+        """The bytes of everything computed from e; without certified, what does not read data_norm."""
+        res = central_value(e)
+        return ([evaluate_interior(e, x, y).tobytes() for x, y in points],
+                repr((res.value, res.m) + ((res.bound, res.data_norm) if certified else ())),
+                repr(energy_tail(e)), json.dumps(expansion_to_dict(e)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        solver=st.sampled_from(["dirichlet", "robin", "neumann", "central"]),
+        alpha=st.floats(0.1, 1.0),
+        M=st.integers(0, 60),
+        t=st.floats(0.05, 1.0),
+        names=st.lists(st.sampled_from(("const:1",) + POLYNOMIALS + WAVES), min_size=1, max_size=3),
+        nu=st.floats(0.1, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_construction_gives_the_same_bits(self, solver, alpha, M, t, names, nu, seed):
+        h = self.data(alpha, names, nu, seed, solver == "neumann")
+        solve = {"dirichlet": lambda: expand_dirichlet(h, alpha, M), "robin": lambda: solve_robin(h, alpha, t, M),
+                 "neumann": lambda: solve_neumann(h, alpha, M), "central": lambda: expand_for_central(h, alpha, M // 2)}
+        e = solve[solver]()
+        points = self.points(alpha, seed)
+        want = self.outputs(e, points)  # before e's terms are read
+        built = SteklovExpansion(e.alpha, e.t, e.mean_term, e.terms, e.quad_order, e.data_norm)
+        for other in (built, dataclasses.replace(e, terms=e.terms)):
+            assert other == e and hash(other) == hash(e) and repr(other) == repr(e)
+            assert self.outputs(other, points) == want
+        loaded = expansion_from_dict(json.loads(json.dumps(expansion_to_dict(e))))
+        assert loaded == dataclasses.replace(e, data_norm=None)
+        assert self.outputs(loaded, points, certified=False) == self.outputs(e, points, certified=False)
+
+    def test_a_solve_builds_no_term_until_terms_are_read(self, monkeypatch):
+        made, init = [], ExpansionTerm.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ExpansionTerm, "__init__", counted)
+        h = builtin_boundary("coshcos:2")
+        solved = [expand_dirichlet(h, 0.5, 60), solve_robin(h, 0.5, 0.3, 60),
+                  solve_neumann(builtin_boundary("x3-3xy2"), 0.5, 60), expand_for_central(h, 0.5, 6)]
+        for e in solved:
+            for x, y in self.points(0.5, 1):
+                evaluate_interior(e, x, y)
+            central_value(e), energy_tail(e), expansion_to_dict(e), e.truncation_M
+        assert made == []
+        for e in solved:
+            terms = e.terms
+            assert len(made) == e.truncation_M and e.terms is terms  # built once, then kept
+            assert [term.coefficient for term in terms] == e._coefficients.tolist()
+            made.clear()
