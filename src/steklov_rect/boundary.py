@@ -453,10 +453,10 @@ def project(
     There, node t of panel p is c_p + d_k, with c_p the panel centre, and
     addition formulas make the factor along the edges a sum of two products
     of a (mode, panel) and a (mode, node) table: two matrix products a block.
-    The modes are gathered and grouped by (class, family) into one table
-    first; the expansions hand over the table of their mode set instead, and
-    keep the grid and the (mode, panel) and (mode, node) tables per mode set
-    and grid. The data is folded only by the parities those tables read.
+    The modes are gathered and grouped by (class, family) into one table,
+    whose grid and tables are kept as the solvers keep theirs (_plan). Data
+    with a value that is not finite, or whose mean or mean square overflows,
+    raises BoundaryDataError.
     """
     if any(m.alpha != rect.alpha for m in modes):
         raise InvalidModeError(f"modes of another rectangle projected on alpha={rect.alpha}")
@@ -464,19 +464,21 @@ def project(
     return mean, norm, coeffs.tolist()
 
 
-def _pair_grids(alpha: float, order: int, panels: tuple[int, int]) -> tuple[tuple, ...]:
-    """(centres, offsets, weights) of _panel_grid on each pair of edges, the vertical pair
-    (half-length alpha) first, with panels[0] and panels[1] panels."""
-    return tuple(_panel_grid(half, order, n) for half, n in zip((alpha, 1.0), panels))
-
-
 def _nodes(grids: Sequence[tuple]) -> list[np.ndarray]:
-    """The nodes c_p + d_k of each pair's grid of _pair_grids, panel by panel."""
+    """The nodes c_p + d_k of each pair's grid of a plan, panel by panel."""
     return [(centres[:, None] + offsets).ravel() for centres, offsets, _ in grids]
 
 
+def _layout(panels: int, order: int) -> tuple[int, int, int]:
+    """How a pair's grid of panels x order nodes folds onto its nodes t >= 0: (q, half, pad), q the
+    panels centred at t >= 0, half the nodes t < 0 (an odd grid's middle node t = 0 stays above,
+    unpaired), pad the zeros for the nodes t < 0 of a middle panel, so the upper half is q panels."""
+    q, size = (panels + 1) // 2, panels * order
+    return q, size // 2, q * order - (size - size // 2)
+
+
 def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple]) -> Iterator[tuple]:
-    """The tables of _project, one slice of table.blocks and pair of edges of grids (_pair_grids)
+    """The tables of _apply, one slice of table.blocks and pair of edges of a plan's grids
     at a time: (rows, pair, parities, across, tables), with pair 0 for the vertical edges and 1
     for the horizontal ones, parities (even along, even across) naming the folded data the slice
     reads, across the factors at the pair's end, and tables one of
@@ -486,9 +488,9 @@ def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple])
     with c the centres of the folded panels and d the node offsets."""
     pairs, ups = [], []  # (centres at t >= 0, offsets) per pair, and the nodes of the folded data
     for (centres, offsets, _), t in zip(grids, _nodes(grids)):
-        q, half = (centres.size + 1) // 2, t.size // 2  # as in _project's fold
+        q, half, pad = _layout(centres.size, order)
         pairs.append((centres[centres.size - q:], offsets))
-        ups.append(np.concatenate([np.zeros(q * order - (t.size - half)), t[half:]]))
+        ups.append(np.concatenate([np.zeros(pad), t[half:]]))
     # x factors at x = 1 (across the vertical pair), then at the folded nodes of the horizontal
     # pair; y factors at y = alpha, then at those of the vertical pair
     x, y = np.concatenate([[1.0], ups[1]]), np.concatenate([[alpha], ups[0]])
@@ -512,21 +514,24 @@ def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple])
 
 
 class _Plan(NamedTuple):
-    """All of _project on one grid that depends on the mode table and the grid only: per pair of
-    edges, the grid of _pair_grids and the (even along, even across) parities of the folded data
-    that its slices read, with (even, even), which the mean reads; and the items of _tables."""
+    """All of a projection on one grid that depends on the mode table and the grid only: the number
+    of modes, per pair of edges, the vertical pair (half-length alpha) first, the (centres, offsets,
+    weights) of its _panel_grid and the (even along, even across) parities of the folded data its
+    slices read, with (even, even), which the mean reads; and _tables' items."""
 
+    size: int
     grids: tuple[tuple, ...]
     parities: tuple[frozenset, ...]
     items: Iterable[tuple]
 
 
-def _plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
+def _streamed_plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
     """The plan of a table's modes on a grid of panels, its tables streamed: each slice's are built
-    as _project reaches it and dropped after."""
+    as _apply reaches it and dropped after."""
     evens = {g.even for g in table.groups} | {(True, True)}  # (even x, even y), as along the horizontal pair
-    grids = _pair_grids(alpha, order, panels)
-    return _Plan(grids, (frozenset((ey, ex) for ex, ey in evens), frozenset(evens)), _tables(table, alpha, order, grids))
+    grids = tuple(_panel_grid(half, order, n) for half, n in zip((alpha, 1.0), panels))
+    return _Plan(len(table.modes), grids, (frozenset((ey, ex) for ex, ey in evens), frozenset(evens)),
+                 _tables(table, alpha, order, grids))
 
 
 # projection plans kept per process: a plan of more than _TABLE_VALUES values (1 MB) in its tables,
@@ -539,12 +544,12 @@ _TABLE_VALUES = 1 << 17
 _HELD_EXTRA = 64
 
 
-class _KeptTables:
-    """_plan with its tables as a list, kept per (table.key, alpha, order, panels) while the charges
-    of the entries stay within budget values, the least recently used dropped first to make room.
-    The key names the table's contents, so a table built again from the same modes finds the entry,
-    and the entry holds no table. The bookkeeping runs under a lock; a miss builds its plan outside
-    it."""
+class _Store:
+    """Values kept per key while the charges of the entries stay within budget values, the least
+    recently used dropped first to make room. A miss calls build() for the value and the arrays it
+    holds, and is charged their values and the key's bytes. Keys name contents (a mode table's key,
+    coordinates' bytes), so any table of the same modes finds the entry, which holds no table. The
+    bookkeeping runs under a lock; a miss builds its value outside it."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -553,11 +558,10 @@ class _KeptTables:
 
     def clear(self) -> None:
         with self._lock:
-            self.entries: OrderedDict = OrderedDict()  # key -> (charge, _Plan)
+            self.entries: OrderedDict = OrderedDict()  # key -> (charge, value)
             self.charged = self.hits = self.misses = 0
 
-    def __call__(self, table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
-        key = (table.key, alpha, order, panels)
+    def __call__(self, key: tuple, build: Callable[[], tuple[object, Sequence[np.ndarray]]]):
         with self._lock:
             entry = self.entries.get(key)
             if entry is not None:
@@ -565,73 +569,74 @@ class _KeptTables:
                 self.entries.move_to_end(key)
                 return entry[1]
             self.misses += 1
-        plan = _plan(table, alpha, order, panels)
-        plan = plan._replace(items=list(plan.items))
-        arrays = [*(a for grid in plan.grids for a in grid),
-                  *(a for rows, _, _, across, tables in plan.items for a in (rows, across, *tables))]
-        charge = sum(a.size for a in arrays) + len(table.key) // 8 + _HELD_EXTRA * (len(arrays) + 1)
+        value, arrays = build()
+        key_values = sum(len(k) for k in key if isinstance(k, bytes)) // 8
+        charge = sum(a.size for a in arrays) + key_values + _HELD_EXTRA * (len(arrays) + 1)
         with self._lock:
-            if key not in self.entries:  # else another thread kept the same plan meanwhile
+            if key not in self.entries:  # else another thread kept the same value meanwhile
                 while self.entries and self.charged + charge > self.budget:
                     self.charged -= self.entries.popitem(last=False)[1][0]
-                self.entries[key] = charge, plan
+                self.entries[key] = charge, value
                 self.charged += charge
-        return plan
+        return value
 
 
-_kept_tables = _KeptTables(12 * _TABLE_VALUES)
+_kept_tables = _Store(12 * _TABLE_VALUES)
 
 
-def _panels(u: BoundaryFunction, rect: Rectangle, table: _ModeTable) -> tuple[int, int]:
-    """The panel count of each pair of edges for u against the modes of a table."""
-    freq = _check_freq_hint(u.freq_hint) + table.max_nu  # the constant and the xy mode have nu = 0
-    return default_panels(rect.alpha * freq), default_panels(freq)
+def _plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
+    """The plan of a table's modes on a grid of panels, kept per (table.key, alpha, order, panels)
+    (_kept_tables) with its tables as a list, unless they pass _TABLE_VALUES values: then streamed."""
+    if len(table.modes) * sum(2 * (order + _layout(n, order)[0]) for n in panels) > _TABLE_VALUES:
+        return _streamed_plan(table, alpha, order, panels)
+
+    def build():
+        plan = _streamed_plan(table, alpha, order, panels)
+        plan = plan._replace(items=list(plan.items))
+        return plan, [*(a for grid in plan.grids for a in grid),
+                      *(a for rows, _, _, across, tables in plan.items for a in (rows, across, *tables))]
+
+    return _kept_tables((table.key, alpha, order, panels), build)
 
 
-def _sample(u: BoundaryFunction, rect: Rectangle, grids: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The nodes of each pair's grid of _pair_grids and the values of u at their points."""
-    nodes = _nodes(grids)
-    return nodes, u._grid_values(rect, _boundary_grid(rect, *nodes))
+def _fold(u: BoundaryFunction, rect: Rectangle, plan: _Plan, order: int) -> tuple[float, float, list[dict]]:
+    """The boundary mean and mean L2 norm of u on the plan's grid, and per pair of edges its weighted
+    values folded onto the nodes t >= 0 of one edge (_layout), as q panels x order nodes, by each
+    (even along, even across) parity the plan's slices read. The one check of the data: one with a
+    value that is not finite, or whose mean or mean square overflows, raises BoundaryDataError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such data is refused below
+        nodes = _nodes(plan.grids)
+        values = u._grid_values(rect, _boundary_grid(rect, *nodes))
+        total, square, folds = 0.0, 0.0, []
+        cut = 2 * nodes[0].size
+        for (centres, _, weights), t, hv, parities in zip(plan.grids, nodes, (values[:cut], values[cut:]), plan.parities):
+            q, half, pad = _layout(centres.size, order)
+            hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: the sum of the squares adds it in this order
+            wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
+            square += float((wh * hv).sum())
+            mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
+            below = np.zeros((pad, 2))
+            sides, folded = {}, {}
+            for even_along, even_across in parities:
+                if even_along not in sides:
+                    sides[even_along] = np.concatenate([below, wh[half:] + mirror if even_along else wh[half:] - mirror])
+                part = sides[even_along]
+                folded[even_along, even_across] = (part[:, 0] + part[:, 1] if even_across
+                                                   else part[:, 0] - part[:, 1]).reshape(q, order)
+            total += float(folded[True, True].sum())  # data odd along or across the pair folds to 0
+            folds.append(folded)
+    mean, norm = total / rect.perimeter, math.sqrt(square / rect.perimeter)
+    if not (math.isfinite(mean) and math.isfinite(norm)):
+        what = ("not finite" if not np.isfinite(values).all() else "finite, but its mean square overflows"
+                if math.isfinite(mean) else "finite, but its mean overflows")
+        raise BoundaryDataError(f"boundary data is {what}: mean = {mean!r}, norm = {norm!r}")
+    return mean, norm, folds
 
 
-def _data_on_grid(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> np.ndarray:
-    """The values of u that _project integrates against the modes of a table."""
-    return _sample(u, rect, _pair_grids(rect.alpha, order, _panels(u, rect, table)))[1]
-
-
-def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int,
-             keep: bool = False) -> tuple[float, float, np.ndarray]:
-    """project against the modes of a table, all of them of rect, with the coefficients as one array
-    in the order of the table's modes. With keep, the plan of the modes
-    on the grid is kept per process (_kept_tables) unless its tables pass about _TABLE_VALUES
-    values; otherwise the same plan is built in place and each slice's tables are built and dropped
-    in turn. Per call, only the nodes and points, the data and its folds are made; the data is
-    folded by the parities the plan's slices read only."""
-    panels = _panels(u, rect, table)
-    kept = keep and len(table.modes) * sum(2 * (order + (n + 1) // 2) for n in panels) <= _TABLE_VALUES
-    plan = (_kept_tables if kept else _plan)(table, rect.alpha, order, panels)
-    nodes, values = _sample(u, rect, plan.grids)
-    total, square, coeffs = 0.0, 0.0, np.zeros(len(table.modes))
-    folds = []  # per pair: (along, across) parity of the factors -> data on q panels x order nodes
-    cut = 2 * nodes[0].size
-    for (centres, _, weights), t, hv, parities in zip(plan.grids, nodes, (values[:cut], values[cut:]), plan.parities):
-        q = (centres.size + 1) // 2  # panels centred at t >= 0; an odd count's middle one at t = 0
-        hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: the sum of the squares adds it in this order
-        wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
-        square += float((wh * hv).sum())
-        half = t.size // 2  # an odd grid's middle node t = 0 stays in the upper half, unpaired
-        mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
-        # the nodes t < 0 of a middle panel hold 0, so the upper half is q whole panels
-        below = np.zeros((q * order - (t.size - half), 2))
-        sides, folded = {}, {}
-        for even_along, even_across in parities:
-            if even_along not in sides:
-                sides[even_along] = np.concatenate([below, wh[half:] + mirror if even_along else wh[half:] - mirror])
-            part = sides[even_along]
-            folded[even_along, even_across] = (part[:, 0] + part[:, 1] if even_across
-                                               else part[:, 0] - part[:, 1]).reshape(q, order)
-        total += float(folded[True, True].sum())  # data odd along or across the pair folds to 0
-        folds.append(folded)
+def _apply(plan: _Plan, folds: Sequence[dict]) -> np.ndarray:
+    """The integrals over the boundary of the folded data (_fold) against the plan's modes, in the
+    order of its table's modes: the perimeter times the coefficients."""
+    coeffs = np.zeros(plan.size)
     for part, pair, (even_along, even_across), across, tables in plan.items:
         data = folds[pair][even_along, even_across]
         if len(tables) == 1:
@@ -647,8 +652,17 @@ def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int
             cd, sd = cosd @ data.T, sind @ data.T
             sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
         coeffs[part] += sums.sum(axis=1) * across
-    per = rect.perimeter
-    return total / per, math.sqrt(square / per), coeffs / per
+    return coeffs
+
+
+def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> tuple[float, float, np.ndarray]:
+    """project against the modes of a table, all of them of rect, with the coefficients as one array
+    in the order of the table's modes: the data folded on the grid of the table's plan, then the plan
+    applied to the folds. Per call, only the data and its folds are made, unless the plan is streamed."""
+    freq = _check_freq_hint(u.freq_hint) + table.max_nu  # the constant and the xy mode have nu = 0
+    plan = _plan(table, rect.alpha, order, (default_panels(rect.alpha * freq), default_panels(freq)))
+    mean, norm, folds = _fold(u, rect, plan, order)
+    return mean, norm, _apply(plan, folds) / rect.perimeter
 
 
 def coefficient(u: BoundaryFunction, mode: SteklovMode, order: int = 32) -> float:

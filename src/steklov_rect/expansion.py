@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -176,17 +176,10 @@ def _build(
     t = 0 is the Neumann problem: it needs data of zero boundary mean, up to
     1e-9 * (1 + ||h||) so quadrature-level noise on the mean does not
     spuriously reject valid data, and its mean term is 0. A Robin mean / t must not overflow.
-    Data whose mean or norm is not finite is refused; the message tells data with a value that
-    is not finite from finite data whose mean or mean square overflows.
+    Data with a value that is not finite, or whose mean or mean square overflows, is refused
+    (boundary._fold).
     """
-    rect = Rectangle(alpha)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing data is reported below
-        raw_mean, norm, coeffs = bd._project(h, rect, table, order, keep=True)
-        if not (math.isfinite(raw_mean) and math.isfinite(norm)):
-            finite = np.isfinite(bd._data_on_grid(h, rect, table, order)).all()
-            what = ("not finite" if not finite else "finite, but its mean square overflows"
-                    if math.isfinite(raw_mean) else "finite, but its mean overflows")
-            raise bd.BoundaryDataError(f"boundary data is {what}: mean = {raw_mean!r}, norm = {norm!r}")
+    raw_mean, norm, coeffs = bd._project(h, Rectangle(alpha), table, order)
     if t == 0.0:
         limit = 1e-9 * (1.0 + norm)
         if abs(raw_mean) > limit:
@@ -244,8 +237,6 @@ def expand_for_central(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    # the 2m modes' projection plan is kept like the solvers' (boundary._kept_tables): it takes
-    # about a quarter of a call to build and one lookup to find again
     table = _central_table(alpha, m)
     _check_tol(table.modes, table.max_nu, tol)
     return _build(h, alpha, table, order, None)
@@ -329,38 +320,27 @@ def _axis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(float), np.searchsorted(keys, bits)
 
 
-# factor sets kept per process, the least recently used dropped first: the blocks of one mode table
-# at one set of distinct coordinates, of at most _FACTOR_VALUES values (1 MB) each; M = 400 modes
-# on a 100x100 grid take about 0.64 MB
-_FACTOR_SETS = 4
+# factor sets kept per process, apart from the projection plans, so that evaluations on many grids
+# cannot evict a solver's plan: the blocks of one mode table at one set of distinct coordinates, kept
+# unless they pass _FACTOR_VALUES values (1 MB), under a budget of four such sets; M = 400 modes on a
+# 100x100 grid take about 0.64 MB
 _FACTOR_VALUES = 1 << 17
-
-
-@dataclass(frozen=True)
-class _Contents:
-    """A mode table of a rectangle that equals and hashes as its key, (table.key, alpha), the contents
-    its factors depend on: keyed on it, a cache finds its entry again from any table of the same modes."""
-
-    key: tuple[bytes, float]
-    table: _ModeTable = field(compare=False)
-
-
-@functools.lru_cache(maxsize=_FACTOR_SETS)
-def _kept_factors(contents: _Contents, width: int, xs: bytes, ys: bytes) -> list[tuple]:
-    """(rows, x factors, y factors) at the coordinates whose bits are xs and ys of each slice
-    table.blocks(width) gives, for the table of contents; an entry made from one table is found
-    from every table of the same contents."""
-    table, xs, ys = contents.table, np.frombuffer(xs), np.frombuffer(ys)
-    return [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
-            for rows, eq, nu, log_scale, _ in table.blocks(width)]
+_kept_factors = bd._Store(4 * _FACTOR_VALUES)
 
 
 def _factors(e: SteklovExpansion, width: int, xs: np.ndarray, ys: np.ndarray) -> list[tuple]:
-    """e's factors at xs and ys, kept per process (_kept_factors) unless they exceed _FACTOR_VALUES
-    values, then built without the cache."""
-    kept = len(e._table.modes) * (xs.size + ys.size) <= _FACTOR_VALUES
-    return (_kept_factors if kept else _kept_factors.__wrapped__)(
-        _Contents((e._table.key, e.alpha), e._table), width, xs.tobytes(), ys.tobytes())
+    """(rows, x factors, y factors) at xs and ys of each slice e._table.blocks(width) gives, kept per
+    (table.key, alpha, width, bits of xs and ys) (_kept_factors) unless they pass _FACTOR_VALUES values."""
+    table = e._table
+
+    def build():
+        factors = [(rows, *_block_factors(table.modes, rows, eq, nu, log_scale, xs, ys))
+                   for rows, eq, nu, log_scale, _ in table.blocks(width)]
+        return factors, [a for factor in factors for a in factor]
+
+    if len(table.modes) * (xs.size + ys.size) > _FACTOR_VALUES:
+        return build()[0]
+    return _kept_factors((table.key, e.alpha, width, xs.tobytes(), ys.tobytes()), build)
 
 
 def evaluate_interior(e: SteklovExpansion, x, y):
@@ -441,14 +421,16 @@ _TAIL_SHARE = 0.2  # of the terms, those of the highest eigenvalues, that energy
 def energy_tail(e: SteklovExpansion) -> EnergyTail:
     """sum (1 + delta) c^2 over all terms (mean term included) plus the share
     contributed by the top-eigenvalue quintile, a cheap convergence read."""
-    # a list of floats, which sum adds one by one
-    contributions = [e.mean_term**2] + ((1.0 + e._table.delta) * e._coefficients**2).tolist()
+    weights, c = np.append(1.0, 1.0 + e._table.delta), np.append(e.mean_term, e._coefficients)
+    with np.errstate(over="ignore"):  # squares past the largest double: the total is inf
+        contributions = (weights * c**2).tolist()  # a list of floats, which sum adds one by one
     total = float(sum(contributions))
     n_tail = math.ceil(_TAIL_SHARE * e.truncation_M)
     if n_tail == 0 or total == 0.0:
         return EnergyTail(total, 0.0)
-    tail = float(sum(contributions[-n_tail:]))
-    return EnergyTail(total, tail / total)
+    if total == math.inf:  # the share of the contributions scaled by the largest |c|, which stay finite
+        contributions = (weights * (c / np.abs(c).max()) ** 2).tolist()
+    return EnergyTail(total, sum(contributions[-n_tail:]) / sum(contributions))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ integrals from scipy's fixed_quad on directly-written profiles. The one
 exception, paired_inner_product, sums on the library's own edge grid, so that
 a quadrature on that grid is compared with a plain per-edge sum on the same
 nodes; select_arclength_to_edge is the library's earlier arc-length map, kept
-to compare its replacement with bit for bit.
+to compare its replacement with bit for bit. The centre's Poisson kernel is
+summed from its separation-of-variables series in long double (an x87 long
+double, eps 1.1e-19, as on x86-64 Linux), and centre_tail_gap reads only the
+starting points of its roots from the library.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.optimize import brentq
 
-from steklov_rect import Edge
+from steklov_rect import Edge, Family, ModeId, Rectangle, SymmetryClass, resolve
 from steklov_rect.boundary import edge_quadrature
+from steklov_rect.roots import DeterminingEquation
 
 
 def root_in(fn, lo, hi):
@@ -143,3 +147,86 @@ def rect_tail_series(m, alpha):
             return math.fsum(terms)
         terms += [x, y]
         j += 1
+
+
+# ---------------------------------------------------------------------------
+# The centre's Poisson kernel, by separation of variables, in long double
+
+_LD = np.longdouble
+_PI = 4 * np.arctan(_LD(1))
+
+
+def _gauss_long(order):
+    """Gauss-Legendre nodes and weights on (-1, 1) in long double: numpy's nodes refined by Newton's
+    iteration on the three-term recurrence of the Legendre polynomial of degree order."""
+    x = np.polynomial.legendre.leggauss(order)[0].astype(_LD)
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = order * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def _long_rule(half, panels, order=20):
+    """Nodes and weights in long double of `panels` equal Gauss panels of `order` nodes on (-half, half)."""
+    x, w = _gauss_long(order)
+    width = 2 * _LD(half) / panels
+    centres = width * (np.arange(panels, dtype=_LD) - _LD(panels - 1) / 2)
+    return (centres[:, None] + width / 2 * x).ravel(), np.tile(width / 2 * w, panels)
+
+
+def centre_kernel(alpha, t, horizontal):
+    """The Poisson kernel P0 of the centre of (-1, 1) x (-alpha, alpha) at edge coordinates t (long
+    double) on the horizontal or the vertical edges: the sum over odd n of cos(n pi t / (2 L)) /
+    (2 L cosh(n pi H / (2 L))), L the half-length of those edges and H that of the others, up to the
+    terms below 1e-21 of the first. u(0, 0) is the integral of u P0 over the boundary."""
+    L, H = (_LD(1), _LD(alpha)) if horizontal else (_LD(alpha), _LD(1))
+    n = np.arange(1, 2 * math.ceil(16 * L / H) + 2, 2).astype(_LD)
+    return np.cos(np.multiply.outer(t, n * _PI / (2 * L))) @ (1 / (2 * L * np.cosh(n * _PI * H / (2 * L))))
+
+
+def centre_by_kernel(h, alpha, panels=100, order=20):
+    """u(0, 0) of the harmonic function u with boundary values h on (-1, 1) x (-alpha, alpha): the
+    integral of h against centre_kernel, `panels` Gauss panels of `order` nodes per edge, the kernel
+    and the sum in long double. h is a rule h(x, y) over numpy arrays, or a BoundaryFunction (such as
+    sampled data), read through its edge_values."""
+    rect, total = Rectangle(alpha), _LD(0)
+    for pair, half in (((Edge.RIGHT, Edge.LEFT), alpha), ((Edge.TOP, Edge.BOTTOM), 1.0)):
+        t, w = _long_rule(half, panels, order)
+        weights, tf = w * centre_kernel(alpha, t, half == 1.0), t.astype(float)
+        for edge in pair:
+            v = h.edge_values(rect, edge, tf) if hasattr(h, "edge_values") else h(*rect.edge_xy(edge, tf))
+            total += np.sum(weights * np.asarray(v, dtype=_LD))
+    return float(total)
+
+
+def centre_tail_gap(alpha, m, order=20):
+    """sqrt(P) ||P0 - w_m|| on the boundary of (-1, 1) x (-alpha, alpha), of perimeter P, with
+    w_m = (1 + sum_j s_j(0) phi_j) / P over the first m class-I modes phi_j of each family: the
+    largest error of the centre value from the mean and those m coefficients, over data of mean L2
+    norm 1 (Cauchy-Schwarz, attained). In long double: the roots from mp_root, started at the
+    library's, and the profiles cosh(nu u) cos(nu v) with their boundary integrals I in closed form,
+    so that s_j(0) phi_j / P = profile / I. The integrand is even in x and y: the right and the top
+    edge are summed twice, each in panels narrow enough for the highest frequency in play."""
+    per, a = 4 * (1 + _LD(alpha)), _LD(alpha)
+    modes = []  # (nu, half-length along the hyperbolic variable, along the trig one, family)
+    for fam in Family:
+        eq = DeterminingEquation(SymmetryClass.I, fam, alpha)
+        for j in range(1, m + 1):
+            nu = mp_root(eq, resolve(ModeId.separated(SymmetryClass.I, fam, j), alpha).nu)
+            modes.append((_LD(float(nu)) + _LD(float(nu - float(nu))), *((1, a) if fam == Family.X else (a, 1)), fam))
+    k = max([8 * math.pi / alpha] + [float(nu) for nu, *_ in modes])
+    total = _LD(0)
+    for horizontal, half in ((False, alpha), (True, 1.0)):
+        t, w = _long_rule(half, math.ceil(half * k / 2) + 1, order)
+        x, y = (t, np.full_like(t, a)) if horizontal else (np.full_like(t, _LD(1)), t)
+        gap = centre_kernel(alpha, t, horizontal) - 1 / per
+        for nu, hu, hv, fam in modes:
+            u, v = (x, y) if fam == Family.X else (y, x)
+            integral = (2 * np.cosh(nu * hu) ** 2 * (hv + np.sin(2 * nu * hv) / (2 * nu))
+                        + 2 * np.cos(nu * hv) ** 2 * (hu + np.sinh(2 * nu * hu) / (2 * nu)))
+            gap -= np.cosh(nu * u) * np.cos(nu * v) / integral
+        total += 2 * np.sum(w * gap * gap)
+    return float(np.sqrt(per * total))

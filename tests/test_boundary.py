@@ -157,9 +157,13 @@ class TestInnerProduct:
 
 
 class TestNorm:
-    def test_nan_data_has_nan_norm(self):
-        # the Gauss weights are positive, so the norm is nan exactly when the data is
-        assert math.isnan(project(constant_function(math.nan), Rectangle(1.0), [])[1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_data_not_finite_is_refused(self, value):
+        # project and coefficient refuse such data as the solvers do, with no numpy warning
+        h, mode = constant_function(value), first_modes(1.0, 3)[2]
+        for call in (lambda: project(h, Rectangle(1.0), first_modes(1.0, 3)), lambda: coefficient(h, mode)):
+            with pytest.raises(BoundaryDataError, match="^boundary data is not finite: mean = "):
+                call()
 
 
 class TestMean:

@@ -41,7 +41,7 @@ from steklov_rect import (
 from steklov_rect import boundary as bd
 from steklov_rect.boundary import project
 from steklov_rect.bounds import rect_center_tail
-from steklov_rect.expansion import _FACTOR_SETS, _FACTOR_VALUES, _axis, _central_table, _class_one_prefix, _kept_factors
+from steklov_rect.expansion import _FACTOR_VALUES, _axis, _central_table, _class_one_prefix, _kept_factors
 from steklov_rect.geometry import Rectangle
 from steklov_rect.geometry import DomainError
 from steklov_rect.modes import _first_table
@@ -285,11 +285,11 @@ class TestEvaluateInteriorTermByTerm:
         assert np.max(np.abs(evaluate_interior(e2, gx, gy) - evaluate_interior(e, gx, gy))) > 1e-6
         # both expansions keep factors at the same points: each warm call reads its own entry
         for x, y in self.points(alpha):
-            _kept_factors.cache_clear()
+            _kept_factors.clear()
             bits = lambda f: np.asarray(evaluate_interior(f, x, y)).tobytes()
             cold = [bits(e), bits(e2)]
             assert [bits(e2), bits(e2), bits(e)] == [cold[1], cold[1], cold[0]]
-            assert _kept_factors.cache_info()[:2] == (3, 2)  # (hits, misses)
+            assert (_kept_factors.hits, _kept_factors.misses) == (3, 2)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
     def test_kept_grouping_changes_no_value(self, alpha):
@@ -328,6 +328,10 @@ class TestKeptFactors:
     def expansion(alpha):
         return expand_dirichlet(TestEvaluateInteriorTermByTerm.data(), alpha, 400)
 
+    @staticmethod
+    def counts():
+        return _kept_factors.hits, _kept_factors.misses
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
     def test_warm_equals_cold(self, alpha):
         e = self.expansion(alpha)
@@ -335,53 +339,64 @@ class TestKeptFactors:
         rng = np.random.default_rng(11)
         scattered = rng.uniform(-0.9, 0.9, 150), alpha * rng.uniform(-0.9, 0.9, 150)
         for x, y in (self.grid(alpha), scattered):
-            _kept_factors.cache_clear()
+            _kept_factors.clear()
             cold = evaluate_interior(e, x, y).tobytes()
-            assert _kept_factors.cache_info()[:2] == (0, 1)  # (hits, misses)
+            assert self.counts() == (0, 1)  # (hits, misses)
             warm = evaluate_interior(e, x, y).tobytes()
-            assert _kept_factors.cache_info()[:2] == (1, 1)
+            assert self.counts() == (1, 1)
             assert cold == warm == evaluate_interior(bare, x, y).tobytes()
 
     def test_other_grid_or_table_misses(self):
         e = self.expansion(0.5)
         gx, gy = self.grid(0.5)
-        _kept_factors.cache_clear()
+        _kept_factors.clear()
         want = evaluate_interior(e, gx, gy).tobytes()
         assert evaluate_interior(e, gx.copy(), gy + 0.0).tobytes() == want  # the same bits: a hit
-        assert _kept_factors.cache_info()[:2] == (1, 1)
+        assert self.counts() == (1, 1)
         assert np.any(gy == 0.0)
         evaluate_interior(e, gx, np.where(gy == 0.0, -0.0, gy))  # equal values, but not equal bits
-        assert _kept_factors.cache_info()[:2] == (1, 2)
+        assert self.counts() == (1, 2)
         # a table built again from the same modes has the same contents: it finds e's entry
         _first_table.cache_clear()
         e2 = self.expansion(0.5)
         assert e2._table is not e._table and e2._table.modes == e._table.modes
         assert evaluate_interior(e2, gx, gy).tobytes() == want
-        assert _kept_factors.cache_info()[:2] == (2, 2)
+        assert self.counts() == (2, 2)
         sx, sy = np.linspace(-0.6, 0.6, 150), 0.5 * np.linspace(0.6, -0.6, 150)
         evaluate_interior(e, sx, sy)
         # the same distinct coordinates at more points: narrower blocks
         sx, sy = np.r_[sx, sx[:10]], np.r_[sy, sy[:10]]
         assert evaluate_interior(e, sx, sy).tobytes() == evaluate_interior(dataclasses.replace(e), sx, sy).tobytes()
         # the replaced expansion builds a table of its own, of e's contents, and finds e's entry
-        assert _kept_factors.cache_info()[:2] == (3, 4)
+        assert self.counts() == (3, 4)
 
     def test_kept_sets_are_bounded(self):
         e = self.expansion(0.5)
         bare = dataclasses.replace(e, terms=e.terms)
         n = _FACTOR_VALUES // (2 * len(e.terms)) + 1  # the smallest n x n grid past the bound
         big = np.meshgrid(np.linspace(-0.6, 0.6, n), 0.5 * np.linspace(-0.6, 0.6, n))
-        _kept_factors.cache_clear()
+        _kept_factors.clear()
         assert evaluate_interior(e, *big).tobytes() == evaluate_interior(bare, *big).tobytes()
-        assert _kept_factors.cache_info()[1:] == (0, _FACTOR_SETS, 0)  # (misses, maxsize, currsize)
-        for n in range(10, 10 + 2 * _FACTOR_SETS):
-            evaluate_interior(e, *self.grid(0.5, n))
-            assert _kept_factors.cache_info().currsize == min(n - 9, _FACTOR_SETS)
+        assert self.counts() == (0, 0) and len(_kept_factors.entries) == 0
+        # grids of n - 1 x n - 4 points just within the bound: each new one drops the least recently
+        # used, and the projection plans, in a store of their own, lose none of theirs
+        plans = list(bd._kept_tables.entries)
+        grids, sizes = [self.grid(0.5, n - 1 - k) for k in range(12)], []
+        for grid in grids:
+            evaluate_interior(e, *grid)
+            charges = [charge for charge, _ in _kept_factors.entries.values()]
+            assert _kept_factors.charged == sum(charges) <= _kept_factors.budget
+            sizes.append(len(charges))
+        assert sizes[:3] == [1, 2, 3] and sizes[-1] < 12
+        assert self.counts() == (0, 12) and list(bd._kept_tables.entries) == plans
+        evaluate_interior(e, *grids[-1])
+        assert self.counts() == (1, 12)
+        evaluate_interior(e, *grids[0])
+        assert self.counts() == (1, 13)
 
 
 class TestKeptTables:
-    """Every expansion keeps its projection tables per (mode table, grid), under one budget of
-    values; public project keeps nothing."""
+    """Every projection keeps its tables per (mode table, grid), under one budget of values."""
 
     # per solver, two data sets of different freq_hint: one mode set, two grids
     SOLVES = [(lambda h, alpha: expand_dirichlet(h, alpha, 400), ("coshcos:2", "coshcos:9")),
@@ -428,16 +443,19 @@ class TestKeptTables:
             self.solves(alpha)
         assert kept.misses == misses
 
-    def test_public_project_keeps_nothing_and_central_expansions_hit(self):
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_public_project_hits_the_solver_plan(self, alpha):
         h = builtin_boundary("coshcos:2")
-        modes = [term.mode for term in expand_dirichlet(h, 0.5, 400).terms]
         kept = bd._kept_tables
         kept.clear()
-        project(h, Rectangle(0.5), modes)
-        assert (kept.hits, kept.misses, len(kept.entries)) == (0, 0, 0)
+        e = expand_dirichlet(h, alpha, 400)
+        # project builds a table of its own from the modes, with the contents, and so the key, of e's
+        mean, norm, coeffs = project(h, Rectangle(alpha), [term.mode for term in e.terms])
+        assert (kept.hits, kept.misses, len(kept.entries)) == (1, 1, 1)
+        assert np.array([mean, norm, *coeffs]).tobytes() == self.bits(e)
         for m in (3, 3, 12):
-            expand_for_central(h, 0.5, m)
-        assert (kept.hits, kept.misses, len(kept.entries)) == (1, 2, 2)
+            expand_for_central(h, alpha, m)
+        assert (kept.hits, kept.misses, len(kept.entries)) == (2, 3, 3)
 
     def test_central_sweep_keeps_every_solver_entry(self):
         # central values of 4 rectangles, m = 0..12 and 3 frequencies between the M = 400 solves
@@ -870,6 +888,17 @@ class TestEnergyTail:
         r40 = energy_tail(expand_dirichlet(h, 1.0, 40, classes=[SymmetryClass.I]))
         assert r20.tail_ratio < 2e-3
         assert r40.tail_ratio < r20.tail_ratio
+
+    @pytest.mark.parametrize("mean", [0.0, 1e200])
+    def test_squares_past_the_largest_double(self, mean):
+        # the total is inf, with no numpy warning, and the share is that of the same expansion scaled down
+        modes = [class_one(1), class_one(2)]
+        e = SteklovExpansion(1.0, None, mean, tuple(ExpansionTerm(m, c) for m, c in zip(modes, (3e199, 1e200))), 32)
+        small = dataclasses.replace(e, mean_term=mean * 1e-200,
+                                    terms=tuple(dataclasses.replace(t, coefficient=t.coefficient * 1e-200) for t in e.terms))
+        res = energy_tail(e)
+        assert res.total == math.inf
+        assert 0.0 < res.tail_ratio == pytest.approx(energy_tail(small).tail_ratio, rel=1e-15)
 
 
 class TestRobinResidual:
