@@ -463,10 +463,11 @@ def _mode_from_dict(d: dict, alpha: float) -> SteklovMode:
         if cls not in unseparated:
             raise ValueError(f"a class {cls.value} term needs a family")
         return resolve(unseparated[cls], alpha)
-    # keep the stored nu/delta bit-exact; only the normalization is recomputed
+    # keep the stored nu/delta bit-exact; only the normalization is recomputed, from a 1-d array as
+    # the solver computes it: numpy's scalar path can differ from its array loops in the last bit
     mode_id = ModeId.separated(cls, Family(d["family"]), int(d["index"]))
     nu = _check_nu(float(d["nu"]))
-    log_scale = float(_log_scale(DeterminingEquation(cls, mode_id.family, alpha), nu))
+    log_scale = _log_scale(DeterminingEquation(cls, mode_id.family, alpha), np.array([nu])).item()
     return SteklovMode(mode_id, alpha, nu, _finite(d, "delta"), log_scale)
 
 
