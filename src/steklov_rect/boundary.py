@@ -464,11 +464,6 @@ def project(
     return mean, norm, coeffs.tolist()
 
 
-def _nodes(grids: Sequence[tuple]) -> list[np.ndarray]:
-    """The nodes c_p + d_k of each pair's grid of a plan, panel by panel."""
-    return [(centres[:, None] + offsets).ravel() for centres, offsets, _ in grids]
-
-
 def _layout(panels: int, order: int) -> tuple[int, int, int]:
     """How a pair's grid of panels x order nodes folds onto its nodes t >= 0: (q, half, pad), q the
     panels centred at t >= 0, half the nodes t < 0 (an odd grid's middle node t = 0 stays above,
@@ -477,7 +472,22 @@ def _layout(panels: int, order: int) -> tuple[int, int, int]:
     return q, size // 2, q * order - (size - size // 2)
 
 
-def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple]) -> Iterator[tuple]:
+def _gather(panels: int, order: int, start: int, zero: int) -> np.ndarray:
+    """Where _fold finds the mirror images of each folded node (_layout) of a pair whose nodes start
+    at row `start` of the weighted values, one row per node (edge A, edge B): a (2, q * order) array
+    of the rows at t and at -t, of the smallest unsigned type that holds them (uint16 below 65536
+    nodes). The pad rows and the image at -t of an odd grid's middle node t = 0 read the zero row
+    `zero`."""
+    _, half, pad = _layout(panels, order)
+    up = np.arange(half, panels * order)
+    down = panels * order - 1 - up  # the node at -t: the middle node t = 0 is its own
+    index = start + np.stack([up, down])
+    index[1, down == up] = zero
+    return np.concatenate([np.full((2, pad), zero), index], axis=1).astype(np.min_scalar_type(zero))
+
+
+def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple],
+            nodes: Sequence[np.ndarray]) -> Iterator[tuple]:
     """The tables of _apply, one slice of table.blocks and pair of edges of a plan's grids
     at a time: (rows, pair, parities, across, tables), with pair 0 for the vertical edges and 1
     for the horizontal ones, parities (even along, even across) naming the folded data the slice
@@ -487,7 +497,7 @@ def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple])
     - (cos nu d, sin nu d, cos nu c, sin nu c) where it is trigonometric,
     with c the centres of the folded panels and d the node offsets."""
     pairs, ups = [], []  # (centres at t >= 0, offsets) per pair, and the nodes of the folded data
-    for (centres, offsets, _), t in zip(grids, _nodes(grids)):
+    for (centres, offsets, _), t in zip(grids, nodes):
         q, half, pad = _layout(centres.size, order)
         pairs.append((centres[centres.size - q:], offsets))
         ups.append(np.concatenate([np.zeros(pad), t[half:]]))
@@ -515,12 +525,18 @@ def _tables(table: _ModeTable, alpha: float, order: int, grids: Sequence[tuple])
 
 class _Plan(NamedTuple):
     """All of a projection on one grid that depends on the mode table and the grid only: the number
-    of modes, per pair of edges, the vertical pair (half-length alpha) first, the (centres, offsets,
-    weights) of its _panel_grid and the (even along, even across) parities of the folded data its
-    slices read, with (even, even), which the mean reads; and _tables' items."""
+    of modes; per pair of edges, the vertical pair (half-length alpha) first, the centres and offsets
+    of its _panel_grid with its weights, each twice (edge A, edge B, as the values lie), its nodes
+    (tv, then th, of _Grid), the _gather of its folded nodes' mirror images and the (even along, even
+    across) parities of the folded data its slices read, with (even, even), which the mean reads; and
+    _tables' items. Beside the tables of its items, a plan holds 1.25 values per node below 65536
+    nodes: the node, and its gather's two uint16 per folded node. The boundary points, 4 values per
+    node, are made from the nodes at each call (_boundary_grid, a few us)."""
 
     size: int
     grids: tuple[tuple, ...]
+    nodes: tuple[np.ndarray, np.ndarray]
+    gathers: tuple[np.ndarray, ...]
     parities: tuple[frozenset, ...]
     items: Iterable[tuple]
 
@@ -529,17 +545,24 @@ def _streamed_plan(table: _ModeTable, alpha: float, order: int, panels: tuple[in
     """The plan of a table's modes on a grid of panels, its tables streamed: each slice's are built
     as _apply reaches it and dropped after."""
     evens = {g.even for g in table.groups} | {(True, True)}  # (even x, even y), as along the horizontal pair
-    grids = tuple(_panel_grid(half, order, n) for half, n in zip((alpha, 1.0), panels))
-    return _Plan(len(table.modes), grids, (frozenset((ey, ex) for ex, ey in evens), frozenset(evens)),
-                 _tables(table, alpha, order, grids))
+    panel_grids = (_panel_grid(half, order, n) for half, n in zip((alpha, 1.0), panels))
+    grids = tuple((centres, offsets, np.repeat(weights, 2)) for centres, offsets, weights in panel_grids)
+    tv, th = ((centres[:, None] + offsets).ravel() for centres, offsets, _ in grids)
+    zero = tv.size + th.size  # the row after the weighted values, which _fold sets to 0
+    gathers = _gather(panels[0], order, 0, zero), _gather(panels[1], order, tv.size, zero)
+    return _Plan(len(table.modes), grids, (tv, th), gathers,
+                 (frozenset((ey, ex) for ex, ey in evens), frozenset(evens)),
+                 _tables(table, alpha, order, grids, (tv, th)))
 
 
-# projection plans kept per process: a plan of more than _TABLE_VALUES values (1 MB) in its tables,
-# counting 2 (order + q) per mode and pair of q folded panels, is streamed and not kept; M = 400 modes
-# take about 0.66 MB at order 32. The entries share one budget of 12 such entries, about 12 MB, and
-# each is charged its arrays' values and key's bytes plus _HELD_EXTRA (512 bytes) per array and per
-# entry, above what an array object (about 170 bytes) or an empty entry (about 360) takes, so entries
-# of few or no modes count too
+# projection plans kept per process: a plan of more than _TABLE_VALUES values (1 MB), counting per pair
+# of n panels, q of them folded, 2 (order + q) values of tables per mode and (n + q) order values of
+# nodes and gather, is streamed and not kept; at order 32, M = 400 modes take about 0.66 MB in their
+# tables and 0.03 MB in nodes and gathers, and the 24 modes of a central value at m = 12 8-42 KB in
+# nodes and gathers. The entries share one budget of 12 such entries, about 12 MB, and each is
+# charged its arrays' and its key's bytes over 8 plus _HELD_EXTRA (512 bytes) per array and per entry,
+# above what an array object (about 170 bytes) or an empty entry (about 360) takes, so entries of few
+# modes count too
 _TABLE_VALUES = 1 << 17
 _HELD_EXTRA = 64
 
@@ -547,9 +570,9 @@ _HELD_EXTRA = 64
 class _Store:
     """Values kept per key while the charges of the entries stay within budget values, the least
     recently used dropped first to make room. A miss calls build() for the value and the arrays it
-    holds, and is charged their values and the key's bytes. Keys name contents (a mode table's key,
-    coordinates' bytes), so any table of the same modes finds the entry, which holds no table. The
-    bookkeeping runs under a lock; a miss builds its value outside it."""
+    holds, and is charged their bytes and the key's bytes in values of 8 bytes. Keys name contents (a
+    mode table's key, coordinates' bytes), so any table of the same modes finds the entry, which holds
+    no table. The bookkeeping runs under a lock; a miss builds its value outside it."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -570,8 +593,8 @@ class _Store:
                 return entry[1]
             self.misses += 1
         value, arrays = build()
-        key_values = sum(len(k) for k in key if isinstance(k, bytes)) // 8
-        charge = sum(a.size for a in arrays) + key_values + _HELD_EXTRA * (len(arrays) + 1)
+        held = sum(a.nbytes for a in arrays) + sum(len(k) for k in key if isinstance(k, bytes))
+        charge = held // 8 + _HELD_EXTRA * (len(arrays) + 1)
         with self._lock:
             if key not in self.entries:  # else another thread kept the same value meanwhile
                 while self.entries and self.charged + charge > self.budget:
@@ -586,14 +609,15 @@ _kept_tables = _Store(12 * _TABLE_VALUES)
 
 def _plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) -> _Plan:
     """The plan of a table's modes on a grid of panels, kept per (table.key, alpha, order, panels)
-    (_kept_tables) with its tables as a list, unless they pass _TABLE_VALUES values: then streamed."""
-    if len(table.modes) * sum(2 * (order + _layout(n, order)[0]) for n in panels) > _TABLE_VALUES:
+    (_kept_tables) with its tables as a list, unless it passes _TABLE_VALUES values: then streamed."""
+    layouts = [(n, _layout(n, order)[0]) for n in panels]
+    if sum(2 * len(table.modes) * (order + q) + order * (n + q) for n, q in layouts) > _TABLE_VALUES:
         return _streamed_plan(table, alpha, order, panels)
 
     def build():
         plan = _streamed_plan(table, alpha, order, panels)
         plan = plan._replace(items=list(plan.items))
-        return plan, [*(a for grid in plan.grids for a in grid),
+        return plan, [*(a for grid in plan.grids for a in grid), *plan.nodes, *plan.gathers,
                       *(a for rows, _, _, across, tables in plan.items for a in (rows, across, *tables))]
 
     return _kept_tables((table.key, alpha, order, panels), build)
@@ -602,29 +626,31 @@ def _plan(table: _ModeTable, alpha: float, order: int, panels: tuple[int, int]) 
 def _fold(u: BoundaryFunction, rect: Rectangle, plan: _Plan, order: int) -> tuple[float, float, list[dict]]:
     """The boundary mean and mean L2 norm of u on the plan's grid, and per pair of edges its weighted
     values folded onto the nodes t >= 0 of one edge (_layout), as q panels x order nodes, by each
-    (even along, even across) parity the plan's slices read. The one check of the data: one with a
-    value that is not finite, or whose mean or mean square overflows, raises BoundaryDataError."""
+    (even along, even across) parity the plan's slices read: (a +- b) +- (c +- d) of the four mirror
+    images the pair's gather lines up. The one check of the data: one with a value that is not
+    finite, or whose mean or mean square overflows, raises BoundaryDataError."""
     with np.errstate(over="ignore", invalid="ignore"):  # such data is refused below
-        nodes = _nodes(plan.grids)
-        values = u._grid_values(rect, _boundary_grid(rect, *nodes))
-        total, square, folds = 0.0, 0.0, []
-        cut = 2 * nodes[0].size
-        for (centres, _, weights), t, hv, parities in zip(plan.grids, nodes, (values[:cut], values[cut:]), plan.parities):
-            q, half, pad = _layout(centres.size, order)
-            hv = hv.reshape(t.size, 2)  # nodes x edges, contiguous: the sum of the squares adds it in this order
-            wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
-            square += float((wh * hv).sum())
-            mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])  # wh at -t
-            below = np.zeros((pad, 2))
+        values = u._grid_values(rect, _boundary_grid(rect, *plan.nodes))
+        weighted = np.empty(values.size + 2)  # and the zero row the gathers read for pad and t = 0
+        weighted[-2:] = 0.0
+        rows = weighted.reshape(-1, 2)  # node by node: edge A, edge B
+        total, square, folds, start = 0.0, 0.0, [], 0
+        for (centres, _, weights), gather, parities in zip(plan.grids, plan.gathers, plan.parities):
+            end = start + centres.size * weights.size
+            hv = values[start:end].reshape(centres.size, weights.size)  # panels x (nodes x edges)
+            wh = np.multiply(hv, weights, out=weighted[start:end].reshape(hv.shape))
+            square += float((wh * hv).sum())  # contiguous: the sum of the squares adds it in this order
+            images = rows.take(gather, axis=0)  # [at t, at -t] x folded nodes x [A, B]
+            a, b, c, d = images[0, :, 0], images[1, :, 0], images[0, :, 1], images[1, :, 1]
             sides, folded = {}, {}
             for even_along, even_across in parities:
                 if even_along not in sides:
-                    sides[even_along] = np.concatenate([below, wh[half:] + mirror if even_along else wh[half:] - mirror])
-                part = sides[even_along]
-                folded[even_along, even_across] = (part[:, 0] + part[:, 1] if even_across
-                                                   else part[:, 0] - part[:, 1]).reshape(q, order)
+                    sides[even_along] = (a + b, c + d) if even_along else (a - b, c - d)
+                one, other = sides[even_along]
+                folded[even_along, even_across] = (one + other if even_across else one - other).reshape(-1, order)
             total += float(folded[True, True].sum())  # data odd along or across the pair folds to 0
             folds.append(folded)
+            start = end
     mean, norm = total / rect.perimeter, math.sqrt(square / rect.perimeter)
     if not (math.isfinite(mean) and math.isfinite(norm)):
         what = ("not finite" if not np.isfinite(values).all() else "finite, but its mean square overflows"
@@ -635,30 +661,36 @@ def _fold(u: BoundaryFunction, rect: Rectangle, plan: _Plan, order: int) -> tupl
 
 def _apply(plan: _Plan, folds: Sequence[dict]) -> np.ndarray:
     """The integrals over the boundary of the folded data (_fold) against the plan's modes, in the
-    order of its table's modes: the perimeter times the coefficients."""
-    coeffs = np.zeros(plan.size)
+    order of its table's modes: the perimeter times the coefficients. Each slice's rows are written
+    once, (0.0 + its vertical pair's part) + its horizontal pair's, the sums two += into zeros make."""
+    coeffs = np.empty(plan.size)
     for part, pair, (even_along, even_across), across, tables in plan.items:
         data = folds[pair][even_along, even_across]
         if len(tables) == 1:
-            coeffs[part] += (tables[0] @ data.ravel()) * across
-            continue
-        if len(tables) == 3:  # with log_scale L,
-            # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,
-            # where e^(-nu d_k) = e^(nu d_(K-1-k)) on the symmetric nodes
-            ed, ep, em = tables
-            sums = 0.5 * (ep * (ed @ data.T) + (1.0 if even_along else -1.0) * em * (ed @ data[:, ::-1].T))
-        else:  # cos nu (c + d) = cos nu c cos nu d - sin nu c sin nu d, sin likewise
-            cosd, sind, cc, sc = tables
-            cd, sd = cosd @ data.T, sind @ data.T
-            sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
-        coeffs[part] += sums.sum(axis=1) * across
+            sums = (tables[0] @ data.ravel()) * across
+        else:
+            if len(tables) == 3:  # with log_scale L,
+                # e^L cosh or sinh nu (c + d) = (e^(L + nu c) e^(nu d) +- e^(L - nu c) e^(-nu d)) / 2,
+                # where e^(-nu d_k) = e^(nu d_(K-1-k)) on the symmetric nodes
+                ed, ep, em = tables
+                sums = 0.5 * (ep * (ed @ data.T) + (1.0 if even_along else -1.0) * em * (ed @ data[:, ::-1].T))
+            else:  # cos nu (c + d) = cos nu c cos nu d - sin nu c sin nu d, sin likewise
+                cosd, sind, cc, sc = tables
+                cd, sd = cosd @ data.T, sind @ data.T
+                sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
+            sums = sums.sum(axis=1) * across
+        if pair == 0:  # _tables gives each slice's pairs in turn
+            vertical = sums
+        else:
+            coeffs[part] = (0.0 + vertical) + sums
     return coeffs
 
 
 def _project(u: BoundaryFunction, rect: Rectangle, table: _ModeTable, order: int) -> tuple[float, float, np.ndarray]:
     """project against the modes of a table, all of them of rect, with the coefficients as one array
     in the order of the table's modes: the data folded on the grid of the table's plan, then the plan
-    applied to the folds. Per call, only the data and its folds are made, unless the plan is streamed."""
+    applied to the folds. Per call, only the boundary points, the data and its folds are made, unless
+    the plan is streamed."""
     freq = _check_freq_hint(u.freq_hint) + table.max_nu  # the constant and the xy mode have nu = 0
     plan = _plan(table, rect.alpha, order, (default_panels(rect.alpha * freq), default_panels(freq)))
     mean, norm, folds = _fold(u, rect, plan, order)

@@ -373,33 +373,23 @@ def evaluate_interior(e: SteklovExpansion, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _class_one_prefix(e: SteklovExpansion, family: Family) -> list[int]:
-    """The rows of e's table of the class-I modes of one family that form a complete index prefix
-    1..m, in index order, read from the rows of their group; of modes of one index, the last counts."""
-    modes = e._table.modes
-    rows = next((g.rows.tolist() for g in e._table.groups
-                 if g.eq is not None and g.eq.symmetry_class == SymmetryClass.I and g.eq.family == family), [])
-    by_index = {modes[r].index: r for r in rows}
-    out: list[int] = []
-    while len(out) + 1 in by_index:
-        out.append(by_index[len(out) + 1])
-    return out
-
-
 def central_value(e: SteklovExpansion) -> CentralValueResult:
     """Value at the origin with a certified error radius.
 
     Only class-I terms are summed (all other classes vanish at the origin
-    identically). m is the number of complete class-I pairs present; the
-    bound covers everything the truncation omitted, scaled by the data norm
-    recorded at expansion time (infinite when that norm is unknown), plus the
-    sum's rounding: (k + 2) eps times the sum of the magnitudes of its k + 1 terms.
+    identically), from the table's class-I prefixes (_ModeTable.class_one). m is
+    the number of complete class-I pairs present; the bound covers everything the
+    truncation omitted, scaled by the data norm recorded at expansion time
+    (infinite when that norm is unknown), plus the sum's rounding: (k + 2) eps times
+    the sum of the magnitudes of its k + 1 terms, plus the coefficients' rounding:
+    len(coefficients) eps data_norm times the sum of the summed modes' scales, which
+    covers class-I coefficients of data odd in x or y, exactly 0, that quadrature
+    leaves a few eps * data_norm off 0.
     Robin and Neumann divide the tail by the least (1-t) delta + t of an omitted
     class-I term, at the lower ends of the (m+1)-th root windows (no root solve).
     """
-    fam_x, fam_y = _class_one_prefix(e, Family.X), _class_one_prefix(e, Family.Y)
-    rows, modes = fam_x + fam_y, e._table.modes
-    parts = [c * modes[r].scale for r, c in zip(rows, e._coefficients[rows].tolist())]  # evaluate at (0,0) = scale
+    fam_x, fam_y, scales = e._table.class_one
+    parts = (e._coefficients[fam_x + fam_y] * scales).tolist()  # a term's value at (0, 0) is c * scale
     value = e.mean_term
     for part in parts:
         value += part
@@ -410,9 +400,11 @@ def central_value(e: SteklovExpansion) -> CentralValueResult:
     if e.t is not None:
         eqs = [DeterminingEquation(SymmetryClass.I, fam, e.alpha) for fam in Family]
         per_norm /= min((1.0 - e.t) * float(_window_deltas(eq, np.array([m + 1]))[0][0]) + e.t for eq in eqs)
+    eps = np.finfo(float).eps
     magnitude = abs(e.mean_term) + sum(map(abs, parts))
-    rounding = (len(parts) + 2) * np.finfo(float).eps * magnitude
-    return CentralValueResult(value, m, float(per_norm * e.data_norm + rounding), e.data_norm)
+    rounding = (len(parts) + 2) * eps * magnitude
+    coefficient_rounding = len(e._coefficients) * eps * e.data_norm * sum(scales.tolist())
+    return CentralValueResult(value, m, float(per_norm * e.data_norm + rounding + coefficient_rounding), e.data_norm)
 
 
 _TAIL_SHARE = 0.2  # of the terms, those of the highest eigenvalues, that energy_tail calls the tail

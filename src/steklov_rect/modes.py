@@ -320,6 +320,23 @@ class _ModeTable:
                 part = slice(k, k + step)
                 yield g.rows[part], g.eq, g.nu[part], g.log_scale[part], g.even
 
+    @functools.cached_property
+    def class_one(self) -> tuple[list[int], list[int], np.ndarray]:
+        """The rows of the class-I modes of family x, then of family y, that form a complete index
+        prefix 1..m, each in index order (of modes of one index, the last counts), and the scales of
+        the modes of both in turn: their values at the origin, where no other mode is nonzero."""
+        prefixes = []
+        for family in (Family.X, Family.Y):
+            rows = next((g.rows.tolist() for g in self.groups if g.eq is not None
+                         and g.eq.symmetry_class == SymmetryClass.I and g.eq.family == family), [])
+            by_index = {self.modes[r].index: r for r in rows}
+            prefix: list[int] = []
+            while len(prefix) + 1 in by_index:
+                prefix.append(by_index[len(prefix) + 1])
+            prefixes.append(prefix)
+        fam_x, fam_y = prefixes
+        return fam_x, fam_y, np.array([self.modes[r].scale for r in fam_x + fam_y], dtype=float)
+
 
 def _mode_table(modes: Sequence[SteklovMode]) -> _ModeTable:
     """The table of modes, gathered and grouped in one pass."""

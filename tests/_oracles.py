@@ -6,11 +6,12 @@ Newton's iteration in 50-digit mpmath on the pole-free product form, boundary
 integrals from scipy's fixed_quad on directly-written profiles. The one
 exception, paired_inner_product, sums on the library's own edge grid, so that
 a quadrature on that grid is compared with a plain per-edge sum on the same
-nodes; select_arclength_to_edge is the library's earlier arc-length map, kept
-to compare its replacement with bit for bit. The centre's Poisson kernel is
-summed from its separation-of-variables series in long double (an x87 long
-double, eps 1.1e-19, as on x86-64 Linux), and centre_tail_gap reads only the
-starting points of its roots from the library.
+nodes; select_arclength_to_edge is the library's earlier arc-length map, and
+fold_by_mirrors and apply_by_increments its earlier fold and apply of a
+projection plan, kept to compare their replacements with bit for bit. The
+centre's Poisson kernel is summed from its separation-of-variables series in
+long double (an x87 long double, eps 1.1e-19, as on x86-64 Linux), and
+centre_tail_gap reads only the starting points of its roots from the library.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.integrate import fixed_quad
 from scipy.optimize import brentq
 
 from steklov_rect import Edge, Family, ModeId, Rectangle, SymmetryClass, resolve
-from steklov_rect.boundary import edge_quadrature
+from steklov_rect.boundary import _boundary_grid, edge_quadrature
 from steklov_rect.roots import DeterminingEquation
 
 
@@ -67,6 +68,54 @@ def select_arclength_to_edge(alpha, s):
     on = [s0 < 2 * a, s1 < 2.0, s2 < 2 * a]
     edges = np.select(on, [Edge.RIGHT, Edge.TOP, Edge.LEFT], Edge.BOTTOM)
     return edges, np.select(on, [-a + s0, 1.0 - s1, a - s2], -1.0 + s3)
+
+
+def fold_by_mirrors(u, rect, plan, order):
+    """boundary._fold as it was before plans kept their gathers, for finite data: the nodes rebuilt
+    from the plan's grids, and per pair the weighted values at -t mirrored, with a zero row for an
+    odd grid's middle node, added to or taken from those at t, and zero-padded below."""
+    nodes = [(centres[:, None] + offsets).ravel() for centres, offsets, _ in plan.grids]
+    values = u._grid_values(rect, _boundary_grid(rect, *nodes))
+    total, square, folds = 0.0, 0.0, []
+    cut = 2 * nodes[0].size
+    for (centres, _, doubled), t, hv, parities in zip(plan.grids, nodes, (values[:cut], values[cut:]), plan.parities):
+        weights = doubled[::2]  # the plan keeps each node's weight twice, for its two edges
+        q, half = (centres.size + 1) // 2, t.size // 2
+        pad = q * order - (t.size - half)
+        hv = hv.reshape(t.size, 2)
+        wh = (hv.reshape(centres.size, order, 2) * weights[:, None]).reshape(t.size, 2)
+        square += float((wh * hv).sum())
+        mirror = np.concatenate([np.zeros((t.size % 2, 2)), wh[half - 1 :: -1]])
+        below = np.zeros((pad, 2))
+        sides, folded = {}, {}
+        for even_along, even_across in parities:
+            if even_along not in sides:
+                sides[even_along] = np.concatenate([below, wh[half:] + mirror if even_along else wh[half:] - mirror])
+            part = sides[even_along]
+            folded[even_along, even_across] = (part[:, 0] + part[:, 1] if even_across
+                                               else part[:, 0] - part[:, 1]).reshape(q, order)
+        total += float(folded[True, True].sum())
+        folds.append(folded)
+    return total / rect.perimeter, math.sqrt(square / rect.perimeter), folds
+
+
+def apply_by_increments(plan, folds):
+    """boundary._apply as it was: each slice's part on each pair of edges added into zeros with +=."""
+    coeffs = np.zeros(plan.size)
+    for part, pair, (even_along, even_across), across, tables in plan.items:
+        data = folds[pair][even_along, even_across]
+        if len(tables) == 1:
+            coeffs[part] += (tables[0] @ data.ravel()) * across
+            continue
+        if len(tables) == 3:
+            ed, ep, em = tables
+            sums = 0.5 * (ep * (ed @ data.T) + (1.0 if even_along else -1.0) * em * (ed @ data[:, ::-1].T))
+        else:
+            cosd, sind, cc, sc = tables
+            cd, sd = cosd @ data.T, sind @ data.T
+            sums = cc * cd - sc * sd if even_along else sc * cd + cc * sd
+        coeffs[part] += sums.sum(axis=1) * across
+    return coeffs
 
 
 def ulps(got, want):

@@ -132,9 +132,10 @@ def test_criterion_05_central_value_certificate():
             bound = 0.41 * math.exp(-nu_m) * res.data_norm
             err = abs(exact - res.value)
             ok = ok and err <= bound
-            # the reported bound adds the rounding of the 2m + 1 summed terms
+            # the reported bound adds the rounding of the 2m + 1 summed terms and of the 2m coefficients
             parts = [e.mean_term] + [t.coefficient * t.mode.scale for t in e.terms]
             bound += (2 * m + 2) * sys.float_info.epsilon * sum(abs(p) for p in parts)
+            bound += 2 * m * sys.float_info.epsilon * res.data_norm * sum(t.mode.scale for t in e.terms)
             ok = ok and abs(res.bound - bound) <= 1e-12 * bound
             errs.append(err)
             norm = res.data_norm

@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import urllib.request
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -36,12 +37,13 @@ from steklov_rect import (
     load_boundary_csv,
     resolve,
 )
-from steklov_rect.modes import _block_factors, _mode_table, evaluate
+from steklov_rect import boundary as bd
+from steklov_rect.modes import _block_factors, _first_modes_table, _mode_table, evaluate
 from steklov_rect.boundary import (BUILTIN_NAMES, _MAX_ORDER, _EdgeSpline, _boundary_grid,
                                    default_panels, edge_quadrature, project)
 
-from _oracles import (boundary_integral, boundary_mean, fd_laplacian, paired_inner_product,
-                      select_arclength_to_edge)
+from _oracles import (apply_by_increments, boundary_integral, boundary_mean, fd_laplacian, fold_by_mirrors,
+                      paired_inner_product, select_arclength_to_edge)
 
 
 def class_one(j, alpha=1.0, fam=Family.X):
@@ -366,6 +368,82 @@ class TestCoefficients:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75e6
+
+
+class TestFoldOracle:
+    """_fold's gathers and _apply's single writes give the bits of the mirror-and-concatenate fold
+    and the += apply they replaced (_oracles), compared by tobytes, so -0.0 against 0.0 counts."""
+
+    ODD = ("x", "y", "xy", "3x2y-y3", "x3-3xy2", "4x3y-4xy3", "sinhsin:0.9", "sinsinh:1.3")  # in x, y or both
+
+    @classmethod
+    def data(cls, alpha, which):
+        rect = Rectangle(alpha)
+        if which < len(cls.ODD):
+            return builtin_boundary(cls.ODD[which])
+        which -= len(cls.ODD)
+        if which == 0:  # a part odd in x and one odd in y
+            return LinearCombination([(0.7, builtin_boundary("x")), (-1.3, builtin_boundary("3x2y-y3"))])
+        if which == 1:  # even in both
+            return LinearCombination([(0.4, builtin_boundary("const:2.5")), (-0.8, builtin_boundary("coshcos:1.7")),
+                                      (0.6, builtin_boundary("coscosh:2.2")), (1.1, builtin_boundary("x2-y2"))])
+        lengths = np.array([2.0 * alpha, 2.0, 2.0 * alpha, 2.0])  # 60 samples an edge, off its corners
+        s = (np.cumsum(lengths) - lengths)[:, None] + lengths[:, None] * (np.arange(60) + 0.5) / 60
+        return SampledBoundaryFunction(rect, s.ravel(), np.cos(3.0 * s.ravel()) - 0.5 * s.ravel())
+
+    @staticmethod
+    def bits(mean, norm, folds, coeffs):
+        return (np.array([mean, norm]).tobytes(), [{k: v.tobytes() for k, v in f.items()} for f in folds],
+                np.asarray(coeffs).tobytes())
+
+    @classmethod
+    def assert_equal(cls, u, rect, table, order, panels):
+        plan = lambda: bd._plan(table, rect.alpha, order, panels)  # a streamed plan's items are read once
+        mean, norm, folds = bd._fold(u, rect, plan(), order)
+        got = cls.bits(mean, norm, folds, bd._apply(plan(), folds))
+        mean, norm, folds = fold_by_mirrors(u, rect, plan(), order)
+        assert got == cls.bits(mean, norm, folds, apply_by_increments(plan(), folds))
+
+    def test_gathers_past_65536_nodes(self):
+        # 68262 nodes: the gathers' indices no longer fit uint16
+        rect, u = Rectangle(1.0), self.data(1.0, len(self.ODD))
+        table = _first_modes_table(1.0, 20, None)
+        assert bd._plan(table, 1.0, 31, (1101, 1101)).gathers[0].dtype == np.uint32
+        self.assert_equal(u, rect, table, 31, (1101, 1101))
+
+    def test_apply_writes_the_sum_of_increments_into_zeros(self):
+        # a slice whose parts on both pairs are -0.0: two += into zeros make 0.0 of them
+        rows, across, tables = np.array([0]), np.array([-1.0]), (np.ones((1, 2)),)
+        plan = bd._Plan(1, (), (), (), (), [(rows, pair, (True, True), across, tables) for pair in (0, 1)])
+        folds = [{(True, True): np.zeros((1, 2))}] * 2
+        assert bd._apply(plan, folds).tobytes() == apply_by_increments(plan, folds).tobytes() == np.zeros(1).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(math.log(1e-3), 0.0).map(math.exp)),
+        order=st.integers(2, 9),
+        panels=st.tuples(st.integers(4, 13), st.integers(4, 13)),
+        classes=st.sets(st.sampled_from(list(SymmetryClass)), min_size=1),
+        count=st.integers(0, 12),
+        constant=st.booleans(),
+        which=st.integers(0, len(ODD) + 2),
+        streamed=st.booleans(),
+    )
+    def test_fold_and_apply_equal_the_oracle(self, alpha, order, panels, classes, count, constant, which, streamed):
+        rect, u = Rectangle(alpha), self.data(alpha, which)
+        table = _first_modes_table(alpha, count, classes)
+        if constant:
+            table = _mode_table([resolve(ModeId.constant(), alpha), *table.modes])
+        with mock.patch.object(bd, "_TABLE_VALUES", 0 if streamed else bd._TABLE_VALUES):
+            self.assert_equal(u, rect, table, order, panels)
+            # _project, on the panels of u's frequency
+            got = bd._project(u, rect, table, order)
+            freq = u.freq_hint + table.max_nu
+            panels = default_panels(alpha * freq), default_panels(freq)
+            mean, norm, folds = fold_by_mirrors(u, rect, bd._plan(table, alpha, order, panels), order)
+            want = apply_by_increments(bd._plan(table, alpha, order, panels), folds) / rect.perimeter
+        assert np.array(got[:2]).tobytes() == np.array([mean, norm]).tobytes()
+        assert got[2].tobytes() == want.tobytes()
 
 
 class EdgesOnly(BoundaryFunction):
